@@ -4,7 +4,7 @@
 
 with overflow-safe evaluation, analytic gradients, presets for eight classic
 activations, error analysis (critical points, RMSE tables, characteristic
-equations), constrained gradient-descent fitting, and a small trainable-
+equations), constrained Levenberg-Marquardt fitting, and a small trainable-
 activation network harness.
 """
 

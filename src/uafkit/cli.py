@@ -158,14 +158,14 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
     if (spec_file is None) == (builtin_name is None):
         raise click.UsageError("provide exactly one of --spec or --builtin")
     if builtin_name is not None:
-        spec = fitting.builtin_spec(builtin_name)
+        result = fitting.fit(fitting.builtin_spec(builtin_name))
     else:
         data = _load_json(spec_file, "fit spec")
         try:
-            spec = fitting.FitSpec.from_dict(data)
+            # fit itself rejects an init that violates the spec's ties.
+            result = fitting.fit(fitting.FitSpec.from_dict(data))
         except ValueError as exc:
             raise click.UsageError(f"--spec file '{spec_file}': {exc}") from exc
-    result = fitting.fit(spec)
     _emit(json.dumps(result.to_dict(), indent=2) + "\n", output)
 
 

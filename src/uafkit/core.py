@@ -64,6 +64,30 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def coerce(name: str, value, kind: type):
+    """One value read from JSON, checked and converted for a config field of
+    type kind (bool, int or float).
+
+    Stricter than calling the type: a bool must be true or false, an int an
+    integral number, a float a finite number, and neither number accepts a
+    bool, a string or null. Raises ValueError naming the field.
+    """
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return _require_finite(name, value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class UafParams:
     """The five parameters (A, B, C, D, E); all finite reals."""
@@ -94,7 +118,7 @@ class UafParams:
         extra = [k for k in data if k not in PARAM_NAMES]
         if extra:
             raise ValueError(f"parameters contain unknown field(s): {', '.join(map(str, extra))}")
-        return cls(**{n: data[n] for n in PARAM_NAMES})
+        return cls(**{n: coerce(n, data[n], float) for n in PARAM_NAMES})
 
 
 @dataclass(frozen=True)

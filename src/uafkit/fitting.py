@@ -1,13 +1,14 @@
-"""Constrained gradient-descent fitting of UAF parameters to a target
+"""Constrained Levenberg-Marquardt fitting of UAF parameters to a target
 activation.
 
 A fit minimizes the RMSE of the approximation error over a uniform sample
-grid. Parameters are partitioned into free (descended on), tied (closed-form
+grid. Parameters are partitioned into free (fitted), tied (closed-form
 functions of a free parameter), and constant (frozen at their initial value).
-Descent runs on the mean squared error — the same minimizer as RMSE with a
-smooth gradient assembled from the analytic parameter partials — and reports
-RMSE. Backtracking step-halving guarantees a monotone RMSE trace; there is no
-randomness, so fits are deterministic.
+The solver works on the residual f - target: a damped Gauss-Newton step on
+the k x k normal equations of the free parameters, whose Jacobian comes from
+the analytic parameter partials chained through the ties. A trial step is
+kept only when the mean squared error does not increase, so the reported
+RMSE trace is monotone; there is no randomness, so fits are deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._backend import uaf_eval as _k_eval
 from ._backend import uaf_grad as _k_grad
-from .core import LN2, PARAM_NAMES, A_RELU, PresetKind, UafParams
+from .core import LN2, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce
 from .targets import TargetActivation, target_eval_batch
 
 __all__ = [
@@ -109,7 +110,7 @@ class Tie:
             param=data["param"],
             kind=data["kind"],
             source=data.get("source"),
-            value=data.get("value", 0.0),
+            value=coerce("tie value", data.get("value", 0.0), float),
         )
 
 
@@ -122,14 +123,17 @@ def _kind_from_dict(data) -> PresetKind:
             raise ValueError(f"target contains unknown field(s): {', '.join(sorted(extra))}")
         if "name" not in data:
             raise ValueError("target requires a 'name' field")
-        return PresetKind.from_name(data["name"], data.get("alpha"))
+        alpha = data.get("alpha")
+        if alpha is not None:
+            alpha = coerce("alpha", alpha, float)
+        return PresetKind.from_name(data["name"], alpha)
     raise ValueError(f"target must be a name or object, got {type(data).__name__}")
 
 
 @dataclass(frozen=True)
 class FitSpec:
     """A constrained fitting problem: which parameters move, how the rest are
-    pinned, and the sample grid / optimizer settings."""
+    pinned, and the sample grid / solver settings."""
 
     target: TargetActivation
     free: tuple[str, ...]
@@ -138,6 +142,8 @@ class FitSpec:
     interval: tuple[float, float] = (-10.0, 10.0)
     n_samples: int = 2001
     max_iters: int = 100000
+    # The initial Levenberg-Marquardt damping lambda (see fit); the name
+    # predates the solver and is kept so existing spec files still parse.
     learning_rate: float = 0.1
     tolerance: float = 1e-12
 
@@ -204,29 +210,42 @@ class FitSpec:
         for req in ("target", "free", "init"):
             if req not in data:
                 raise ValueError(f"fit spec requires a {req!r} field")
+        free, ties = data["free"], data.get("ties", [])
+        if not (isinstance(free, list) and all(isinstance(n, str) for n in free)):
+            raise ValueError(f"free must be a list of parameter names, got {free!r}")
+        if not isinstance(ties, list):
+            raise ValueError(f"ties must be a list, got {ties!r}")
         kwargs: dict = {
             "target": TargetActivation(_kind_from_dict(data["target"])),
-            "free": tuple(data["free"]),
-            "ties": tuple(Tie.from_dict(t) for t in data.get("ties", [])),
+            "free": tuple(free),
+            "ties": tuple(Tie.from_dict(t) for t in ties),
             "init": UafParams.from_dict(data["init"]),
         }
         if "interval" in data:
-            kwargs["interval"] = tuple(data["interval"])
-        for name in ("n_samples", "max_iters", "learning_rate", "tolerance"):
+            interval = data["interval"]
+            if not (isinstance(interval, list) and len(interval) == 2):
+                raise ValueError(f"interval must be a list [lo, hi], got {interval!r}")
+            kwargs["interval"] = tuple(coerce("interval", v, float) for v in interval)
+        for name, kind in (("n_samples", int), ("max_iters", int), ("learning_rate", float), ("tolerance", float)):
             if name in data:
-                kwargs[name] = data[name]
+                kwargs[name] = coerce(name, data[name], kind)
         return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, their RMSE, and the monotone per-step trace."""
+    """Best parameters found, their RMSE, why the fit stopped (see fit), and
+    the monotone per-step trace."""
 
     params: UafParams
     rmse: float
     iterations: int
-    converged: bool
+    stop_reason: str
     rmse_trace: tuple[float, ...] = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
     def to_dict(self) -> dict:
         return {
@@ -234,13 +253,14 @@ class FitResult:
             "rmse": self.rmse,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "rmse_trace": list(self.rmse_trace),
         }
 
 
 class _Objective:
-    """Mean-squared-error objective over the sample grid, with its gradient
-    chained through the ties onto the free parameters."""
+    """Residual r = f - target over the sample grid, and its Jacobian with
+    respect to the free parameters, chained through the ties."""
 
     def __init__(self, spec: FitSpec):
         self.spec = spec
@@ -265,68 +285,44 @@ class _Objective:
         except (ValueError, ZeroDivisionError):
             return None
 
-    def mse(self, params: UafParams) -> float:
-        f = _k_eval(self.grid, *params.as_tuple())
-        e = f - self.tvals
-        return float(np.mean(e * e))
+    def residual(self, params: UafParams) -> tuple[np.ndarray, float]:
+        """r = f - target on the grid, and its mean square."""
+        r = _k_eval(self.grid, *params.as_tuple()) - self.tvals
+        return r, float(np.mean(r * r))
 
-    def mse_and_grad(self, params: UafParams, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        f = _k_eval(self.grid, *params.as_tuple())
-        e = f - self.tvals
-        mse = float(np.mean(e * e))
-        g6 = _k_grad(self.grid, *params.as_tuple())
-        # d(mse)/d(param) for each of A..E (columns 1..5 of the kernel output).
-        dmse = {
-            name: 2.0 * float(np.mean(e * g6[:, 1 + j]))
-            for j, name in enumerate(PARAM_NAMES)
-        }
-        vals = dict(zip(self.spec.free, theta))
-        grad = np.zeros(len(self.spec.free))
+    def jacobian(self, params: UafParams, theta: np.ndarray) -> np.ndarray:
+        """(n, k) matrix d r / d theta: the kernel's parameter partials times
+        d(A..E)/d(theta), which is 1 on each free parameter's own row and the
+        tie slope on the row of every parameter tied to it."""
+        chain = np.zeros((len(PARAM_NAMES), len(theta)))
         for i, name in enumerate(self.spec.free):
-            g = dmse[name]
+            chain[PARAM_NAMES.index(name), i] = 1.0
             for tie in self.spec.ties:
                 if tie.source == name:
-                    g += dmse[tie.param] * tie.d_source(float(vals[name]))
-            grad[i] = g
-        return mse, grad
-
-    def curvature_scale(self, params: UafParams, theta: np.ndarray) -> np.ndarray:
-        """Per-parameter curvature estimate (Gauss-Newton diagonal) used to
-        scale the descent direction.
-
-        The free parameters act on wildly different scales over a wide sample
-        interval (df/dC ~ x^2 vs df/dE = 1), so a single step length either
-        crawls in the flat directions or overshoots in the stiff one; dividing
-        each gradient component by 2*mean((df/dv)^2) puts them on equal
-        footing while keeping the direction a descent direction.
-        """
-        g6 = _k_grad(self.grid, *params.as_tuple())
-        col = {name: g6[:, 1 + j] for j, name in enumerate(PARAM_NAMES)}
-        vals = dict(zip(self.spec.free, theta))
-        scale = np.empty(len(self.spec.free))
-        for i, name in enumerate(self.spec.free):
-            total = col[name].copy()
-            for tie in self.spec.ties:
-                if tie.source == name:
-                    total += col[tie.param] * tie.d_source(float(vals[name]))
-            scale[i] = max(2.0 * float(np.mean(total * total)), 1e-30)
-        return scale
+                    chain[PARAM_NAMES.index(tie.param), i] = tie.d_source(float(theta[i]))
+        return _k_grad(self.grid, *params.as_tuple())[:, 1:] @ chain
 
 
-_MAX_HALVINGS = 60
+# Consecutive rejected trials before the fit stops as stalled: the damping has
+# grown 1e30-fold, so the step is far below the resolution of the parameters.
+_MAX_REJECTIONS = 30
 
 
 def fit(spec: FitSpec) -> FitResult:
-    """Gradient descent on the free parameters with backtracking step-halving.
+    """Levenberg-Marquardt on the free parameters.
 
-    The descent direction is the gradient scaled per-parameter by the current
-    curvature estimate (see _Objective.curvature_scale), refreshed after every
-    accepted step. Each step first tries the current learning rate, halving it
-    until the MSE stops increasing (so the RMSE trace is non-increasing);
-    accepted steps grow the rate by 1.1x, capped at 10x the initial rate. A
-    step whose RMSE improvement falls below spec.tolerance is discarded and
-    the fit reports converged; a vanishing gradient also converges; exhausting
-    max_iters does not.
+    Each accepted step builds the residual r and its Jacobian J once and
+    solves the k x k damped normal equations (J^T J + lam diag(J^T J)) delta =
+    J^T r, starting from lam = spec.learning_rate. The trial theta - delta is
+    accepted when its ties assemble to finite parameters and its MSE does not
+    increase, so the RMSE trace is non-increasing; lam then shrinks 10x. A
+    rejected trial grows lam 10x and is retried from the same point.
+
+    stop_reason is "tolerance" when an accepted trial improves the RMSE by
+    less than spec.tolerance (the trial is not recorded); "stalled" after
+    _MAX_REJECTIONS rejected trials in a row, or when the normal equations
+    overflow; "zero_gradient" when J^T r is exactly zero; and "max_iters"
+    after spec.max_iters accepted steps, the only stop not counted converged.
     """
     obj = _Objective(spec)
     theta = np.array([getattr(spec.init, name) for name in spec.free], dtype=np.float64)
@@ -334,49 +330,47 @@ def fit(spec: FitSpec) -> FitResult:
     if params is None:
         raise ValueError("initial parameters violate the ties (non-finite result)")
 
-    cur_mse, cur_grad = obj.mse_and_grad(params, theta)
+    r, cur_mse = obj.residual(params)
     trace = [math.sqrt(cur_mse)]
-    lr = spec.learning_rate
-    lr_cap = spec.learning_rate * 10.0
-    converged = False
-    iterations = 0
+    lam = spec.learning_rate
+    stop_reason = "max_iters"
 
     for _ in range(spec.max_iters):
-        if not np.any(cur_grad):
-            converged = True
+        jac = obj.jacobian(params, theta)
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        if not (np.isfinite(jtj).all() and np.isfinite(jtr).all()):
+            stop_reason = "stalled"
             break
-        direction = cur_grad / obj.curvature_scale(params, theta)
-        trial_theta = theta
-        trial_params = None
-        trial_mse = math.inf
-        for _halving in range(_MAX_HALVINGS + 1):
-            trial_theta = theta - lr * direction
+        if not np.any(jtr):
+            stop_reason = "zero_gradient"
+            break
+        for _trial in range(_MAX_REJECTIONS):
+            # lstsq, not solve: a parameter with no effect on the residual
+            # leaves a zero row and column, and gets a zero step.
+            delta = np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), jtr, rcond=None)[0]
+            trial_theta = theta - delta
             trial_params = obj.assemble(trial_theta)
-            trial_mse = obj.mse(trial_params) if trial_params is not None else math.inf
-            if trial_mse <= cur_mse and math.isfinite(trial_mse):
-                break
-            lr *= 0.5
-        if not (math.isfinite(trial_mse) and trial_mse <= cur_mse):
-            # No step length improves the objective: descent has stalled.
-            converged = True
+            if trial_params is not None:
+                trial_r, trial_mse = obj.residual(trial_params)
+                if math.isfinite(trial_mse) and trial_mse <= cur_mse:
+                    lam /= 10.0
+                    break
+            lam *= 10.0
+        else:
+            stop_reason = "stalled"
             break
         if math.sqrt(cur_mse) - math.sqrt(trial_mse) < spec.tolerance:
-            # Progress below tolerance: already converged; the step is not
-            # worth recording.
-            converged = True
+            stop_reason = "tolerance"
             break
-        theta = trial_theta
-        params = trial_params
-        cur_mse, cur_grad = obj.mse_and_grad(params, theta)
+        theta, params, r, cur_mse = trial_theta, trial_params, trial_r, trial_mse
         trace.append(math.sqrt(cur_mse))
-        iterations += 1
-        lr = min(lr * 1.1, lr_cap)
 
     return FitResult(
         params=params,
         rmse=math.sqrt(cur_mse),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(trace) - 1,
+        stop_reason=stop_reason,
         rmse_trace=tuple(trace),
     )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._backend import uaf_eval as _k_eval
 from ._backend import uaf_grad as _k_grad
-from .core import PARAM_NAMES, PresetKind, UafParams, preset
+from .core import PARAM_NAMES, PresetKind, UafParams, coerce, preset
 from .datasets import Dataset
 from .targets import TargetActivation
 
@@ -78,9 +78,12 @@ def _activation_from_dict(data: dict):
             kind = {"name": kind}
         if not isinstance(kind, dict) or "name" not in kind:
             raise ValueError("fixed activation requires a 'kind' with a 'name'")
+        alpha = kind.get("alpha")
+        if alpha is not None:
+            alpha = coerce("alpha", alpha, float)
         return FixedActivation(
-            kind=PresetKind.from_name(kind["name"], kind.get("alpha")),
-            exact=bool(data.get("exact", False)),
+            kind=PresetKind.from_name(kind["name"], alpha),
+            exact=coerce("exact", data.get("exact", False), bool),
         )
     raise ValueError(f"activation type must be 'fixed' or 'trainable', got {data['type']!r}")
 
@@ -115,13 +118,13 @@ def _optimizer_from_dict(data: dict):
         raise ValueError("optimizer must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "sgd":
-        return SgdConfig(learning_rate=float(data.get("learning_rate", 0.01)))
+        return SgdConfig(learning_rate=coerce("learning_rate", data.get("learning_rate", 0.01), float))
     if kind == "adam":
         return AdamConfig(
-            learning_rate=float(data.get("learning_rate", 0.001)),
-            beta1=float(data.get("beta1", 0.9)),
-            beta2=float(data.get("beta2", 0.999)),
-            epsilon=float(data.get("epsilon", 1e-8)),
+            learning_rate=coerce("learning_rate", data.get("learning_rate", 0.001), float),
+            beta1=coerce("beta1", data.get("beta1", 0.9), float),
+            beta2=coerce("beta2", data.get("beta2", 0.999), float),
+            epsilon=coerce("epsilon", data.get("epsilon", 1e-8), float),
         )
     raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
 
@@ -202,18 +205,24 @@ class NetworkConfig:
         for req in ("layer_sizes", "activation"):
             if req not in data:
                 raise ValueError(f"network config requires a {req!r} field")
+        sizes = data["layer_sizes"]
+        if not isinstance(sizes, list):
+            raise ValueError(f"layer_sizes must be a list, got {sizes!r}")
         kwargs: dict = {
-            "layer_sizes": tuple(data["layer_sizes"]),
+            "layer_sizes": tuple(coerce("layer_sizes", s, int) for s in sizes),
             "activation": _activation_from_dict(data["activation"]),
         }
         if "optimizer" in data:
             kwargs["optimizer"] = _optimizer_from_dict(data["optimizer"])
-        for name in (
-            "use_batch_norm", "output_activation", "seed", "batch_size",
-            "epochs", "uaf_learning_rate",
+        if "output_activation" in data:
+            kwargs["output_activation"] = data["output_activation"]
+        for name, kind in (
+            ("use_batch_norm", bool), ("seed", int), ("batch_size", int), ("epochs", int),
         ):
             if name in data:
-                kwargs[name] = data[name]
+                kwargs[name] = coerce(name, data[name], kind)
+        if data.get("uaf_learning_rate") is not None:
+            kwargs["uaf_learning_rate"] = coerce("uaf_learning_rate", data["uaf_learning_rate"], float)
         return cls(**kwargs)
 
 

@@ -169,6 +169,57 @@ def test_fit_rejects_invalid_spec_fields(runner, tmp_path):
     assert runner.invoke(main, ["fit", "--spec", str(path)]).exit_code == 2
 
 
+def _family_spec(**overrides):
+    return {**uk.builtin_spec("sigmoid-family").to_dict(), **overrides}
+
+
+def _tie_spec(value):
+    spec = _family_spec()
+    spec["ties"][0]["value"] = value
+    return spec
+
+
+_TRAIN_CONFIG = {
+    "layer_sizes": [16, 8, 4],
+    "activation": {"type": "trainable", "init": uk.preset(uk.IDENTITY).to_dict()},
+    "epochs": 1,
+}
+
+
+# Each input gives one field a value of the wrong JSON type for its command.
+# Python's own float/int/bool would raise a TypeError (a traceback, exit 1) or
+# quietly convert it (2.9 to 2, true to 1, "no" to True); the CLI contract is
+# a usage error naming the file.
+@pytest.mark.parametrize("command, data", [
+    ("fit", _family_spec(learning_rate="0.1")),
+    ("fit", _tie_spec(None)),
+    ("eval", {**uk.preset(uk.IDENTITY).to_dict(), "A": None}),
+    ("train", {**_TRAIN_CONFIG, "epochs": None}),
+    ("fit", _family_spec(n_samples=2.9)),
+    ("fit", _family_spec(max_iters=True)),
+    ("train", {**_TRAIN_CONFIG, "use_batch_norm": "no"}),
+    # a spec whose init breaks its own ties (B = 0.5/A at A = 0)
+    ("fit", _family_spec(init={"A": 0.0, "B": 0.5, "C": 0.0, "D": 0.0, "E": 0.0})),
+], ids=[
+    "string_learning_rate", "null_tie_value", "null_param", "null_epochs",
+    "fractional_n_samples", "bool_max_iters", "string_batch_norm", "init_breaks_ties",
+])
+def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "fit":
+        args = ["fit", "--spec", str(path)]
+    elif command == "eval":
+        args = ["eval", "--params", str(path), "--from", "0", "--to", "1"]
+    else:
+        _, ds = _write_train_inputs(tmp_path)
+        args = ["train", "--config", str(path), "--dataset", str(ds)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "input.json" in result.output
+
+
 # --- report / table -------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ equations), constrained Levenberg-Marquardt fitting, and a small trainable-
 activation network harness.
 """
 
-from ._backend import backend_name
 from .analysis import (
     ErrorReport,
     RmseTable,
@@ -63,6 +62,12 @@ from .network import (
 from .targets import TargetActivation, approx_error, approx_error_batch, target, target_eval
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation; there is one, the NumPy kernels."""
+    return "numpy"
+
 
 __all__ = [
     "__version__",

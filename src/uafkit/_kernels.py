@@ -1,30 +1,26 @@
-"""Pure-NumPy kernels for elementwise UAF evaluation and gradients.
+"""The elementwise kernels every layer reaches the UAF through: evaluation
+(``uaf_eval``), its six first derivatives (``uaf_grad``), and the overflow-safe
+``softplus`` and ``logistic`` they are built from, which ``targets`` also uses.
 
-This module and ``_kernels_cy`` expose the same two functions with identical
-signatures; ``_backend`` picks one at import time. Everything here operates on
-contiguous float64 arrays and returns freshly allocated arrays.
+Everything here operates on contiguous float64 arrays and returns freshly
+allocated arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BACKEND_NAME = "numpy"
 
-
-def _softplus(z: np.ndarray) -> np.ndarray:
+def softplus(z: np.ndarray) -> np.ndarray:
     """Overflow-safe softplus: max(z, 0) + log1p(e^{-|z|})."""
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic sigma(z) = 1 / (1 + e^{-z})."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def logistic(z: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic sigma(z) = 1 / (1 + e^{-z}), from e = e^{-|z|}:
+    1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def uaf_eval(
@@ -34,7 +30,7 @@ def uaf_eval(
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     z1 = A * (xs + B) + C * xs * xs
     z2 = D * (xs - B)
-    return _softplus(z1) - _softplus(z2) + E
+    return softplus(z1) - softplus(z2) + E
 
 
 def uaf_grad(
@@ -55,8 +51,8 @@ def uaf_grad(
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     z1 = A * (xs + B) + C * xs * xs
     z2 = D * (xs - B)
-    s1 = _logistic(z1)
-    s2 = _logistic(z2)
+    s1 = logistic(z1)
+    s2 = logistic(z2)
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
     out[:, 0] = s1 * (A + 2.0 * C * xs) - s2 * D
     out[:, 1] = s1 * (xs + B)

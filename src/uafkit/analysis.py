@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import logistic
 from .core import PresetKind, UafParams, preset
 from .targets import TargetActivation, approx_error, approx_error_batch
 
@@ -324,12 +325,7 @@ def _char_terms(kind: PresetKind, p: UafParams, x: float) -> list[float]:
             C = p.C
             z = C * x * x
             # 2Cx e^z / (1 + e^z) = 2Cx * logistic(z), computed overflow-safe.
-            if z >= 0:
-                s = 1.0 / (1.0 + math.exp(-z)) if z < 700 else 1.0
-            else:
-                ez = math.exp(z)
-                s = ez / (1.0 + ez)
-            t1 = 2.0 * C * x * s
+            t1 = 2.0 * C * x * float(logistic(np.array([z]))[0])
             t2 = x * math.log(2.0) * math.exp(-0.5 * x * x)
             return [t1, t2]
     raise ValueError(

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import analysis, datasets, fitting, network
-from .core import PRESET_NAMES, PresetKind, UafParams, preset
+from .core import PRESET_NAMES, PresetKind, UafParams, coerce, preset
 from .targets import TargetActivation, approx_error_batch, target_eval_batch
 from .core import eval_batch
 
@@ -222,7 +222,21 @@ def _seed_override() -> int | None:
         raise click.UsageError(f"UAFKIT_SEED must be an integer, got {raw!r}") from None
 
 
-def _dataset_from_spec(data: dict, seed_override: int | None) -> datasets.Dataset:
+# Dataset spec fields read through coerce; snr_db is passed as given, since
+# make_gas_analogue documents inf for it.
+_DATASET_FIELDS = {
+    "seed": int,
+    "n_samples": int,
+    "n_channels": int,
+    "n_species": int,
+    "n_classes": int,
+    "n_features": int,
+    "spread": float,
+}
+
+
+def _dataset_from_spec(path: str, seed_override: int | None) -> datasets.Dataset:
+    data = _load_json(path, "dataset spec")
     if not isinstance(data, dict) or "kind" not in data:
         raise click.UsageError("dataset spec must be an object with a 'kind' field")
     spec = dict(data)
@@ -235,9 +249,12 @@ def _dataset_from_spec(data: dict, seed_override: int | None) -> datasets.Datase
             f"dataset kind must be one of {', '.join(sorted(makers))}, got {kind!r}"
         )
     try:
+        for name, field_kind in _DATASET_FIELDS.items():
+            if name in spec:
+                spec[name] = coerce(name, spec[name], field_kind)
         return makers[kind](**spec)
     except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"dataset spec: {exc}") from exc
+        raise click.UsageError(f"--dataset file '{path}': {exc}") from exc
 
 
 def _trajectory_csv(report: network.TrainReport) -> str:
@@ -270,7 +287,7 @@ def train_cmd(config_file, dataset_file, output, csv_file) -> None:
         config = network.NetworkConfig.from_dict(config_data)
     except ValueError as exc:
         raise click.UsageError(f"--config file '{config_file}': {exc}") from exc
-    dataset = _dataset_from_spec(_load_json(dataset_file, "dataset spec"), seed_override)
+    dataset = _dataset_from_spec(dataset_file, seed_override)
     report = network.train(config, dataset)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", output)
     if csv_file is not None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import uaf_eval as _k_eval
-from ._backend import uaf_grad as _k_grad
+from ._kernels import uaf_eval as _k_eval
+from ._kernels import uaf_grad as _k_grad
 
 __all__ = [
     "UafParams",

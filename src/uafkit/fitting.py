@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import uaf_eval as _k_eval
-from ._backend import uaf_grad as _k_grad
+from ._kernels import uaf_eval as _k_eval
+from ._kernels import uaf_grad as _k_grad
 from .core import LN2, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce
 from .targets import TargetActivation, target_eval_batch
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import uaf_eval as _k_eval
-from ._backend import uaf_grad as _k_grad
+from ._kernels import uaf_eval as _k_eval
+from ._kernels import uaf_grad as _k_grad
 from .core import PARAM_NAMES, PresetKind, UafParams, coerce, preset
 from .datasets import Dataset
 from .targets import TargetActivation

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import logistic, softplus
 from .core import LN2, PresetKind, UafParams, eval_batch, eval_stable
 
 __all__ = [
@@ -24,19 +25,6 @@ __all__ = [
 ]
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _eval_kind(kind: PresetKind, x: np.ndarray) -> np.ndarray:
     name = kind.name
     if name == "identity":
@@ -44,7 +32,7 @@ def _eval_kind(kind: PresetKind, x: np.ndarray) -> np.ndarray:
     if name == "step":
         return np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5))
     if name == "sigmoid":
-        return _logistic(x)
+        return logistic(x)
     if name == "tanh":
         return np.tanh(x)
     if name == "relu":
@@ -52,7 +40,7 @@ def _eval_kind(kind: PresetKind, x: np.ndarray) -> np.ndarray:
     if name == "leaky_relu":
         return np.where(x >= 0, x, kind.alpha * x)
     if name == "softplus":
-        return _softplus(x)
+        return softplus(x)
     if name == "gaussian":
         return LN2 * np.exp(-0.5 * x * x)
     raise ValueError(f"unknown target kind {name!r}")
@@ -67,7 +55,7 @@ def _derivative_kind(kind: PresetKind, x: np.ndarray) -> np.ndarray:
     if name == "step":
         return np.zeros_like(x)
     if name == "sigmoid":
-        s = _logistic(x)
+        s = logistic(x)
         return s * (1.0 - s)
     if name == "tanh":
         t = np.tanh(x)
@@ -77,7 +65,7 @@ def _derivative_kind(kind: PresetKind, x: np.ndarray) -> np.ndarray:
     if name == "leaky_relu":
         return np.where(x >= 0, 1.0, kind.alpha)
     if name == "softplus":
-        return _logistic(x)
+        return logistic(x)
     if name == "gaussian":
         return -x * LN2 * np.exp(-0.5 * x * x)
     raise ValueError(f"unknown target kind {name!r}")

@@ -185,6 +185,9 @@ _TRAIN_CONFIG = {
     "epochs": 1,
 }
 
+_BLOBS_DATASET = {"kind": "blobs", "seed": 11, "n_samples": 200,
+                  "n_classes": 4, "n_features": 16}
+
 
 # Each input gives one field a value of the wrong JSON type for its command.
 # Python's own float/int/bool would raise a TypeError (a traceback, exit 1) or
@@ -200,9 +203,15 @@ _TRAIN_CONFIG = {
     ("train", {**_TRAIN_CONFIG, "use_batch_norm": "no"}),
     # a spec whose init breaks its own ties (B = 0.5/A at A = 0)
     ("fit", _family_spec(init={"A": 0.0, "B": 0.5, "C": 0.0, "D": 0.0, "E": 0.0})),
+    # null would leave the dataset unseeded, true would be read as seed 1
+    ("dataset", {**_BLOBS_DATASET, "seed": None}),
+    ("dataset", {**_BLOBS_DATASET, "seed": True}),
+    ("dataset", {**_BLOBS_DATASET, "n_features": 16.5}),
+    ("dataset", {**_BLOBS_DATASET, "spread": "3"}),
 ], ids=[
     "string_learning_rate", "null_tie_value", "null_param", "null_epochs",
     "fractional_n_samples", "bool_max_iters", "string_batch_norm", "init_breaks_ties",
+    "null_dataset_seed", "bool_dataset_seed", "fractional_n_features", "string_spread",
 ])
 def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
     path = tmp_path / "input.json"
@@ -211,6 +220,9 @@ def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
         args = ["fit", "--spec", str(path)]
     elif command == "eval":
         args = ["eval", "--params", str(path), "--from", "0", "--to", "1"]
+    elif command == "dataset":
+        cfg, _ = _write_train_inputs(tmp_path)
+        args = ["train", "--config", str(cfg), "--dataset", str(path)]
     else:
         _, ds = _write_train_inputs(tmp_path)
         args = ["train", "--config", str(path), "--dataset", str(ds)]
@@ -287,12 +299,10 @@ def _write_train_inputs(tmp_path, seed=3):
         "epochs": 2,
         "seed": seed,
     }
-    dataset = {"kind": "blobs", "seed": 11, "n_samples": 200,
-               "n_classes": 4, "n_features": 16}
     cfg = tmp_path / "config.json"
     ds = tmp_path / "dataset.json"
     cfg.write_text(json.dumps(config))
-    ds.write_text(json.dumps(dataset))
+    ds.write_text(json.dumps(_BLOBS_DATASET))
     return cfg, ds
 
 
@@ -342,3 +352,22 @@ def test_train_rejects_bad_dataset_kind(runner, tmp_path):
     result = runner.invoke(main, ["train", "--config", str(cfg),
                                   "--dataset", str(ds)])
     assert result.exit_code == 2
+
+
+def test_train_dataset_spec_accepts_integral_floats(runner, tmp_path):
+    # 200.0 reads as 200 here as it does in a NetworkConfig; the run is the
+    # same as with the integer spec.
+    cfg, ds = _write_train_inputs(tmp_path)
+
+    def run():
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--dataset", str(ds)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        report.pop("wall_time")
+        return report
+
+    as_ints = run()
+    ds.write_text(json.dumps({**_BLOBS_DATASET, "seed": 11.0, "n_samples": 200.0,
+                              "n_classes": 4.0, "spread": 1}))
+    assert run() == as_ints

@@ -152,16 +152,19 @@ def test_naive_overflow_modes():
 
 
 def test_stable_is_finite_at_extreme_scales():
+    # z1 = A(x+B)+Cx^2 reaches about 2e6 here, far past where e^z overflows.
     rng = np.random.default_rng(7)
     for _ in range(500):
         p = uk.UafParams(*rng.uniform(-200, 200, size=5))
         x = float(rng.uniform(-100, 100))
         assert math.isfinite(uk.eval_stable(p, x))
+        assert all(math.isfinite(v) for v in uk.grad(p, x).as_tuple())
     # corners
     for a in (-200.0, 200.0):
         p = uk.UafParams(a, 200.0, -200.0, -a, 200.0)
-        assert math.isfinite(uk.eval_stable(p, 100.0))
-        assert math.isfinite(uk.eval_stable(p, -100.0))
+        for x in (100.0, -100.0):
+            assert math.isfinite(uk.eval_stable(p, x))
+            assert all(math.isfinite(v) for v in uk.grad(p, x).as_tuple())
 
 
 # --- gradients ----------------------------------------------------------------
@@ -223,27 +226,8 @@ def test_continuity_near_kink_scale():
     assert np.max(np.abs(np.diff(f))) < 1e-2
 
 
-# --- backend selection ---------------------------------------------------------
+# --- kernel implementation -----------------------------------------------------
 
 
 def test_backend_name_is_known():
-    assert uk.backend_name() in ("numpy", "cython")
-
-
-def test_backends_agree():
-    try:
-        from uafkit import _kernels_cy
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    from uafkit import _kernels_np
-
-    rng = np.random.default_rng(99)
-    xs = rng.uniform(-50, 50, size=257)
-    for _ in range(20):
-        args = tuple(rng.uniform(-10, 10, size=5))
-        f_np = _kernels_np.uaf_eval(xs, *args)
-        f_cy = np.asarray(_kernels_cy.uaf_eval(xs, *args))
-        np.testing.assert_allclose(f_cy, f_np, rtol=1e-12, atol=1e-12)
-        g_np = _kernels_np.uaf_grad(xs, *args)
-        g_cy = np.asarray(_kernels_cy.uaf_grad(xs, *args))
-        np.testing.assert_allclose(g_cy, g_np, rtol=1e-12, atol=1e-12)
+    assert uk.backend_name() == "numpy"

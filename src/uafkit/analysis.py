@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import logistic
-from .core import PresetKind, UafParams, preset
+from .core import PresetKind, UafParams, grad_batch, preset
 from .targets import TargetActivation, approx_error, approx_error_batch
 
 __all__ = [
@@ -26,12 +26,12 @@ __all__ = [
     "characteristic_residual_scaled",
 ]
 
-# Finite-difference step for the error derivative, and the scan resolution.
-_FD_H = 1e-5
+# Scan resolution and bisection tolerance for the error-slope roots.
 _SCAN_STEP = 1e-3
 _BISECT_XTOL = 1e-10
-# Kinds whose target is non-smooth at 0: the scan splits there and the point
-# itself is examined as a candidate extremum, not as a derivative root.
+# Kinds whose target is non-smooth at 0: the scan skips the grid cells that
+# touch 0, and the point itself is examined as a candidate extremum, not as a
+# slope root.
 _NONSMOOTH_AT_ZERO = ("step", "relu", "leaky_relu")
 _EPS = np.finfo(np.float64).eps
 
@@ -95,85 +95,58 @@ def _check_interval(interval) -> tuple[float, float]:
     return lo, hi
 
 
-def _fd_derivative(p: UafParams, t: TargetActivation, xs: np.ndarray) -> np.ndarray:
-    """Central finite difference of the approximation error."""
-    return (
-        approx_error_batch(p, t, xs + _FD_H) - approx_error_batch(p, t, xs - _FD_H)
-    ) / (2.0 * _FD_H)
+def _slope(p: UafParams, t: TargetActivation, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact error slope dE/dx = f'(x) - t'(x) on xs, and its rounding bound.
 
-
-def _noise_floor(p: UafParams, xs: np.ndarray) -> np.ndarray:
-    """Smallest finite-difference value distinguishable from rounding noise.
-
-    The error is computed from softplus terms of magnitude ~|z1|, |z2|; their
-    rounding residue (a few ulp of that magnitude) divided by 2h bounds the
-    spurious derivative signal.
+    f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded by
+    |A + 2Cx|, |D| and |t'(x)|; a slope below a few ulp of their total cannot
+    be told from rounding noise.
     """
-    z1 = np.abs(p.A * (xs + p.B) + p.C * xs * xs)
-    z2 = np.abs(p.D * (xs - p.B))
-    mag = np.maximum.reduce([np.ones_like(xs), z1, z2, np.abs(xs)])
-    return 32.0 * _EPS * mag / (2.0 * _FD_H)
-
-
-def _bisect(p: UafParams, t: TargetActivation, a: float, b: float, ga: float) -> float:
-    """Bisection on the FD error derivative; (a, b) brackets a sign change."""
-    sa = ga > 0
-    while (b - a) > _BISECT_XTOL:
-        mid = 0.5 * (a + b)
-        gm = float(_fd_derivative(p, t, np.array([mid]))[0])
-        if gm == 0.0:
-            return mid
-        if (gm > 0) == sa:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _scan_range(
-    p: UafParams, t: TargetActivation, lo: float, hi: float
-) -> list[float]:
-    """Sign-change scan of the FD error derivative on [lo, hi] + bisection."""
-    if hi - lo < 4.0 * _FD_H:
-        return []
-    n = max(3, int(round((hi - lo) / _SCAN_STEP)) + 1)
-    xs = np.linspace(lo, hi, n)
-    gv = _fd_derivative(p, t, xs)
-    floor = _noise_floor(p, xs)
-    roots: list[float] = []
-    for i in range(n - 1):
-        a, b = gv[i], gv[i + 1]
-        fl = max(floor[i], floor[i + 1])
-        if a == 0.0:
-            # Exact zero on a grid node (e.g. symmetric error at x = 0):
-            # count it when the neighbors genuinely change sign across it.
-            if 0 < i < n - 1 and gv[i - 1] * gv[i + 1] < 0 and max(
-                abs(gv[i - 1]), abs(gv[i + 1])
-            ) > fl:
-                roots.append(float(xs[i]))
-        elif a * b < 0 and max(abs(a), abs(b)) > fl:
-            roots.append(_bisect(p, t, float(xs[i]), float(xs[i + 1]), float(a)))
-    return roots
+    dt = t.derivative(xs)
+    slope = grad_batch(p, xs)[:, 0] - dt
+    floor = 16.0 * _EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
+    return slope, floor
 
 
 def critical_points(
     p: UafParams, t: TargetActivation, interval
 ) -> list[tuple[float, float]]:
-    """All x in the interval where the error derivative changes sign, refined
-    by bisection to 1e-10, each paired with the error value there.
+    """All x in the interval where the exact error slope changes sign, each
+    paired with the error value there.
 
-    For targets that are non-smooth at 0 (step, relu, leaky_relu) the scan
-    splits at 0 and the point itself is treated as a candidate extremum by
-    error_report, not returned here (it is not a derivative zero-crossing).
+    The slope is scanned on a grid of step _SCAN_STEP, and all brackets are
+    bisected together to 1e-10. A grid node where the slope is exactly 0
+    between neighbours of opposite sign (gaussian's x = 0) is a root as it
+    stands. For targets that are non-smooth at 0 (step, relu, leaky_relu) the
+    cells touching 0 are skipped; the point itself is treated as a candidate
+    extremum by error_report, not returned here.
     """
     lo, hi = _check_interval(interval)
-    if t.kind.name in _NONSMOOTH_AT_ZERO and lo < 0.0 < hi:
-        margin = 2.0 * _FD_H
-        roots = _scan_range(p, t, lo, -margin) + _scan_range(p, t, margin, hi)
-    else:
-        roots = _scan_range(p, t, lo, hi)
-    roots.sort()
-    return [(x, approx_error(p, t, x)) for x in roots]
+    n = max(3, int(round((hi - lo) / _SCAN_STEP)) + 1)
+    xs = np.linspace(lo, hi, n)
+    g, floor = _slope(p, t, xs)
+    keep = np.ones(n - 1, dtype=bool)
+    if t.kind.name in _NONSMOOTH_AT_ZERO:
+        keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
+    # Cell i is [xs[i], xs[i+1]]: a sign change counts when the larger end
+    # value clears the rounding bound of both ends.
+    bound = np.maximum(floor[:-1], floor[1:])
+    bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
+    # Exact zero on an interior node between neighbours of opposite sign.
+    node = keep[:-1] & keep[1:] & (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
+    node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
+    i = np.flatnonzero(bracket)
+    a, b, up = xs[i], xs[i + 1], g[i] > 0
+    # A fixed count of halvings brings every bracket to _BISECT_XTOL, or to
+    # adjacent floats where their spacing is wider (|x| > ~1e6), and ends.
+    width = np.max(b - a, initial=_BISECT_XTOL)
+    for _ in range(math.ceil(math.log2(width / _BISECT_XTOL))):
+        mid = 0.5 * (a + b)
+        same = (_slope(p, t, mid)[0] > 0) == up
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    roots = np.sort(np.concatenate([0.5 * (a + b), xs[1:-1][node]]))
+    return [(float(x), float(e)) for x, e in zip(roots, approx_error_batch(p, t, roots))]
 
 
 def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -> float:
@@ -190,19 +163,25 @@ def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -
 def _jump_candidates(
     p: UafParams, t: TargetActivation, lo: float, hi: float
 ) -> list[tuple[float, float]]:
-    """Candidate extrema at target discontinuities/kinks inside the interval.
+    """Candidate extrema at target discontinuities/kinks in the interval.
 
     The step target jumps at 0, so the one-sided error limits there
-    (f(0) - 1 and f(0) - 0) are the approached suprema; relu/leaky_relu are
+    (f(0) - 1 from the right, f(0) - 0 from the left) are the approached
+    suprema on each side of 0 that the interval reaches; relu/leaky_relu are
     continuous with a kink, so the error value at 0 itself is the candidate.
     """
-    if t.kind.name not in _NONSMOOTH_AT_ZERO or not lo < 0.0 < hi:
+    if t.kind.name not in _NONSMOOTH_AT_ZERO or not lo <= 0.0 <= hi:
         return []
     from .core import eval_stable
 
     if t.kind.name == "step":
         f0 = eval_stable(p, 0.0)
-        return [(0.0, f0 - 1.0), (0.0, f0 - 0.0)]
+        limits = []
+        if hi > 0.0:
+            limits.append((0.0, f0 - 1.0))
+        if lo < 0.0:
+            limits.append((0.0, f0 - 0.0))
+        return limits
     return [(0.0, approx_error(p, t, 0.0))]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -222,8 +223,8 @@ def _seed_override() -> int | None:
         raise click.UsageError(f"UAFKIT_SEED must be an integer, got {raw!r}") from None
 
 
-# Dataset spec fields read through coerce; snr_db is passed as given, since
-# make_gas_analogue documents inf for it.
+# Dataset spec fields read through coerce; snr_db is read below, since
+# make_gas_analogue documents +inf for it.
 _DATASET_FIELDS = {
     "seed": int,
     "n_samples": int,
@@ -252,6 +253,8 @@ def _dataset_from_spec(path: str, seed_override: int | None) -> datasets.Dataset
         for name, field_kind in _DATASET_FIELDS.items():
             if name in spec:
                 spec[name] = coerce(name, spec[name], field_kind)
+        if "snr_db" in spec and spec["snr_db"] != math.inf:
+            spec["snr_db"] = coerce("snr_db", spec["snr_db"], float)
         return makers[kind](**spec)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"--dataset file '{path}': {exc}") from exc

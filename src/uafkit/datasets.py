@@ -72,8 +72,9 @@ def make_gas_analogue(
 
     A fixed random nonnegative mixing matrix M (n_channels x n_species) maps
     concentrations drawn uniformly from (0, 1] to channel readings; noise is
-    scaled so that signal power / noise power = 10^(snr_db/10). snr_db = inf
-    disables the noise entirely. Targets are the concentrations.
+    scaled so that signal power / noise power = 10^(snr_db/10). snr_db = +inf
+    disables the noise entirely; -inf and NaN are rejected. Targets are the
+    concentrations.
     """
     if n_species < 1 or n_channels < n_species:
         raise ValueError(
@@ -81,12 +82,14 @@ def make_gas_analogue(
         )
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a real number or +inf, got {snr_db}")
     rng = np.random.default_rng(seed)
     mixing = rng.uniform(0.0, 1.0, size=(n_channels, n_species))
     # 1 - U[0,1) lies in (0, 1]: every concentration strictly positive.
     concentrations = 1.0 - rng.random(size=(n_samples, n_species))
     signal = concentrations @ mixing.T
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         inputs = signal
     else:
         signal_power = float(np.mean(signal * signal))

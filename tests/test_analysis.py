@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uafkit as uk
 
@@ -86,6 +88,58 @@ def test_critical_point_errors_match_direct_evaluation():
             assert err == pytest.approx(uk.approx_error(p, t, x), abs=1e-12)
 
 
+def test_kink_at_interval_end_is_not_a_critical_point():
+    p, t = uk.preset(uk.RELU), uk.target(uk.RELU)
+    below = uk.critical_points(p, t, (-5.0, 0.0))
+    assert [round(x, 7) for x, _ in below] == [-0.0181347]
+    above = uk.critical_points(p, t, (0.0, 5.0))
+    assert [round(x, 7) for x, _ in above] == [0.0181347]
+    # 0 is not a grid node here: the cell around it is skipped all the same.
+    both = uk.critical_points(p, t, (-10.0, 10.0005))
+    assert [round(x, 7) for x, _ in both] == [-0.0181347, 0.0181347]
+
+
+def test_bisection_ends_where_floats_are_coarser_than_its_tolerance():
+    # Near x = 4.5e6 adjacent floats are 9.3e-10 apart, wider than the 1e-10
+    # tolerance; the root of f'(x) = 2Cx * s(Cx^2) = 1 is still found.
+    p = uk.UafParams(0.0, 0.0, 1.104e-7, 0.0, 0.0)
+    r = 0.5 / p.C
+    pts = uk.critical_points(p, uk.target(uk.IDENTITY), (r - 1.0, r + 1.0))
+    assert len(pts) == 1
+    assert abs(pts[0][0] - r) <= 4 * np.spacing(r)
+
+
+# --- exact roots ------------------------------------------------------------------
+
+
+def _assert_slope_changes_sign_at_points(p, t, interval):
+    """Each critical point lies within 1e-9 of a sign change of the exact
+    error slope dE/dx = f'(x) - t'(x)."""
+    for x, _ in uk.critical_points(p, t, interval):
+        xs = np.array([x - 1e-9, x + 1e-9])
+        left, right = uk.grad_batch(p, xs)[:, 0] - t.derivative(xs)
+        assert left * right < 0, (t.kind.label(), p, x, left, right)
+
+
+CERTIFIED_KINDS = (uk.SIGMOID, uk.TANH, uk.RELU, uk.leaky_relu(0.1), uk.GAUSSIAN)
+
+
+def test_critical_points_are_exact_slope_roots():
+    for kind in CERTIFIED_KINDS:
+        _assert_slope_changes_sign_at_points(uk.preset(kind), uk.target(kind), INTERVAL)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    kind=st.sampled_from(CERTIFIED_KINDS),
+    scales=st.lists(st.floats(-0.05, 0.05), min_size=5, max_size=5),
+)
+def test_perturbed_preset_critical_points_are_exact_slope_roots(kind, scales):
+    base = uk.preset(kind).as_tuple()
+    p = uk.UafParams(*(v * (1.0 + s) for v, s in zip(base, scales)))
+    _assert_slope_changes_sign_at_points(p, uk.target(kind), INTERVAL)
+
+
 # --- interval RMSE ---------------------------------------------------------------
 
 
@@ -139,6 +193,16 @@ def test_step_report_jump_supremum():
     rep = uk.error_report(uk.preset(uk.STEP), uk.target(uk.STEP), INTERVAL)
     assert rep.max_abs_error == pytest.approx(0.5, abs=1e-9)
     assert rep.max_error_locations == (0.0,)
+
+
+def test_step_report_jump_supremum_at_interval_end():
+    # With 0 at either end, the one-sided limit inside the interval is the
+    # supremum: half a unit, approached at 0.
+    p, t = uk.preset(uk.STEP), uk.target(uk.STEP)
+    for interval in ((-1.0, 0.0), (0.0, 1.0)):
+        rep = uk.error_report(p, t, interval)
+        assert rep.max_abs_error == pytest.approx(0.5, abs=1e-9)
+        assert rep.max_error_locations == (0.0,)
 
 
 def test_report_max_dominates_critical_points():

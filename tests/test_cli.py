@@ -188,6 +188,9 @@ _TRAIN_CONFIG = {
 _BLOBS_DATASET = {"kind": "blobs", "seed": 11, "n_samples": 200,
                   "n_classes": 4, "n_features": 16}
 
+_GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
+                "n_channels": 16, "n_species": 4}
+
 
 # Each input gives one field a value of the wrong JSON type for its command.
 # Python's own float/int/bool would raise a TypeError (a traceback, exit 1) or
@@ -208,10 +211,14 @@ _BLOBS_DATASET = {"kind": "blobs", "seed": 11, "n_samples": 200,
     ("dataset", {**_BLOBS_DATASET, "seed": True}),
     ("dataset", {**_BLOBS_DATASET, "n_features": 16.5}),
     ("dataset", {**_BLOBS_DATASET, "spread": "3"}),
+    # true would be read as 1 dB; -inf (infinite noise) as noise-free
+    ("dataset", {**_GAS_DATASET, "snr_db": True}),
+    ("dataset", {**_GAS_DATASET, "snr_db": -math.inf}),
 ], ids=[
     "string_learning_rate", "null_tie_value", "null_param", "null_epochs",
     "fractional_n_samples", "bool_max_iters", "string_batch_norm", "init_breaks_ties",
     "null_dataset_seed", "bool_dataset_seed", "fractional_n_features", "string_spread",
+    "bool_snr_db", "negative_infinite_snr_db",
 ])
 def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
     path = tmp_path / "input.json"
@@ -371,3 +378,11 @@ def test_train_dataset_spec_accepts_integral_floats(runner, tmp_path):
     ds.write_text(json.dumps({**_BLOBS_DATASET, "seed": 11.0, "n_samples": 200.0,
                               "n_classes": 4.0, "spread": 1}))
     assert run() == as_ints
+
+
+def test_train_gas_spec_accepts_infinite_snr(runner, tmp_path):
+    # +inf is the documented noise-free setting.
+    cfg, ds = _write_train_inputs(tmp_path)
+    ds.write_text(json.dumps({**_GAS_DATASET, "snr_db": math.inf}))
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds)])
+    assert result.exit_code == 0, result.output

@@ -50,6 +50,13 @@ def test_gas_rejects_more_species_than_channels():
         uk.make_gas_analogue(seed=0, n_channels=4, n_species=5)
 
 
+def test_gas_rejects_negative_infinite_and_nan_snr():
+    # -inf is infinite noise, not the noise-free +inf.
+    for snr_db in (-math.inf, math.nan):
+        with pytest.raises(ValueError):
+            uk.make_gas_analogue(seed=0, n_samples=10, snr_db=snr_db)
+
+
 def test_gas_deterministic():
     a = uk.make_gas_analogue(seed=9, n_samples=100)
     b = uk.make_gas_analogue(seed=9, n_samples=100)

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import analysis, datasets, fitting, network
-from .core import PRESET_NAMES, PresetKind, UafParams, coerce, preset
+from .core import PRESET_NAMES, PresetKind, UafParams, from_tagged_json, preset
 from .targets import TargetActivation, approx_error_batch, target_eval_batch
 from .core import eval_batch
 
@@ -86,11 +86,20 @@ def _kind_from_flags(name: str, alpha: float | None, flag: str) -> PresetKind:
         raise click.UsageError(f"{flag}: {exc}") from exc
 
 
+def _check_range(lo: float, hi: float, lo_flag: str, hi_flag: str) -> None:
+    if not lo < hi:
+        raise click.UsageError(f"{lo_flag} must be below {hi_flag}, got {lo} >= {hi}")
+    # An infinite width would put non-finite points on the grid.
+    if not math.isfinite(hi - lo):
+        raise click.UsageError(
+            f"{lo_flag} and {hi_flag} must be a finite distance apart, got {lo} and {hi}"
+        )
+
+
 def _grid(from_, to, n) -> np.ndarray:
     if not n >= 2:
         raise click.UsageError(f"--n must be >= 2, got {n}")
-    if not from_ < to:
-        raise click.UsageError(f"--from must be below --to, got {from_} >= {to}")
+    _check_range(from_, to, "--from", "--to")
     return np.linspace(from_, to, n)
 
 
@@ -163,7 +172,8 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
     else:
         data = _load_json(spec_file, "fit spec")
         try:
-            # fit itself rejects an init that violates the spec's ties.
+            # fit itself rejects an init that breaks the spec's ties or
+            # whose error is not finite.
             result = fitting.fit(fitting.FitSpec.from_dict(data))
         except ValueError as exc:
             raise click.UsageError(f"--spec file '{spec_file}': {exc}") from exc
@@ -180,8 +190,7 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
 def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
     """Error-extremum/RMSE report for a preset against its target."""
     kind = _kind_from_flags(preset_name, alpha, "--preset")
-    if not lo < hi:
-        raise click.UsageError(f"--lo must be below --hi, got {lo} >= {hi}")
+    _check_range(lo, hi, "--lo", "--hi")
     if samples < 2:
         raise click.UsageError(f"--samples must be >= 2, got {samples}")
     rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
@@ -218,45 +227,22 @@ def _seed_override() -> int | None:
     if raw is None or raw.strip() == "":
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise click.UsageError(f"UAFKIT_SEED must be an integer, got {raw!r}") from None
-
-
-# Dataset spec fields read through coerce; snr_db is read below, since
-# make_gas_analogue documents +inf for it.
-_DATASET_FIELDS = {
-    "seed": int,
-    "n_samples": int,
-    "n_channels": int,
-    "n_species": int,
-    "n_classes": int,
-    "n_features": int,
-    "spread": float,
-}
+        seed = -1
+    if seed < 0:
+        raise click.UsageError(f"UAFKIT_SEED must be a whole number >= 0, got {raw!r}")
+    return seed
 
 
 def _dataset_from_spec(path: str, seed_override: int | None) -> datasets.Dataset:
     data = _load_json(path, "dataset spec")
-    if not isinstance(data, dict) or "kind" not in data:
-        raise click.UsageError("dataset spec must be an object with a 'kind' field")
-    spec = dict(data)
-    kind = spec.pop("kind")
-    if seed_override is not None:
-        spec["seed"] = seed_override
-    makers = {"gas_analogue": datasets.make_gas_analogue, "blobs": datasets.make_blobs}
-    if kind not in makers:
-        raise click.UsageError(
-            f"dataset kind must be one of {', '.join(sorted(makers))}, got {kind!r}"
-        )
+    if seed_override is not None and isinstance(data, dict):
+        data["seed"] = seed_override
+    makers = {"blobs": datasets.make_blobs, "gas_analogue": datasets.make_gas_analogue}
     try:
-        for name, field_kind in _DATASET_FIELDS.items():
-            if name in spec:
-                spec[name] = coerce(name, spec[name], field_kind)
-        if "snr_db" in spec and spec["snr_db"] != math.inf:
-            spec["snr_db"] = coerce("snr_db", spec["snr_db"], float)
-        return makers[kind](**spec)
-    except (TypeError, ValueError) as exc:
+        return from_tagged_json(makers, data, "kind", "dataset spec")
+    except ValueError as exc:
         raise click.UsageError(f"--dataset file '{path}': {exc}") from exc
 
 
@@ -291,13 +277,19 @@ def train_cmd(config_file, dataset_file, output, csv_file) -> None:
     except ValueError as exc:
         raise click.UsageError(f"--config file '{config_file}': {exc}") from exc
     dataset = _dataset_from_spec(dataset_file, seed_override)
-    report = network.train(config, dataset)
+    try:
+        report = network.train(config, dataset)
+    except ValueError as exc:
+        raise click.UsageError(
+            f"--config file '{config_file}' does not fit --dataset file '{dataset_file}': {exc}"
+        ) from exc
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", output)
     if csv_file is not None:
         _atomic_write(csv_file, _trajectory_csv(report))
     if report.diverged:
         raise click.ClickException(
-            f"training diverged (non-finite loss) at epoch {report.diverged_epoch}"
+            f"training diverged (non-finite loss, metric or UAF parameters) at epoch "
+            f"{report.diverged_epoch}"
         )
 
 

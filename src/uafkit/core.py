@@ -9,7 +9,10 @@ the UAF reproduce eight classic activation functions.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -64,28 +67,96 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def coerce(name: str, value, kind: type):
-    """One value read from JSON, checked and converted for a config field of
-    type kind (bool, int or float).
+def coerce(name: str, value, kind, minimum=None):
+    """One config field checked and converted for type kind: bool, int,
+    float, or any other class (or tuple of classes) that value must be an
+    instance of.
 
     Stricter than calling the type: a bool must be true or false, an int an
     integral number, a float a finite number, and neither number accepts a
-    bool, a string or null. Raises ValueError naming the field.
+    bool, a string or null. NumPy scalars count as the numbers they hold.
+    A number below minimum is rejected. Raises ValueError naming the field.
     """
     if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        return bool(value)
+    if kind is not int and kind is not float:
+        if not isinstance(value, kind):
+            names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+            raise ValueError(f"{name} must be a {' or '.join(names)}, got {value!r}")
+        return value
+    # float and int first: they are the common case, and the ABC check is slow.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if kind is int:
-        if isinstance(value, float) and not value.is_integer():
+        if not (isinstance(value, (int, numbers.Integral)) or float(value).is_integer()):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    try:
-        return _require_finite(name, value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def coerce_list(name: str, value, kind, minimum=None) -> tuple:
+    """A list (or tuple) field whose items are each read by coerce."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(coerce(name, item, kind, minimum) for item in value)
+
+
+def coerce_field(obj, name: str, kind, minimum=None):
+    """coerce applied to a field of the frozen dataclass obj, stored back in
+    place; returns the converted value."""
+    value = coerce(name, getattr(obj, name), kind, minimum)
+    object.__setattr__(obj, name, value)
+    return value
+
+
+# Reading a signature costs ~15 us; the readers ask for the same few makers.
+@functools.cache
+def _parameters(make):
+    return inspect.signature(make).parameters
+
+
+def from_json(make, data, what: str, **readers):
+    """make(**data) for a JSON object data, after the structure checks that
+    every JSON reader shares.
+
+    data must be an object whose keys are parameters of make (a dataclass or
+    a function), holding every parameter that has no default. A key named in
+    readers is read by its reader first; every other value goes to make as
+    it is, so make's own checks convert it. Raises ValueError naming what.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    params = _parameters(make)
+    unknown = sorted(str(key) for key in data if key not in params)
+    if unknown:
+        raise ValueError(f"{what} contains unknown field(s): {', '.join(unknown)}")
+    missing = [n for n, p in params.items() if p.default is p.empty and n not in data]
+    if missing:
+        raise ValueError(f"{what} requires field(s): {', '.join(missing)}")
+    return make(**{k: readers[k](v) if k in readers else v for k, v in data.items()})
+
+
+def from_tagged_json(choices: dict, data, tag: str, what: str, **readers):
+    """from_json for the one of choices that data's tag field names; the tag
+    itself is not passed on."""
+    if not isinstance(data, dict) or tag not in data:
+        raise ValueError(f"{what} must be an object with a {tag!r} field")
+    fields = dict(data)
+    choice = fields.pop(tag)
+    if not (isinstance(choice, str) and choice in choices):
+        raise ValueError(f"{what} {tag} must be one of {', '.join(choices)}, got {choice!r}")
+    return from_json(choices[choice], fields, what, **readers)
 
 
 @dataclass(frozen=True)
@@ -100,7 +171,7 @@ class UafParams:
 
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, coerce(name, getattr(self, name), float))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.A, self.B, self.C, self.D, self.E)
@@ -110,15 +181,7 @@ class UafParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UafParams":
-        if not isinstance(data, dict):
-            raise ValueError(f"parameters must be an object with keys A..E, got {type(data).__name__}")
-        missing = [n for n in PARAM_NAMES if n not in data]
-        if missing:
-            raise ValueError(f"parameters missing field(s): {', '.join(missing)}")
-        extra = [k for k in data if k not in PARAM_NAMES]
-        if extra:
-            raise ValueError(f"parameters contain unknown field(s): {', '.join(map(str, extra))}")
-        return cls(**{n: coerce(n, data[n], float) for n in PARAM_NAMES})
+        return from_json(cls, data, "parameters")
 
 
 @dataclass(frozen=True)
@@ -163,18 +226,26 @@ class PresetKind:
         if self.name == "leaky_relu":
             if self.alpha is None:
                 raise ValueError("leaky_relu requires an alpha in (0, 0.1]")
-            alpha = _require_finite("alpha", self.alpha)
+            alpha = coerce_field(self, "alpha", float)
             if not 0.0 < alpha <= 0.1:
                 raise ValueError(f"leaky_relu alpha must be in (0, 0.1], got {alpha}")
-            object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
             raise ValueError(f"{self.name} takes no alpha")
 
     @classmethod
     def from_name(cls, name: str, alpha: float | None = None) -> "PresetKind":
-        if name == "leaky_relu":
-            return cls(name, 0.1 if alpha is None else alpha)
-        return cls(name)
+        """The kind called name; leaky_relu's alpha defaults to 0.1."""
+        if name == "leaky_relu" and alpha is None:
+            alpha = 0.1
+        return cls(name, alpha)
+
+    @classmethod
+    def from_dict(cls, data) -> "PresetKind":
+        """A kind read from JSON: its name, or an object with its name and,
+        for leaky_relu, alpha."""
+        if isinstance(data, str):
+            return cls.from_name(data)
+        return from_json(cls.from_name, data, "preset kind")
 
     def label(self) -> str:
         if self.name == "leaky_relu":

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import coerce
+
 __all__ = ["Dataset", "make_gas_analogue", "make_blobs"]
 
 
@@ -46,6 +48,11 @@ class Dataset:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "split", split)
+        train, validation, _ = self.split_indices()
+        if len(train) == 0 or len(validation) == 0:
+            raise ValueError(
+                f"split {split} of {len(inputs)} samples leaves an empty train or validation set"
+            )
 
     @property
     def n_samples(self) -> int:
@@ -76,14 +83,12 @@ def make_gas_analogue(
     disables the noise entirely; -inf and NaN are rejected. Targets are the
     concentrations.
     """
-    if n_species < 1 or n_channels < n_species:
-        raise ValueError(
-            f"need n_channels >= n_species >= 1, got {n_channels} < {n_species}"
-        )
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a real number or +inf, got {snr_db}")
+    seed = coerce("seed", seed, int, minimum=0)
+    n_samples = coerce("n_samples", n_samples, int, minimum=1)
+    n_species = coerce("n_species", n_species, int, minimum=1)
+    n_channels = coerce("n_channels", n_channels, int, minimum=n_species)
+    if snr_db != math.inf:
+        snr_db = coerce("snr_db", snr_db, float)
     rng = np.random.default_rng(seed)
     mixing = rng.uniform(0.0, 1.0, size=(n_channels, n_species))
     # 1 - U[0,1) lies in (0, 1]: every concentration strictly positive.
@@ -93,7 +98,12 @@ def make_gas_analogue(
         inputs = signal
     else:
         signal_power = float(np.mean(signal * signal))
-        noise_power = signal_power / (10.0 ** (snr_db / 10.0))
+        try:
+            noise_power = signal_power / (10.0 ** (snr_db / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                f"snr_db = {snr_db} puts the noise power out of float64 range"
+            ) from None
         noise = rng.normal(0.0, math.sqrt(noise_power), size=signal.shape)
         inputs = signal + noise
     return Dataset(inputs=inputs, targets=concentrations, kind="regression")
@@ -107,14 +117,11 @@ def make_blobs(
     spread: float = 1.0,
 ) -> Dataset:
     """Balanced Gaussian clusters with seeded centers and one-hot targets."""
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if n_samples < n_classes:
-        raise ValueError(f"need n_samples >= n_classes, got {n_samples} < {n_classes}")
-    if n_features < 1:
-        raise ValueError(f"n_features must be >= 1, got {n_features}")
-    if spread < 0:
-        raise ValueError(f"spread must be >= 0, got {spread}")
+    seed = coerce("seed", seed, int, minimum=0)
+    n_classes = coerce("n_classes", n_classes, int, minimum=2)
+    n_samples = coerce("n_samples", n_samples, int, minimum=n_classes)
+    n_features = coerce("n_features", n_features, int, minimum=1)
+    spread = coerce("spread", spread, float, minimum=0.0)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-5.0, 5.0, size=(n_classes, n_features))
     # Balanced class counts: the first (n_samples % n_classes) classes get one

@@ -20,7 +20,9 @@ import numpy as np
 
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
-from .core import LN2, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce
+from .core import (
+    LN2, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce_field, coerce_list, from_json,
+)
 from .targets import TargetActivation, target_eval_batch
 
 __all__ = [
@@ -66,10 +68,7 @@ class Tie:
                 )
             if self.source == self.param:
                 raise ValueError(f"tie cannot reference itself ({self.param})")
-        value = float(self.value)
-        if not math.isfinite(value):
-            raise ValueError(f"tie value must be finite, got {value!r}")
-        object.__setattr__(self, "value", value)
+        coerce_field(self, "value", float)
 
     def resolve(self, source_value: float) -> float:
         if self.kind == "const":
@@ -86,7 +85,11 @@ class Tie:
             return 0.0
         if self.kind == "same" or self.kind == "offset":
             return 1.0
-        return -self.value / (source_value * source_value)
+        square = source_value * source_value
+        if square == 0.0:
+            # |source| < 1.5e-162: the slope is beyond the float64 range.
+            return -math.copysign(math.inf, self.value) if self.value else 0.0
+        return -self.value / square
 
     def to_dict(self) -> dict:
         out: dict = {"param": self.param, "kind": self.kind}
@@ -98,36 +101,7 @@ class Tie:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tie":
-        if not isinstance(data, dict):
-            raise ValueError(f"tie must be an object, got {type(data).__name__}")
-        known = {"param", "kind", "source", "value"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"tie contains unknown field(s): {', '.join(sorted(extra))}")
-        if "param" not in data or "kind" not in data:
-            raise ValueError("tie requires 'param' and 'kind' fields")
-        return cls(
-            param=data["param"],
-            kind=data["kind"],
-            source=data.get("source"),
-            value=coerce("tie value", data.get("value", 0.0), float),
-        )
-
-
-def _kind_from_dict(data) -> PresetKind:
-    if isinstance(data, str):
-        return PresetKind.from_name(data)
-    if isinstance(data, dict):
-        extra = set(data) - {"name", "alpha"}
-        if extra:
-            raise ValueError(f"target contains unknown field(s): {', '.join(sorted(extra))}")
-        if "name" not in data:
-            raise ValueError("target requires a 'name' field")
-        alpha = data.get("alpha")
-        if alpha is not None:
-            alpha = coerce("alpha", alpha, float)
-        return PresetKind.from_name(data["name"], alpha)
-    raise ValueError(f"target must be a name or object, got {type(data).__name__}")
+        return from_json(cls, data, "tie")
 
 
 @dataclass(frozen=True)
@@ -137,8 +111,8 @@ class FitSpec:
 
     target: TargetActivation
     free: tuple[str, ...]
-    ties: tuple[Tie, ...]
     init: UafParams
+    ties: tuple[Tie, ...] = ()
     interval: tuple[float, float] = (-10.0, 10.0)
     n_samples: int = 2001
     max_iters: int = 100000
@@ -148,14 +122,17 @@ class FitSpec:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        free = tuple(sorted(set(self.free), key=PARAM_NAMES.index))
-        if len(free) != len(tuple(self.free)):
-            raise ValueError(f"duplicate names in free set: {self.free}")
-        for name in free:
+        coerce_field(self, "target", TargetActivation)
+        coerce_field(self, "init", UafParams)
+        names = coerce_list("free", self.free, str)
+        for name in names:
             if name not in PARAM_NAMES:
                 raise ValueError(f"free parameter must be one of {PARAM_NAMES}, got {name!r}")
+        free = tuple(name for name in PARAM_NAMES if name in names)
+        if len(free) != len(names):
+            raise ValueError(f"duplicate names in free set: {self.free}")
         object.__setattr__(self, "free", free)
-        ties = tuple(self.ties)
+        ties = coerce_list("ties", self.ties, Tie)
         tied_names = [t.param for t in ties]
         if len(set(tied_names)) != len(tied_names):
             raise ValueError(f"parameter tied more than once: {tied_names}")
@@ -168,20 +145,19 @@ class FitSpec:
                     f"tie source {t.source!r} for {t.param!r} must be a free parameter"
                 )
         object.__setattr__(self, "ties", ties)
-        lo, hi = float(self.interval[0]), float(self.interval[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"interval must satisfy lo < hi (finite), got ({lo}, {hi})")
-        object.__setattr__(self, "interval", (lo, hi))
-        if int(self.n_samples) < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        if int(self.max_iters) < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        interval = coerce_list("interval", self.interval, float)
+        # An infinite width would put non-finite points on the sample grid.
+        if not (len(interval) == 2 and interval[0] < interval[1]
+                and math.isfinite(interval[1] - interval[0])):
+            raise ValueError(
+                f"interval must be [lo, hi] with lo < hi and a finite width, got {self.interval!r}"
+            )
+        object.__setattr__(self, "interval", interval)
+        coerce_field(self, "n_samples", int, minimum=2)
+        coerce_field(self, "max_iters", int, minimum=0)
+        if coerce_field(self, "learning_rate", float) <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        coerce_field(self, "tolerance", float, minimum=0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -198,38 +174,14 @@ class FitSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"fit spec must be an object, got {type(data).__name__}")
-        known = {
-            "target", "free", "ties", "init", "interval",
-            "n_samples", "max_iters", "learning_rate", "tolerance",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"fit spec contains unknown field(s): {', '.join(sorted(extra))}")
-        for req in ("target", "free", "init"):
-            if req not in data:
-                raise ValueError(f"fit spec requires a {req!r} field")
-        free, ties = data["free"], data.get("ties", [])
-        if not (isinstance(free, list) and all(isinstance(n, str) for n in free)):
-            raise ValueError(f"free must be a list of parameter names, got {free!r}")
-        if not isinstance(ties, list):
-            raise ValueError(f"ties must be a list, got {ties!r}")
-        kwargs: dict = {
-            "target": TargetActivation(_kind_from_dict(data["target"])),
-            "free": tuple(free),
-            "ties": tuple(Tie.from_dict(t) for t in ties),
-            "init": UafParams.from_dict(data["init"]),
-        }
-        if "interval" in data:
-            interval = data["interval"]
-            if not (isinstance(interval, list) and len(interval) == 2):
-                raise ValueError(f"interval must be a list [lo, hi], got {interval!r}")
-            kwargs["interval"] = tuple(coerce("interval", v, float) for v in interval)
-        for name, kind in (("n_samples", int), ("max_iters", int), ("learning_rate", float), ("tolerance", float)):
-            if name in data:
-                kwargs[name] = coerce(name, data[name], kind)
-        return cls(**kwargs)
+        return from_json(
+            cls,
+            data,
+            "fit spec",
+            target=lambda kind: TargetActivation(PresetKind.from_dict(kind)),
+            init=UafParams.from_dict,
+            ties=lambda ties: tuple(map(Tie.from_dict, coerce_list("ties", ties, dict))),
+        )
 
 
 @dataclass(frozen=True)
@@ -276,7 +228,7 @@ class _Objective:
         """Full parameter vector for the given free values; None when a tie
         or a non-finite free value makes the result invalid."""
         vals = dict(self.const)
-        vals.update(zip(self.spec.free, (float(v) for v in theta)))
+        vals.update(zip(self.spec.free, theta.tolist()))
         try:
             for tie in self.spec.ties:
                 src = 0.0 if tie.source is None else vals[tie.source]
@@ -323,6 +275,9 @@ def fit(spec: FitSpec) -> FitResult:
     _MAX_REJECTIONS rejected trials in a row, or when the normal equations
     overflow; "zero_gradient" when J^T r is exactly zero; and "max_iters"
     after spec.max_iters accepted steps, the only stop not counted converged.
+
+    Raises ValueError when spec.init breaks the ties or gives a non-finite
+    error, since no step can be measured from there.
     """
     obj = _Objective(spec)
     theta = np.array([getattr(spec.init, name) for name in spec.free], dtype=np.float64)
@@ -331,6 +286,8 @@ def fit(spec: FitSpec) -> FitResult:
         raise ValueError("initial parameters violate the ties (non-finite result)")
 
     r, cur_mse = obj.residual(params)
+    if not math.isfinite(cur_mse):
+        raise ValueError("initial parameters give a non-finite mean squared error")
     trace = [math.sqrt(cur_mse)]
     lam = spec.learning_rate
     stop_reason = "max_iters"

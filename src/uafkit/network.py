@@ -19,7 +19,9 @@ import numpy as np
 
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
-from .core import PARAM_NAMES, PresetKind, UafParams, coerce, preset
+from .core import (
+    PresetKind, UafParams, coerce_field, coerce_list, from_json, from_tagged_json, preset,
+)
 from .datasets import Dataset
 from .targets import TargetActivation
 
@@ -46,6 +48,10 @@ class FixedActivation:
     kind: PresetKind
     exact: bool = False
 
+    def __post_init__(self) -> None:
+        coerce_field(self, "kind", PresetKind)
+        coerce_field(self, "exact", bool)
+
     def to_dict(self) -> dict:
         return {
             "type": "fixed",
@@ -61,36 +67,35 @@ class TrainableUaf:
 
     init: UafParams
 
+    def __post_init__(self) -> None:
+        coerce_field(self, "init", UafParams)
+
     def to_dict(self) -> dict:
         return {"type": "trainable", "init": self.init.to_dict()}
 
 
 def _activation_from_dict(data: dict):
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("activation must be an object with a 'type' field")
-    if data["type"] == "trainable":
-        if "init" not in data:
-            raise ValueError("trainable activation requires an 'init' field")
-        return TrainableUaf(init=UafParams.from_dict(data["init"]))
-    if data["type"] == "fixed":
-        kind = data.get("kind")
-        if isinstance(kind, str):
-            kind = {"name": kind}
-        if not isinstance(kind, dict) or "name" not in kind:
-            raise ValueError("fixed activation requires a 'kind' with a 'name'")
-        alpha = kind.get("alpha")
-        if alpha is not None:
-            alpha = coerce("alpha", alpha, float)
-        return FixedActivation(
-            kind=PresetKind.from_name(kind["name"], alpha),
-            exact=coerce("exact", data.get("exact", False), bool),
-        )
-    raise ValueError(f"activation type must be 'fixed' or 'trainable', got {data['type']!r}")
+    return from_tagged_json(
+        {"fixed": FixedActivation, "trainable": TrainableUaf},
+        data,
+        "type",
+        "activation",
+        kind=PresetKind.from_dict,
+        init=UafParams.from_dict,
+    )
+
+
+def _check_learning_rate(config) -> None:
+    if coerce_field(config, "learning_rate", float) <= 0:
+        raise ValueError(f"learning_rate must be > 0, got {config.learning_rate}")
 
 
 @dataclass(frozen=True)
 class SgdConfig:
     learning_rate: float = 0.01
+
+    def __post_init__(self) -> None:
+        _check_learning_rate(self)
 
     def to_dict(self) -> dict:
         return {"kind": "sgd", "learning_rate": self.learning_rate}
@@ -103,6 +108,14 @@ class AdamConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
+    def __post_init__(self) -> None:
+        _check_learning_rate(self)
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= coerce_field(self, name, float) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if coerce_field(self, "epsilon", float) <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+
     def to_dict(self) -> dict:
         return {
             "kind": "adam",
@@ -114,19 +127,7 @@ class AdamConfig:
 
 
 def _optimizer_from_dict(data: dict):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("optimizer must be an object with a 'kind' field")
-    kind = data["kind"]
-    if kind == "sgd":
-        return SgdConfig(learning_rate=coerce("learning_rate", data.get("learning_rate", 0.01), float))
-    if kind == "adam":
-        return AdamConfig(
-            learning_rate=coerce("learning_rate", data.get("learning_rate", 0.001), float),
-            beta1=coerce("beta1", data.get("beta1", 0.9), float),
-            beta2=coerce("beta2", data.get("beta2", 0.999), float),
-            epsilon=coerce("epsilon", data.get("epsilon", 1e-8), float),
-        )
-    raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
+    return from_tagged_json({"sgd": SgdConfig, "adam": AdamConfig}, data, "kind", "optimizer")
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,6 @@ class NetworkConfig:
     layer_sizes: tuple[int, ...]
     activation: FixedActivation | TrainableUaf
     use_batch_norm: bool = True
-    output_activation: str = "identity"
     seed: int = 0
     optimizer: SgdConfig | AdamConfig = field(default_factory=SgdConfig)
     batch_size: int = 32
@@ -149,39 +149,27 @@ class NetworkConfig:
     uaf_learning_rate: float | None = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = coerce_list("layer_sizes", self.layer_sizes, int, minimum=1)
         if len(sizes) < 3:
             raise ValueError(
                 f"need at least one hidden layer (>= 3 sizes), got {sizes}"
             )
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "layer_sizes", sizes)
-        if self.output_activation not in ("identity", "none"):
-            raise ValueError(
-                f"output_activation must be 'identity' or 'none', got {self.output_activation!r}"
-            )
-        if int(self.batch_size) < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if int(self.epochs) < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        object.__setattr__(self, "batch_size", int(self.batch_size))
-        object.__setattr__(self, "epochs", int(self.epochs))
-        object.__setattr__(self, "seed", int(self.seed))
+        coerce_field(self, "activation", (FixedActivation, TrainableUaf))
+        coerce_field(self, "use_batch_norm", bool)
+        coerce_field(self, "seed", int, minimum=0)
+        coerce_field(self, "optimizer", (SgdConfig, AdamConfig))
+        coerce_field(self, "batch_size", int, minimum=1)
+        coerce_field(self, "epochs", int, minimum=1)
         if self.uaf_learning_rate is not None:
-            rate = float(self.uaf_learning_rate)
-            if not (math.isfinite(rate) and rate > 0.0):
-                raise ValueError(
-                    f"uaf_learning_rate must be a positive finite number, got {self.uaf_learning_rate}"
-                )
-            object.__setattr__(self, "uaf_learning_rate", rate)
+            if coerce_field(self, "uaf_learning_rate", float) <= 0:
+                raise ValueError(f"uaf_learning_rate must be > 0, got {self.uaf_learning_rate}")
 
     def to_dict(self) -> dict:
         return {
             "layer_sizes": list(self.layer_sizes),
             "activation": self.activation.to_dict(),
             "use_batch_norm": self.use_batch_norm,
-            "output_activation": self.output_activation,
             "seed": self.seed,
             "optimizer": self.optimizer.to_dict(),
             "batch_size": self.batch_size,
@@ -191,39 +179,13 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"network config must be an object, got {type(data).__name__}")
-        known = {
-            "layer_sizes", "activation", "use_batch_norm", "output_activation",
-            "seed", "optimizer", "batch_size", "epochs", "uaf_learning_rate",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ValueError(
-                f"network config contains unknown field(s): {', '.join(sorted(extra))}"
-            )
-        for req in ("layer_sizes", "activation"):
-            if req not in data:
-                raise ValueError(f"network config requires a {req!r} field")
-        sizes = data["layer_sizes"]
-        if not isinstance(sizes, list):
-            raise ValueError(f"layer_sizes must be a list, got {sizes!r}")
-        kwargs: dict = {
-            "layer_sizes": tuple(coerce("layer_sizes", s, int) for s in sizes),
-            "activation": _activation_from_dict(data["activation"]),
-        }
-        if "optimizer" in data:
-            kwargs["optimizer"] = _optimizer_from_dict(data["optimizer"])
-        if "output_activation" in data:
-            kwargs["output_activation"] = data["output_activation"]
-        for name, kind in (
-            ("use_batch_norm", bool), ("seed", int), ("batch_size", int), ("epochs", int),
-        ):
-            if name in data:
-                kwargs[name] = coerce(name, data[name], kind)
-        if data.get("uaf_learning_rate") is not None:
-            kwargs["uaf_learning_rate"] = coerce("uaf_learning_rate", data["uaf_learning_rate"], float)
-        return cls(**kwargs)
+        return from_json(
+            cls,
+            data,
+            "network config",
+            activation=_activation_from_dict,
+            optimizer=_optimizer_from_dict,
+        )
 
 
 @dataclass(frozen=True)
@@ -495,12 +457,18 @@ class Network:
 def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
     """Seeded mini-batch training; returns per-epoch traces, the UAF
     trajectory when the activation is trainable, and a divergence marker
-    (with the failing epoch) when the loss leaves the finite range."""
+    (with the failing epoch) when the loss, the validation metric or the
+    shared UAF parameters leave the finite range. Raises
+    ValueError when the outer layer sizes do not match the dataset."""
     start = time.perf_counter()
+    shape = (dataset.inputs.shape[1], dataset.targets.shape[1])
+    if (config.layer_sizes[0], config.layer_sizes[-1]) != shape:
+        raise ValueError(
+            f"layer_sizes {list(config.layer_sizes)} must start with the dataset's "
+            f"{shape[0]} inputs and end with its {shape[1]} outputs"
+        )
     net = Network(config, task=dataset.kind)
     train_idx, val_idx, _ = dataset.split_indices()
-    if len(train_idx) == 0 or len(val_idx) == 0:
-        raise ValueError("dataset split leaves an empty train or validation set")
     x_train = dataset.inputs[train_idx]
     y_train = dataset.targets[train_idx]
     x_val = dataset.inputs[val_idx]
@@ -534,9 +502,19 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
             batch_losses.append(loss)
         if diverged:
             break
-        loss_trace.append(float(np.mean(batch_losses)))
-        _, val_out = net.forward(x_val, training=False)
-        metric_trace.append(net.metric(val_out, y_val))
+        epoch_loss = float(np.mean(batch_losses))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, val_out = net.forward(x_val, training=False)
+            metric = net.metric(val_out, y_val)
+        # The last update of an epoch can leave the shared UAF, and with it
+        # the validation metric, non-finite while every batch loss was finite.
+        if not (math.isfinite(epoch_loss) and math.isfinite(metric)
+                and (net.uaf is None or np.isfinite(net.uaf).all())):
+            diverged = True
+            diverged_epoch = epoch
+            break
+        loss_trace.append(epoch_loss)
+        metric_trace.append(metric)
         if trajectory is not None:
             trajectory.append((epoch, net.uaf_params()))
 

@@ -86,6 +86,19 @@ def test_usage_errors_exit_2(runner, tmp_path):
                                 "--to", "1", "--n", "1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--preset", "tanh", "--from", "-1e308", "--to", "1e308"],
+    ["sweep", "--preset", "tanh", "--target", "tanh", "--from", "-1e308", "--to", "1e308"],
+    ["report", "--preset", "tanh", "--lo", "-1e308", "--hi", "1e308"],
+], ids=["eval", "sweep", "report"])
+def test_overflowing_range_width_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lo_flag, hi_flag = args[-4], args[-2]
+    assert lo_flag in result.output and hi_flag in result.output
+
+
 def test_unwritable_output_exits_1(runner):
     result = runner.invoke(main, ["eval", "--preset", "identity",
                                   "--from", "0", "--to", "1",
@@ -214,11 +227,31 @@ _GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
     # true would be read as 1 dB; -inf (infinite noise) as noise-free
     ("dataset", {**_GAS_DATASET, "snr_db": True}),
     ("dataset", {**_GAS_DATASET, "snr_db": -math.inf}),
+    # nested objects reject unknown keys: "lr" would train at the default rate
+    ("train", {**_TRAIN_CONFIG, "optimizer": {"kind": "sgd", "lr": 5}}),
+    ("train", {**_TRAIN_CONFIG, "activation": {"type": "fixed", "kind": "tanh", "slope": 2}}),
+    ("train", {**_TRAIN_CONFIG, "output_activation": "identity"}),
+    ("train", {**_TRAIN_CONFIG, "optimizer": {"kind": "adam", "beta1": 1.5}}),
+    ("train", {**_TRAIN_CONFIG, "seed": -1}),
+    # 9 outputs against the 4 classes of the dataset
+    ("train", {**_TRAIN_CONFIG, "layer_sizes": [16, 8, 9]}),
+    # a width of 2e308 overflows, and the rmse would print as NaN
+    ("fit", _family_spec(interval=[-1e308, 1e308])),
+    # the starting error overflows, and the rmse would print as Infinity
+    ("fit", {"target": "sigmoid", "free": ["A", "B", "C", "D", "E"],
+             "init": {"A": 1e300, "B": 0.0, "C": 0.0, "D": 0.0, "E": 0.0}}),
+    # 5 samples split 0.7/0.15/0.15 leave no validation sample
+    ("dataset", {**_GAS_DATASET, "n_samples": 5}),
+    ("dataset", {**_BLOBS_DATASET, "kind": ["blobs"]}),
 ], ids=[
     "string_learning_rate", "null_tie_value", "null_param", "null_epochs",
     "fractional_n_samples", "bool_max_iters", "string_batch_norm", "init_breaks_ties",
     "null_dataset_seed", "bool_dataset_seed", "fractional_n_features", "string_spread",
     "bool_snr_db", "negative_infinite_snr_db",
+    "unknown_optimizer_key", "unknown_activation_key", "removed_output_activation",
+    "adam_beta1_above_1", "negative_seed", "layer_sizes_mismatch_dataset",
+    "infinite_interval_width", "overflowing_initial_error", "empty_validation_split",
+    "list_dataset_kind",
 ])
 def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
     path = tmp_path / "input.json"
@@ -347,10 +380,12 @@ def test_train_seed_env_override(runner, tmp_path, monkeypatch):
     third = run()
     assert third["loss_trace"] != first["loss_trace"]
 
-    monkeypatch.setenv("UAFKIT_SEED", "not-a-number")
-    result = runner.invoke(main, ["train", "--config", str(cfg),
-                                  "--dataset", str(ds)])
-    assert result.exit_code == 2
+    for bad in ("not-a-number", "-3"):
+        monkeypatch.setenv("UAFKIT_SEED", bad)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--dataset", str(ds)])
+        assert result.exit_code == 2
+        assert "UAFKIT_SEED" in result.output and "--dataset" not in result.output
 
 
 def test_train_rejects_bad_dataset_kind(runner, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uafkit as uk
-from uafkit.core import PARAM_NAMES
+from uafkit.core import PARAM_NAMES, coerce
 
 
 ALL_KINDS = [
@@ -29,6 +29,27 @@ def test_params_reject_non_finite():
         uk.UafParams(math.nan, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         uk.UafParams(1, 0, 0, math.inf, 0)
+
+
+def test_params_accept_real_numbers_only():
+    # "1" and True used to read as 1.0; NumPy scalars are the numbers they hold
+    for bad in ("1", True, np.bool_(True), None):
+        with pytest.raises(ValueError):
+            uk.UafParams(bad, 0, 0, -1, 0)
+    p = uk.UafParams(np.int64(1), np.float32(0.5), 0, -1, 0)
+    assert p.as_tuple() == (1.0, 0.5, 0.0, -1.0, 0.0)
+    assert all(type(v) is float for v in p.as_tuple())
+
+
+def test_coerce_numpy_scalars():
+    assert coerce("n", np.int64(3), int) == 3
+    assert coerce("n", np.float64(3.0), int) == 3
+    assert coerce("flag", np.bool_(True), bool) is True
+    for kind in (int, float):
+        with pytest.raises(ValueError):
+            coerce("n", np.bool_(False), kind)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        coerce("n", np.int64(1), int, minimum=2)
 
 
 def test_params_dict_round_trip():
@@ -58,6 +79,13 @@ def test_preset_kind_validation():
     with pytest.raises(ValueError):
         uk.PresetKind.from_name("swish")
     assert uk.PresetKind.from_name("tanh") == uk.TANH
+    assert uk.PresetKind.from_dict("tanh") == uk.TANH
+    assert uk.PresetKind.from_dict({"name": "leaky_relu"}) == uk.leaky_relu(0.1)
+    # alpha must be a number, and only leaky_relu takes one
+    for bad in ({"name": "leaky_relu", "alpha": "0.1"}, {"name": "tanh", "alpha": 0.5},
+                {"name": "tanh", "slope": 1}, {"alpha": 0.1}, ["tanh"]):
+        with pytest.raises(ValueError):
+            uk.PresetKind.from_dict(bad)
     assert uk.leaky_relu(0.1).label() == "leaky_relu(0.1)"
 
 

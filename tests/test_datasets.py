@@ -57,6 +57,22 @@ def test_gas_rejects_negative_infinite_and_nan_snr():
             uk.make_gas_analogue(seed=0, n_samples=10, snr_db=snr_db)
 
 
+def test_generators_check_their_arguments():
+    for make in (uk.make_gas_analogue, uk.make_blobs):
+        with pytest.raises(ValueError, match="seed"):
+            make(seed=-1, n_samples=40)
+        for bad in (dict(seed=True), dict(seed=1.5), dict(n_samples="40"), dict(n_samples=40.5)):
+            with pytest.raises(ValueError):
+                make(**{"seed": 1, **bad})
+        # NumPy integers and integral floats read as the ints they hold
+        assert np.array_equal(make(seed=np.int64(3), n_samples=40.0).inputs,
+                              make(seed=3, n_samples=40).inputs)
+    with pytest.raises(ValueError):
+        uk.make_gas_analogue(seed=0, n_samples=40, snr_db="30")
+    with pytest.raises(ValueError):
+        uk.make_blobs(seed=0, n_samples=40, spread=None)
+
+
 def test_gas_deterministic():
     a = uk.make_gas_analogue(seed=9, n_samples=100)
     b = uk.make_gas_analogue(seed=9, n_samples=100)
@@ -125,6 +141,11 @@ def test_dataset_validation():
         Dataset(inputs=x, targets=y, kind="ranking")
     with pytest.raises(ValueError):
         Dataset(inputs=x, targets=y, split=(0.5, 0.2, 0.2), kind="regression")
+    # 4 samples split 0.7/0.15/0.15 leave no validation sample
+    with pytest.raises(ValueError, match="empty"):
+        Dataset(inputs=x, targets=y, kind="regression")
+    with pytest.raises(ValueError, match="empty"):
+        uk.make_gas_analogue(seed=0, n_samples=5)
     with pytest.raises(ValueError):
         # classification targets must be one-hot
         Dataset(inputs=x, targets=np.full((4, 2), 0.5), kind="classification")

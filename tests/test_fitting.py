@@ -24,6 +24,9 @@ def test_tie_resolve_and_slope():
     recip = Tie("B", "recip", "A", 0.5)  # B = 0.5 / A
     assert recip.resolve(2.0) == 0.25
     assert recip.d_source(2.0) == pytest.approx(-0.5 / 4.0)
+    # a square that underflows to 0 is an infinite slope, not ZeroDivisionError
+    assert recip.d_source(1e-170) == -math.inf
+    assert Tie("B", "recip", "A", 0.0).d_source(1e-170) == 0.0
 
     offset = Tie("D", "offset", "A", -1.0)  # D = A - 1
     assert offset.resolve(3.0) == 2.0
@@ -39,6 +42,9 @@ def test_tie_validation_and_round_trip():
     assert Tie.from_dict(t.to_dict()) == t
     with pytest.raises(ValueError):
         Tie.from_dict({"param": "B", "kind": "recip"})
+    for value in ("0.5", True, math.inf):
+        with pytest.raises(ValueError):
+            Tie("B", "recip", "A", value)
 
 
 # --- fit specs -------------------------------------------------------------------
@@ -70,6 +76,16 @@ def test_spec_validation():
         _spec(learning_rate=0.0)
     with pytest.raises(ValueError):
         _spec(n_samples=1)
+    # fractional counts, bools and strings used to be cast or raise TypeError
+    for bad in (dict(n_samples=2000.7), dict(max_iters=True), dict(learning_rate="0.1"),
+                dict(tolerance=None), dict(free="A"), dict(ties=[{"param": "B"}]),
+                dict(init={"A": 1.0}), dict(target=uk.SIGMOID)):
+        with pytest.raises(ValueError):
+            _spec(**bad)
+    # a width that overflows float64 has no finite sample grid
+    for interval in ((-1e308, 1e308), (0.0, 1.0, 2.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            _spec(interval=interval)
 
 
 def test_spec_json_round_trip():
@@ -176,11 +192,15 @@ def test_fit_stop_reasons():
     res = uk.fit(FitSpec(target=sigmoid, free=("B",), ties=(),
                          init=uk.UafParams(0.0, 0.0, 0.0, 0.0, 0.0)))
     assert (res.stop_reason, res.iterations, res.converged) == ("zero_gradient", 0, True)
-    # an error that overflows float64 leaves no finite step to take
+    # normal equations that overflow float64 leave no finite step to take:
+    # at A = 1e-160 the slope of the tie B = 0.5/A is -5e319
     with np.errstate(over="ignore", invalid="ignore"):
-        res = uk.fit_free(sigmoid, uk.UafParams(1e306, 0.0, 0.0, -1.0, 0.0))
+        res = uk.fit(_spec(init=uk.UafParams(1e-160, 0.5, 0.0, 1e-160, 0.0)))
     assert (res.stop_reason, res.iterations) == ("stalled", 0)
     assert res.rmse_trace == (res.rmse,)
+    # an error that overflows float64 at the start has no step to measure
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        uk.fit_free(sigmoid, uk.UafParams(1e306, 0.0, 0.0, -1.0, 0.0))
 
 
 def test_builtin_names():

@@ -1,6 +1,7 @@
 """Unit tests for the dense network: forward, backward, batch norm, and the
 training loop."""
 
+import json
 import math
 
 import numpy as np
@@ -251,13 +252,31 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(layer_sizes=(3, 0, 2), activation=_identity_uaf())
     with pytest.raises(ValueError):
-        NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf(),
-                      output_activation="relu")
-    with pytest.raises(ValueError):
         NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf(), epochs=0)
     with pytest.raises(ValueError):
         NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf(),
                       uaf_learning_rate=-1.0)
+    # the first four used to be cast: 32.7 to 32, 2.9 to 2, 1.5 to 1, "no" to batch norm on
+    for bad in (dict(layer_sizes=(64, 32.7, 9)), dict(batch_size=2.9), dict(epochs=1.5),
+                dict(use_batch_norm="no"), dict(seed=-1), dict(seed=True),
+                dict(activation=uk.TANH), dict(optimizer={"kind": "sgd"})):
+        with pytest.raises(ValueError):
+            NetworkConfig(**{"layer_sizes": (3, 4, 2), "activation": _identity_uaf(), **bad})
+    cfg = NetworkConfig(layer_sizes=(np.int64(3), 4, 2), activation=_identity_uaf(),
+                        seed=np.int64(5), use_batch_norm=np.bool_(False))
+    assert (cfg.layer_sizes, cfg.seed, cfg.use_batch_norm) == ((3, 4, 2), 5, False)
+    assert all(type(s) is int for s in cfg.layer_sizes)
+
+
+def test_activation_and_optimizer_validation():
+    for make in (lambda: SgdConfig(-1.0), lambda: SgdConfig("0.1"),
+                 lambda: AdamConfig(beta1=1.5), lambda: AdamConfig(beta2=-0.1),
+                 lambda: AdamConfig(epsilon=-1), lambda: AdamConfig(learning_rate=math.nan),
+                 lambda: FixedActivation("tanh"), lambda: FixedActivation(uk.TANH, exact="no"),
+                 lambda: TrainableUaf(uk.preset(uk.IDENTITY).to_dict())):
+        with pytest.raises(ValueError):
+            make()
+    assert AdamConfig(beta1=0.0).beta1 == 0.0
 
 
 def test_config_json_round_trip():
@@ -347,6 +366,25 @@ def test_train_reports_divergence_with_epoch():
     report = train(cfg, _linear_dataset(n=100))
     assert report.diverged
     assert report.diverged_epoch == 1
+
+
+def test_train_rejects_layer_sizes_that_miss_the_dataset():
+    for sizes in ((4, 4, 2), (3, 4, 1)):
+        cfg = NetworkConfig(layer_sizes=sizes, activation=_identity_uaf(), epochs=1)
+        with pytest.raises(ValueError, match="layer_sizes"):
+            train(cfg, _linear_dataset(n=80))
+
+
+def test_train_reports_divergence_left_by_the_last_update():
+    # One batch per epoch: the step sends the shared UAF to ~1e300 and the
+    # validation metric to NaN after a finite batch loss.
+    cfg = NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf(),
+                        optimizer=SgdConfig(learning_rate=1e300), batch_size=128,
+                        epochs=1, seed=0)
+    report = train(cfg, _linear_dataset(n=100))
+    assert (report.diverged, report.diverged_epoch) == (True, 1)
+    assert report.metric_trace == ()
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 def test_train_report_serializes():

@@ -29,6 +29,10 @@ __all__ = [
 # Scan resolution and bisection tolerance for the error-slope roots.
 _SCAN_STEP = 1e-3
 _BISECT_XTOL = 1e-10
+# Most grid points a scan may take: an interval of width 1e4, such as
+# [-5000, 5000]. The scan's memory grows linearly with the point count, so
+# wider intervals are refused instead of being allowed to exhaust memory.
+MAX_SCAN_POINTS = 10_000_001
 # Kinds whose target is non-smooth at 0: the scan skips the grid cells that
 # touch 0, and the point itself is examined as a candidate extremum, not as a
 # slope root.
@@ -115,14 +119,21 @@ def critical_points(
     paired with the error value there.
 
     The slope is scanned on a grid of step _SCAN_STEP, and all brackets are
-    bisected together to 1e-10. A grid node where the slope is exactly 0
+    bisected together to 1e-10. Raises ValueError when the grid would take
+    more than MAX_SCAN_POINTS points. A grid node where the slope is exactly 0
     between neighbours of opposite sign (gaussian's x = 0) is a root as it
     stands. For targets that are non-smooth at 0 (step, relu, leaky_relu) the
     cells touching 0 are skipped; the point itself is treated as a candidate
     extremum by error_report, not returned here.
     """
     lo, hi = _check_interval(interval)
-    n = max(3, int(round((hi - lo) / _SCAN_STEP)) + 1)
+    steps = (hi - lo) / _SCAN_STEP  # inf when the quotient overflows
+    if not steps <= MAX_SCAN_POINTS - 1:
+        raise ValueError(
+            f"interval ({lo}, {hi}) needs {steps + 1:.6g} scan points at step {_SCAN_STEP}, "
+            f"above the cap of {MAX_SCAN_POINTS}"
+        )
+    n = max(3, int(round(steps)) + 1)
     xs = np.linspace(lo, hi, n)
     g, floor = _slope(p, t, xs)
     keep = np.ones(n - 1, dtype=bool)

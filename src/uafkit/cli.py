@@ -193,7 +193,10 @@ def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
     _check_range(lo, hi, "--lo", "--hi")
     if samples < 2:
         raise click.UsageError(f"--samples must be >= 2, got {samples}")
-    rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
+    try:
+        rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
+    except ValueError as exc:
+        raise click.UsageError(f"--lo/--hi: {exc}") from exc
     _emit(json.dumps(rep.to_dict(), indent=2) + "\n", output)
 
 

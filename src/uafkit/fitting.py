@@ -260,6 +260,9 @@ class _Objective:
 _MAX_REJECTIONS = 30
 
 
+# A trial that overflows is rejected, and a non-finite start raises, so
+# NumPy's overflow warnings along the way are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(spec: FitSpec) -> FitResult:
     """Levenberg-Marquardt on the free parameters.
 

@@ -7,6 +7,12 @@ analytic partials scaled by the upstream gradient, so the activation trains by
 ordinary backpropagation alongside the weights. Everything is seeded and
 deterministic: identical config + dataset + seed reproduce a bitwise-identical
 TrainReport.
+
+Weights, biases and the trainable UAF vector are views into one float64
+vector, Network.flat, and a step's Gradients are views into one vector laid
+out alike, so SGD and Adam are one elementwise pass (uaf_learning_rate applies
+on the UAF's five slots). Network.step(x, y) returns a batch's loss and
+gradients; train alternates it with apply_gradients.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
+from ._kernels import uaf_terms as _k_terms
 from .core import (
     PresetKind, UafParams, coerce_field, coerce_list, from_json, from_tagged_json, preset,
 )
@@ -212,10 +219,25 @@ class TrainReport:
         }
 
 
+def _views(flat: np.ndarray, sizes: tuple[int, ...], trainable: bool):
+    """The weight matrices, the bias vectors and the UAF vector (None when
+    fixed) as views into flat, in that order."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases, flat[at : at + 5] if trainable else None
+
+
 @dataclass
 class Gradients:
-    """Exact loss gradients from one backward pass."""
+    """Exact loss gradients from one backward pass: views into the one
+    vector flat, laid out like the network's parameters."""
 
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     uaf: np.ndarray | None  # (5,) d loss / d (A, B, C, D, E), or None if fixed
@@ -224,7 +246,8 @@ class Gradients:
 class _BatchNorm:
     """Affine-free batch normalization (x - mu)/sigma per feature, with the
     denominator floored at epsilon. Training uses batch statistics and updates
-    running ones; inference uses the running statistics."""
+    running ones; inference uses the running statistics. Means are taken as
+    sum(axis=0) / n, the arithmetic of np.mean and np.std."""
 
     def __init__(self, n_features: int):
         self.running_mu = np.zeros(n_features)
@@ -232,17 +255,19 @@ class _BatchNorm:
 
     def forward(self, h: np.ndarray, training: bool):
         if training:
-            mu = h.mean(axis=0)
-            sigma = h.std(axis=0)
+            n = h.shape[0]
+            mu = h.sum(axis=0) / n
+            centred = h - mu
+            sigma = np.sqrt((centred * centred).sum(axis=0) / n)
             self.running_mu = (1 - _BN_MOMENTUM) * self.running_mu + _BN_MOMENTUM * mu
             self.running_sigma = (
                 1 - _BN_MOMENTUM
             ) * self.running_sigma + _BN_MOMENTUM * sigma
         else:
-            mu = self.running_mu
             sigma = self.running_sigma
+            centred = h - self.running_mu
         denom = np.maximum(sigma, _BN_EPSILON)
-        y = (h - mu) / denom
+        y = centred / denom
         return y, (y, sigma, denom)
 
     @staticmethod
@@ -254,8 +279,9 @@ class _BatchNorm:
         floor is active (there s is constant w.r.t. h).
         """
         y, sigma, denom = cache
-        g_mean = g.mean(axis=0)
-        gy_mean = (g * y).mean(axis=0)
+        n = g.shape[0]
+        g_mean = g.sum(axis=0) / n
+        gy_mean = (g * y).sum(axis=0) / n
         active = sigma > _BN_EPSILON
         return (g - g_mean - np.where(active, y * gy_mean, 0.0)) / denom
 
@@ -274,31 +300,35 @@ class Network:
         self.task = task
         self.rng = np.random.default_rng(config.seed)
         sizes = config.layer_sizes
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(self.rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        trainable = isinstance(config.activation, TrainableUaf)
+        n_params = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) + 5 * trainable
+        self.flat = np.zeros(n_params)
+        self.weights, self.biases, self.uaf = _views(self.flat, sizes, trainable)
+        for w in self.weights:
+            bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            w[...] = self.rng.uniform(-bound, bound, size=w.shape)
         self.n_hidden = len(sizes) - 2
         self.batch_norms = (
             [_BatchNorm(sizes[i + 1]) for i in range(self.n_hidden)]
             if config.use_batch_norm
             else None
         )
-        if isinstance(config.activation, TrainableUaf):
-            self.uaf = np.array(config.activation.init.as_tuple())
-            self._fixed_params = None
-            self._fixed_target = None
+        self._fixed_params = None
+        self._fixed_target = None
+        if trainable:
+            self.uaf[...] = config.activation.init.as_tuple()
+        elif config.activation.exact:
+            self._fixed_target = TargetActivation(config.activation.kind)
         else:
-            self.uaf = None
-            if config.activation.exact:
-                self._fixed_params = None
-                self._fixed_target = TargetActivation(config.activation.kind)
-            else:
-                self._fixed_params = np.array(preset(config.activation.kind).as_tuple())
-                self._fixed_target = None
-        self._opt_state: dict | None = None
+            self._fixed_params = np.array(preset(config.activation.kind).as_tuple())
+        # Per-element step sizes: the optimizer's rate, and uaf_learning_rate
+        # on the UAF's five slots when it is set.
+        self._rates = np.full(self.flat.size, config.optimizer.learning_rate)
+        if trainable and config.uaf_learning_rate is not None:
+            self._rates[-5:] = config.uaf_learning_rate
+        self._adam_t = 0
+        self._adam_m = np.zeros_like(self.flat)
+        self._adam_v = np.zeros_like(self.flat)
 
     # -- activation ---------------------------------------------------------
 
@@ -310,23 +340,24 @@ class Network:
             return UafParams(*self._fixed_params)
         return UafParams(*self.uaf)
 
-    def _act_forward(self, y: np.ndarray) -> np.ndarray:
+    def _act_forward(self, y: np.ndarray):
+        """Returns (activation, cache for _act_backward)."""
         if self._fixed_target is not None:
-            return self._fixed_target(y)
+            return self._fixed_target(y), y
         params = self.uaf if self.uaf is not None else self._fixed_params
-        return _k_eval(y.ravel(), *params).reshape(y.shape)
+        terms = _k_terms(y.ravel(), *params[:4])
+        return _k_eval(terms[0], *params, terms=terms).reshape(y.shape), terms
 
-    def _act_backward(self, y: np.ndarray, upstream: np.ndarray):
+    def _act_backward(self, cache, upstream: np.ndarray):
         """Returns (d loss/d y, d loss/d uaf-params or None)."""
         if self._fixed_target is not None:
-            return upstream * self._fixed_target.derivative(y), None
+            return upstream * self._fixed_target.derivative(cache), None
         params = self.uaf if self.uaf is not None else self._fixed_params
-        g6 = _k_grad(y.ravel(), *params)
-        d_y = (upstream.ravel() * g6[:, 0]).reshape(y.shape)
+        g6 = _k_grad(cache[0], *params, terms=cache)
+        d_y = (upstream.ravel() * g6[:, 0]).reshape(upstream.shape)
         if self.uaf is None:
             return d_y, None
-        d_uaf = g6[:, 1:].T @ upstream.ravel()
-        return d_y, d_uaf
+        return d_y, g6[:, 1:].T @ upstream.ravel()
 
     # -- forward / backward -------------------------------------------------
 
@@ -347,43 +378,42 @@ class Network:
                 y, bn_cache = self.batch_norms[i].forward(h, training)
             else:
                 y, bn_cache = h, None
-            a = self._act_forward(y)
-            self._cache.append((y, bn_cache))
+            a, act_cache = self._act_forward(y)
+            self._cache.append((act_cache, bn_cache))
             activations.append(a)
         output = a @ self.weights[-1] + self.biases[-1]
         return activations, output
 
-    def backward(self, batch: np.ndarray, targets: np.ndarray) -> Gradients:
-        """Exact gradients of the configured loss over the batch."""
+    def step(self, batch: np.ndarray, targets: np.ndarray) -> tuple[float, Gradients]:
+        """One training-mode forward pass and the exact gradients of the
+        configured loss over the batch: (loss, gradients). The parameters are
+        left as they are; apply_gradients updates them."""
         targets = np.asarray(targets, dtype=np.float64)
         activations, output = self.forward(batch, training=True)
         if targets.shape != output.shape:
             raise ValueError(
                 f"targets must have shape {output.shape}, got {targets.shape}"
             )
-        _, d_out = self._loss_and_grad(output, targets)
-        return self._backward_from(activations, d_out)
-
-    def _backward_from(self, activations: list[np.ndarray], d_out: np.ndarray) -> Gradients:
-        w_grads: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        b_grads: list[np.ndarray] = [np.empty(0)] * len(self.biases)
-        uaf_grad = np.zeros(5) if self.uaf is not None else None
-
-        w_grads[-1] = activations[-1].T @ d_out
-        b_grads[-1] = d_out.sum(axis=0)
-        g = d_out @ self.weights[-1].T
-        for i in range(self.n_hidden - 1, -1, -1):
-            y, bn_cache = self._cache[i]
-            g, d_uaf = self._act_backward(y, g)
-            if d_uaf is not None:
-                uaf_grad += d_uaf
-            if self.batch_norms is not None:
-                g = _BatchNorm.backward(g, bn_cache)
-            w_grads[i] = activations[i].T @ g
-            b_grads[i] = g.sum(axis=0)
+        loss, g = self._loss_and_grad(output, targets)
+        flat = np.zeros_like(self.flat)
+        grads = Gradients(flat, *_views(flat, self.config.layer_sizes, self.uaf is not None))
+        for i in range(self.n_hidden, -1, -1):
+            if i < self.n_hidden:
+                act_cache, bn_cache = self._cache[i]
+                g, d_uaf = self._act_backward(act_cache, g)
+                if d_uaf is not None:
+                    grads.uaf += d_uaf
+                if self.batch_norms is not None:
+                    g = _BatchNorm.backward(g, bn_cache)
+            np.matmul(activations[i].T, g, out=grads.weights[i])
+            g.sum(axis=0, out=grads.biases[i])
             if i > 0:
                 g = g @ self.weights[i].T
-        return Gradients(weights=w_grads, biases=b_grads, uaf=uaf_grad)
+        return loss, grads
+
+    def backward(self, batch: np.ndarray, targets: np.ndarray) -> Gradients:
+        """Exact gradients of the configured loss over the batch."""
+        return self.step(batch, targets)[1]
 
     # -- loss / metric ------------------------------------------------------
 
@@ -409,49 +439,23 @@ class Network:
 
     # -- optimization -------------------------------------------------------
 
-    def _param_tensors(self) -> list[np.ndarray]:
-        tensors = self.weights + self.biases
-        if self.uaf is not None:
-            tensors.append(self.uaf)
-        return tensors
-
-    def _grad_tensors(self, grads: Gradients) -> list[np.ndarray]:
-        tensors = grads.weights + grads.biases
-        if grads.uaf is not None:
-            tensors.append(grads.uaf)
-        return tensors
-
-    def _tensor_rates(self, n_tensors: int) -> list[float]:
-        lr = self.config.optimizer.learning_rate
-        rates = [lr] * n_tensors
-        if self.uaf is not None and self.config.uaf_learning_rate is not None:
-            rates[-1] = self.config.uaf_learning_rate
-        return rates
-
     def apply_gradients(self, grads: Gradients) -> None:
-        params = self._param_tensors()
-        gs = self._grad_tensors(grads)
-        rates = self._tensor_rates(len(params))
+        """One SGD or Adam update, as one elementwise pass over flat."""
         opt = self.config.optimizer
+        g = grads.flat
         if isinstance(opt, SgdConfig):
-            for p, g, rate in zip(params, gs, rates):
-                p -= rate * g
+            self.flat -= self._rates * g
             return
-        if self._opt_state is None:
-            self._opt_state = {
-                "t": 0,
-                "m": [np.zeros_like(p) for p in params],
-                "v": [np.zeros_like(p) for p in params],
-            }
-        state = self._opt_state
-        state["t"] += 1
-        t = state["t"]
-        for i, (p, g) in enumerate(zip(params, gs)):
-            state["m"][i] = opt.beta1 * state["m"][i] + (1 - opt.beta1) * g
-            state["v"][i] = opt.beta2 * state["v"][i] + (1 - opt.beta2) * g * g
-            m_hat = state["m"][i] / (1 - opt.beta1**t)
-            v_hat = state["v"][i] / (1 - opt.beta2**t)
-            p -= rates[i] * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        self._adam_t += 1
+        t = self._adam_t
+        m, v = self._adam_m, self._adam_v
+        m *= opt.beta1
+        m += (1 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1 - opt.beta2) * g * g
+        m_hat = m / (1 - opt.beta1**t)
+        v_hat = v / (1 - opt.beta2**t)
+        self.flat -= self._rates * m_hat / (np.sqrt(v_hat) + opt.epsilon)
 
 
 def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
@@ -485,25 +489,22 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
     for epoch in range(1, config.epochs + 1):
         order = net.rng.permutation(len(x_train))
         batch_losses: list[float] = []
-        for lo in range(0, len(order), config.batch_size):
-            sel = order[lo : lo + config.batch_size]
-            xb, yb = x_train[sel], y_train[sel]
-            # Divergence is detected from the loss value itself, so the
-            # intermediate overflow warnings on an exploding run are noise.
-            with np.errstate(over="ignore", invalid="ignore"):
-                activations, output = net.forward(xb, training=True)
-                loss, d_out = net._loss_and_grad(output, yb)
+        # Divergence is detected from the loss, the metric and the UAF
+        # themselves, so the intermediate overflow warnings on an exploding
+        # run are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(order), config.batch_size):
+                sel = order[lo : lo + config.batch_size]
+                loss, grads = net.step(x_train[sel], y_train[sel])
                 if not math.isfinite(loss):
                     diverged = True
                     diverged_epoch = epoch
                     break
-                grads = net._backward_from(activations, d_out)
                 net.apply_gradients(grads)
-            batch_losses.append(loss)
-        if diverged:
-            break
-        epoch_loss = float(np.mean(batch_losses))
-        with np.errstate(over="ignore", invalid="ignore"):
+                batch_losses.append(loss)
+            if diverged:
+                break
+            epoch_loss = float(np.mean(batch_losses))
             _, val_out = net.forward(x_val, training=False)
             metric = net.metric(val_out, y_val)
         # The last update of an epoch can leave the shared UAF, and with it

@@ -90,7 +90,9 @@ def test_usage_errors_exit_2(runner, tmp_path):
     ["eval", "--preset", "tanh", "--from", "-1e308", "--to", "1e308"],
     ["sweep", "--preset", "tanh", "--target", "tanh", "--from", "-1e308", "--to", "1e308"],
     ["report", "--preset", "tanh", "--lo", "-1e308", "--hi", "1e308"],
-], ids=["eval", "sweep", "report"])
+    # a finite width, but its 1e311 scan points are above the point cap
+    ["report", "--preset", "tanh", "--lo", "-1e308", "--hi", "0"],
+], ids=["eval", "sweep", "report", "report_point_cap"])
 def test_overflowing_range_width_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
@@ -253,6 +255,8 @@ _GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
     "infinite_interval_width", "overflowing_initial_error", "empty_validation_split",
     "list_dataset_kind",
 ])
+# NumPy's overflow warnings would print on stderr ahead of the usage message.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

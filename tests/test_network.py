@@ -1,8 +1,10 @@
-"""Unit tests for the dense network: forward, backward, batch norm, and the
-training loop."""
+"""Unit tests for the dense network: forward, backward, batch norm, the flat
+parameter buffer and its optimizers, and the training loop."""
 
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,82 @@ def test_identity_init_matches_exact_identity_network():
     assert np.max(np.abs(out_uaf - out_fix)) < 1e-9
 
 
+def test_step_returns_the_loss_and_the_backward_gradients():
+    cfg = NetworkConfig(layer_sizes=(4, 5, 3), activation=_identity_uaf(), seed=3)
+    net = Network(cfg, task="classification")
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7, 4))
+    y = np.eye(3)[rng.integers(0, 3, size=7)]
+    loss, grads = net.step(x, y)
+    _, out = net.forward(x, training=True)
+    assert loss == net._loss_and_grad(out, y)[0]
+    assert np.array_equal(grads.flat, net.backward(x, y).flat)
+    with pytest.raises(ValueError, match="targets"):
+        net.step(x, y[:, :2])
+
+
+# --- flat parameter buffer and optimizers ------------------------------------------
+
+
+def _tensors(owner):
+    return owner.weights + owner.biases + [owner.uaf]
+
+
+def test_parameters_and_gradients_are_views_of_one_flat_buffer():
+    cfg = NetworkConfig(layer_sizes=(3, 4, 5, 2), activation=_identity_uaf(), seed=1)
+    net = Network(cfg)
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    grads = net.backward(x, y)
+    for owner in (net, grads):
+        for k, tensor in enumerate(_tensors(owner)):
+            assert np.shares_memory(tensor, owner.flat)
+            tensor[...] = k
+        # every element of the buffer belongs to exactly one tensor
+        sizes = [t.size for t in _tensors(owner)]
+        assert np.bincount(owner.flat.astype(int)).tolist() == sizes
+    _, before = net.forward(x)
+    net.weights[0][0, 0] += 1.0
+    _, after = net.forward(x)
+    assert not np.array_equal(before, after)
+
+
+def _per_tensor_update(params, grads, rates, opt, state):
+    """The update the fused pass replaces: one SGD or Adam step per tensor."""
+    if isinstance(opt, SgdConfig):
+        for p, g, rate in zip(params, grads, rates):
+            p -= rate * g
+        return
+    state["t"] += 1
+    t = state["t"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state["m"][i] = opt.beta1 * state["m"][i] + (1 - opt.beta1) * g
+        state["v"][i] = opt.beta2 * state["v"][i] + (1 - opt.beta2) * g * g
+        m_hat = state["m"][i] / (1 - opt.beta1**t)
+        v_hat = state["v"][i] / (1 - opt.beta2**t)
+        p -= rates[i] * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+
+
+@pytest.mark.parametrize("optimizer", [SgdConfig(0.05), AdamConfig(0.01)], ids=["sgd", "adam"])
+@pytest.mark.parametrize("uaf_learning_rate", [None, 1e-3])
+def test_fused_update_matches_the_per_tensor_update_bitwise(optimizer, uaf_learning_rate):
+    cfg = NetworkConfig(layer_sizes=(3, 5, 4, 2), activation=TrainableUaf(uk.preset(uk.TANH)),
+                        optimizer=optimizer, uaf_learning_rate=uaf_learning_rate, seed=4)
+    net = Network(cfg)
+    reference = [t.copy() for t in _tensors(net)]
+    rates = [optimizer.learning_rate] * (len(reference) - 1)
+    rates.append(optimizer.learning_rate if uaf_learning_rate is None else uaf_learning_rate)
+    state = {"t": 0, "m": [np.zeros_like(t) for t in reference],
+             "v": [np.zeros_like(t) for t in reference]}
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        _, grads = net.step(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)))
+        _per_tensor_update(reference, _tensors(grads), rates, optimizer, state)
+        net.apply_gradients(grads)
+        for fused, ref in zip(_tensors(net), reference):
+            assert np.array_equal(fused, ref)
+
+
 # --- config and report types -----------------------------------------------------
 
 
@@ -395,3 +473,40 @@ def test_train_report_serializes():
     assert set(data) >= {"loss_trace", "metric_trace", "uaf_trajectory",
                          "wall_time", "diverged", "diverged_epoch"}
     assert len(data["uaf_trajectory"]) == 3
+
+
+# --- benchmark trace hooks -----------------------------------------------------------
+# perfbench/timers.py times the library by patching these names; a rename
+# would silently drop its per-layer metrics.
+
+
+def test_every_benchmark_span_resolves_to_a_callable(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    timers = importlib.import_module("timers")
+    for module_name, path, _select in timers.SPANNED:
+        owner = importlib.import_module(module_name)
+        for attr in path.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), f"{module_name}.{path}"
+
+
+def test_train_calls_forward_and_apply_gradients_once_per_batch(monkeypatch):
+    calls = {"forward": 0, "apply_gradients": 0}
+    forward, apply_gradients = Network.forward, Network.apply_gradients
+
+    def counted_forward(self, batch, training=False):
+        calls["forward"] += training
+        return forward(self, batch, training=training)
+
+    def counted_apply_gradients(self, grads):
+        calls["apply_gradients"] += 1
+        return apply_gradients(self, grads)
+
+    monkeypatch.setattr(Network, "forward", counted_forward)
+    monkeypatch.setattr(Network, "apply_gradients", counted_apply_gradients)
+    data = _linear_dataset(n=100)
+    cfg = NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf(),
+                        batch_size=32, epochs=2, seed=0)
+    train(cfg, data)
+    batches = 2 * math.ceil(len(data.split_indices()[0]) / 32)
+    assert calls == {"forward": batches, "apply_gradients": batches}

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import logistic
-from .core import PresetKind, UafParams, grad_batch, preset
+from ._kernels import uaf_grad as _k_grad
+from .core import MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, preset
 from .targets import TargetActivation, approx_error, approx_error_batch
 
 __all__ = [
@@ -30,9 +31,8 @@ __all__ = [
 _SCAN_STEP = 1e-3
 _BISECT_XTOL = 1e-10
 # Most grid points a scan may take: an interval of width 1e4, such as
-# [-5000, 5000]. The scan's memory grows linearly with the point count, so
-# wider intervals are refused instead of being allowed to exhaust memory.
-MAX_SCAN_POINTS = 10_000_001
+# [-5000, 5000]; wider intervals are refused.
+MAX_SCAN_POINTS = MAX_POINTS
 # Kinds whose target is non-smooth at 0: the scan skips the grid cells that
 # touch 0, and the point itself is examined as a candidate extremum, not as a
 # slope root.
@@ -90,15 +90,6 @@ class RmseTable:
         }
 
 
-def _check_interval(interval) -> tuple[float, float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"interval bounds must be finite, got ({lo}, {hi})")
-    if not lo < hi:
-        raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
-    return lo, hi
-
-
 def _slope(p: UafParams, t: TargetActivation, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact error slope dE/dx = f'(x) - t'(x) on xs, and its rounding bound.
 
@@ -107,7 +98,7 @@ def _slope(p: UafParams, t: TargetActivation, xs: np.ndarray) -> tuple[np.ndarra
     be told from rounding noise.
     """
     dt = t.derivative(xs)
-    slope = grad_batch(p, xs)[:, 0] - dt
+    slope = _k_grad(xs, *p.as_tuple())[:, 0] - dt
     floor = 16.0 * _EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
     return slope, floor
 
@@ -126,7 +117,7 @@ def critical_points(
     cells touching 0 are skipped; the point itself is treated as a candidate
     extremum by error_report, not returned here.
     """
-    lo, hi = _check_interval(interval)
+    lo, hi = coerce_interval("interval", interval)
     steps = (hi - lo) / _SCAN_STEP  # inf when the quotient overflows
     if not steps <= MAX_SCAN_POINTS - 1:
         raise ValueError(
@@ -162,11 +153,8 @@ def critical_points(
 
 def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -> float:
     """Root-mean-square error over n_samples uniform points incl. endpoints."""
-    lo, hi = _check_interval(interval)
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    xs = np.linspace(lo, hi, n_samples)
+    lo, hi = coerce_interval("interval", interval)
+    xs = np.linspace(lo, hi, coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS))
     e = approx_error_batch(p, t, xs)
     return float(np.sqrt(np.mean(e * e)))
 
@@ -183,8 +171,6 @@ def _jump_candidates(
     """
     if t.kind.name not in _NONSMOOTH_AT_ZERO or not lo <= 0.0 <= hi:
         return []
-    from .core import eval_stable
-
     if t.kind.name == "step":
         f0 = eval_stable(p, 0.0)
         limits = []
@@ -201,7 +187,7 @@ def error_report(
 ) -> ErrorReport:
     """Full extremum/RMSE report: critical points plus the interval endpoints
     and any discontinuity candidates, with the max taken over all of them."""
-    lo, hi = _check_interval(interval)
+    lo, hi = coerce_interval("interval", interval)
     cps = critical_points(p, t, (lo, hi))
     candidates = list(cps)
     candidates.append((lo, approx_error(p, t, lo)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -20,9 +19,11 @@ import click
 import numpy as np
 
 from . import analysis, datasets, fitting, network
-from .core import PRESET_NAMES, PresetKind, UafParams, from_tagged_json, preset
-from .targets import TargetActivation, approx_error_batch, target_eval_batch
-from .core import eval_batch
+from .core import (
+    MAX_POINTS, PRESET_NAMES, PresetKind, UafParams, coerce_interval, eval_batch, from_tagged_json,
+    preset,
+)
+from .targets import TargetActivation, target_eval_batch
 
 
 def _fmt(value: float) -> str:
@@ -86,24 +87,16 @@ def _kind_from_flags(name: str, alpha: float | None, flag: str) -> PresetKind:
         raise click.UsageError(f"{flag}: {exc}") from exc
 
 
-def _check_range(lo: float, hi: float, lo_flag: str, hi_flag: str) -> None:
-    if not lo < hi:
-        raise click.UsageError(f"{lo_flag} must be below {hi_flag}, got {lo} >= {hi}")
-    # An infinite width would put non-finite points on the grid.
-    if not math.isfinite(hi - lo):
-        raise click.UsageError(
-            f"{lo_flag} and {hi_flag} must be a finite distance apart, got {lo} and {hi}"
-        )
-
-
 def _grid(from_, to, n) -> np.ndarray:
-    if not n >= 2:
-        raise click.UsageError(f"--n must be >= 2, got {n}")
-    _check_range(from_, to, "--from", "--to")
-    return np.linspace(from_, to, n)
+    try:
+        lo, hi = coerce_interval("--from/--to", (from_, to))
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    return np.linspace(lo, hi, n)
 
 
 _PRESET_CHOICES = click.Choice(PRESET_NAMES)
+_SAMPLE_COUNT = click.IntRange(2, MAX_POINTS)
 
 
 @click.group()
@@ -117,7 +110,7 @@ def main() -> None:
 @click.option("--alpha", type=float, default=None, help="Slope for the leaky_relu preset.")
 @click.option("--from", "from_", type=float, required=True, help="Range start.")
 @click.option("--to", type=float, required=True, help="Range end.")
-@click.option("--n", type=int, default=101, show_default=True, help="Sample count.")
+@click.option("--n", type=_SAMPLE_COUNT, default=101, show_default=True, help="Sample count.")
 @click.option("--output", type=str, default=None, help="CSV output path (default stdout).")
 def eval_cmd(params_file, preset_name, alpha, from_, to, n, output) -> None:
     """Evaluate the UAF on a uniform grid; CSV columns x,f_uaf."""
@@ -185,14 +178,11 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
 @click.option("--alpha", type=float, default=None, help="Slope for leaky_relu.")
 @click.option("--lo", type=float, default=-10.0, show_default=True, help="Interval start.")
 @click.option("--hi", type=float, default=10.0, show_default=True, help="Interval end.")
-@click.option("--samples", type=int, default=2001, show_default=True, help="RMSE sample count.")
+@click.option("--samples", type=_SAMPLE_COUNT, default=2001, show_default=True, help="RMSE sample count.")
 @click.option("--output", type=str, default=None, help="JSON output path (default stdout).")
 def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
     """Error-extremum/RMSE report for a preset against its target."""
     kind = _kind_from_flags(preset_name, alpha, "--preset")
-    _check_range(lo, hi, "--lo", "--hi")
-    if samples < 2:
-        raise click.UsageError(f"--samples must be >= 2, got {samples}")
     try:
         rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
     except ValueError as exc:
@@ -201,13 +191,11 @@ def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
 
 
 @main.command("table")
-@click.option("--samples", type=int, default=2001, show_default=True, help="RMSE sample count.")
+@click.option("--samples", type=_SAMPLE_COUNT, default=2001, show_default=True, help="RMSE sample count.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
 @click.option("--output", type=str, default=None, help="Output path (default stdout).")
 def table_cmd(samples, fmt, output) -> None:
     """RMSE summary table: one row per preset on [-10, 10]."""
-    if samples < 2:
-        raise click.UsageError(f"--samples must be >= 2, got {samples}")
     table = analysis.rmse_table(samples)
     buf = io.StringIO()
     if fmt == "csv":
@@ -304,7 +292,7 @@ def train_cmd(config_file, dataset_file, output, csv_file) -> None:
 @click.option("--target-alpha", type=float, default=None, help="Slope for a leaky_relu target.")
 @click.option("--from", "from_", type=float, required=True, help="Range start.")
 @click.option("--to", type=float, required=True, help="Range end.")
-@click.option("--n", type=int, default=401, show_default=True, help="Sample count.")
+@click.option("--n", type=_SAMPLE_COUNT, default=401, show_default=True, help="Sample count.")
 @click.option("--output", type=str, default=None, help="CSV output path (default stdout).")
 def sweep_cmd(params_file, preset_name, alpha, target_name, target_alpha, from_, to, n, output) -> None:
     """UAF vs target sweep; CSV columns x,f_uaf,f_target,error."""
@@ -313,10 +301,9 @@ def sweep_cmd(params_file, preset_name, alpha, target_name, target_alpha, from_,
     xs = _grid(from_, to, n)
     f_uaf = eval_batch(p, xs)
     f_tgt = target_eval_batch(t, xs)
-    errs = approx_error_batch(p, t, xs)
     buf = io.StringIO()
     buf.write("x,f_uaf,f_target,error\n")
-    for x, fu, ft, e in zip(xs, f_uaf, f_tgt, errs):
+    for x, fu, ft, e in zip(xs, f_uaf, f_tgt, f_uaf - f_tgt):
         buf.write(f"{_fmt(x)},{_fmt(fu)},{_fmt(ft)},{_fmt(e)}\n")
     _emit(buf.getvalue(), output)
 

@@ -51,6 +51,12 @@ A_RELU = 70.9992
 C_GAUSSIAN = -0.61341425
 LN2 = math.log(2.0)
 
+# Most values one array sized by an outside count may hold: a sample or scan
+# grid, a dataset, or a network's parameters or activations. The cap is a
+# 1e-3 scan of a width-1e4 interval; larger requests are refused instead of
+# being allowed to exhaust memory.
+MAX_POINTS = 10_000_001
+
 # Largest z for which e^z is a finite float64; beyond it the naive form
 # evaluates ln(inf).
 _EXP_MAX = math.log(sys.float_info.max)
@@ -60,14 +66,7 @@ class UafOverflowError(OverflowError):
     """Raised by eval_naive when an exponent argument leaves the safe range."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return value
-
-
-def coerce(name: str, value, kind, minimum=None):
+def coerce(name: str, value, kind, minimum=None, maximum=None):
     """One config field checked and converted for type kind: bool, int,
     float, or any other class (or tuple of classes) that value must be an
     instance of.
@@ -75,7 +74,8 @@ def coerce(name: str, value, kind, minimum=None):
     Stricter than calling the type: a bool must be true or false, an int an
     integral number, a float a finite number, and neither number accepts a
     bool, a string or null. NumPy scalars count as the numbers they hold.
-    A number below minimum is rejected. Raises ValueError naming the field.
+    A number below minimum or above maximum is rejected. Raises ValueError
+    naming the field.
     """
     if kind is bool:
         if not isinstance(value, (bool, np.bool_)):
@@ -102,7 +102,17 @@ def coerce(name: str, value, kind, minimum=None):
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def check_size(what: str, *dims: int) -> None:
+    """Raises ValueError naming what when an array with the dimensions dims
+    would hold more than MAX_POINTS values."""
+    size = math.prod(dims)
+    if size > MAX_POINTS:
+        raise ValueError(f"{what} = {size} values, above the cap of {MAX_POINTS}")
 
 
 def coerce_list(name: str, value, kind, minimum=None) -> tuple:
@@ -112,10 +122,23 @@ def coerce_list(name: str, value, kind, minimum=None) -> tuple:
     return tuple(coerce(name, item, kind, minimum) for item in value)
 
 
-def coerce_field(obj, name: str, kind, minimum=None):
+def coerce_interval(name: str, value) -> tuple[float, float]:
+    """An interval [lo, hi]: two numbers read by coerce, held in a list, a
+    tuple or a 1-d NumPy array, with lo < hi and a finite width hi - lo (an
+    infinite one would put non-finite points on a grid). Raises ValueError
+    naming the field."""
+    bounds = coerce_list(name, value.tolist() if isinstance(value, np.ndarray) else value, float)
+    if not (len(bounds) == 2 and bounds[0] < bounds[1] and math.isfinite(bounds[1] - bounds[0])):
+        raise ValueError(
+            f"{name} must be [lo, hi] with lo < hi and a finite width, got {value!r}"
+        )
+    return bounds
+
+
+def coerce_field(obj, name: str, kind, minimum=None, maximum=None):
     """coerce applied to a field of the frozen dataclass obj, stored back in
     place; returns the converted value."""
-    value = coerce(name, getattr(obj, name), kind, minimum)
+    value = coerce(name, getattr(obj, name), kind, minimum, maximum)
     object.__setattr__(obj, name, value)
     return value
 
@@ -306,7 +329,7 @@ def eval_naive(p: UafParams, x: float, *, on_overflow: str = "error") -> float:
     """
     if on_overflow not in ("error", "inf"):
         raise ValueError(f"on_overflow must be 'error' or 'inf', got {on_overflow!r}")
-    x = _require_finite("x", x)
+    x = coerce("x", x, float)
     z1, z2 = _exponents(p, x)
     if z1 > _EXP_MAX or z2 > _EXP_MAX:
         if on_overflow == "error":
@@ -325,33 +348,33 @@ def eval_stable(p: UafParams, x: float) -> float:
     Agrees with eval_naive wherever the naive form is representable and stays
     finite for all finite inputs.
     """
-    x = _require_finite("x", x)
+    x = coerce("x", x, float)
     return float(_k_eval(np.array([x]), *p.as_tuple())[0])
 
 
 def grad(p: UafParams, x: float) -> UafGradient:
     """Analytic first derivatives of f at x (d_x and the parameter partials)."""
-    x = _require_finite("x", x)
+    x = coerce("x", x, float)
     row = _k_grad(np.array([x]), *p.as_tuple())[0]
     return UafGradient(*(float(v) for v in row))
 
 
-def eval_batch(p: UafParams, xs) -> np.ndarray:
-    """Elementwise eval_stable over a sequence; returns a float64 array."""
+def _points(xs) -> np.ndarray:
+    """xs as a contiguous 1-d float64 array of finite values."""
     arr = np.ascontiguousarray(xs, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"xs must be one-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("xs must contain only finite values")
-    return _k_eval(arr, *p.as_tuple())
+    return arr
+
+
+def eval_batch(p: UafParams, xs) -> np.ndarray:
+    """Elementwise eval_stable over a sequence; returns a float64 array."""
+    return _k_eval(_points(xs), *p.as_tuple())
 
 
 def grad_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise grad over a sequence; returns an (n, 6) float64 array
     with columns (d_x, d_A, d_B, d_C, d_D, d_E)."""
-    arr = np.ascontiguousarray(xs, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"xs must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("xs must contain only finite values")
-    return _k_grad(arr, *p.as_tuple())
+    return _k_grad(_points(xs), *p.as_tuple())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import coerce
+from .core import check_size, coerce, coerce_list
 
 __all__ = ["Dataset", "make_gas_analogue", "make_blobs"]
 
@@ -38,9 +38,9 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
         if self.kind not in ("regression", "classification"):
             raise ValueError(f"kind must be regression or classification, got {self.kind!r}")
-        split = tuple(float(s) for s in self.split)
-        if len(split) != 3 or any(s < 0 for s in split) or not math.isclose(sum(split), 1.0):
-            raise ValueError(f"split fractions must be >= 0 and sum to 1, got {split}")
+        split = coerce_list("split", self.split, float, minimum=0.0)
+        if len(split) != 3 or not math.isclose(sum(split), 1.0):
+            raise ValueError(f"split must be three fractions that sum to 1, got {split}")
         if self.kind == "classification":
             row_sums = targets.sum(axis=1)
             if not (np.allclose(row_sums, 1.0) and np.all((targets == 0) | (targets == 1))):
@@ -89,6 +89,8 @@ def make_gas_analogue(
     n_channels = coerce("n_channels", n_channels, int, minimum=n_species)
     if snr_db != math.inf:
         snr_db = coerce("snr_db", snr_db, float)
+    check_size("n_samples x n_channels", n_samples, n_channels)
+    check_size("n_channels x n_species", n_channels, n_species)
     rng = np.random.default_rng(seed)
     mixing = rng.uniform(0.0, 1.0, size=(n_channels, n_species))
     # 1 - U[0,1) lies in (0, 1]: every concentration strictly positive.
@@ -122,6 +124,8 @@ def make_blobs(
     n_samples = coerce("n_samples", n_samples, int, minimum=n_classes)
     n_features = coerce("n_features", n_features, int, minimum=1)
     spread = coerce("spread", spread, float, minimum=0.0)
+    check_size("n_samples x n_features", n_samples, n_features)
+    check_size("n_samples x n_classes", n_samples, n_classes)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-5.0, 5.0, size=(n_classes, n_features))
     # Balanced class counts: the first (n_samples % n_classes) classes get one

@@ -21,7 +21,8 @@ import numpy as np
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
 from .core import (
-    LN2, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce_field, coerce_list, from_json,
+    LN2, MAX_POINTS, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce_field, coerce_interval,
+    coerce_list, from_json,
 )
 from .targets import TargetActivation, target_eval_batch
 
@@ -145,15 +146,8 @@ class FitSpec:
                     f"tie source {t.source!r} for {t.param!r} must be a free parameter"
                 )
         object.__setattr__(self, "ties", ties)
-        interval = coerce_list("interval", self.interval, float)
-        # An infinite width would put non-finite points on the sample grid.
-        if not (len(interval) == 2 and interval[0] < interval[1]
-                and math.isfinite(interval[1] - interval[0])):
-            raise ValueError(
-                f"interval must be [lo, hi] with lo < hi and a finite width, got {self.interval!r}"
-            )
-        object.__setattr__(self, "interval", interval)
-        coerce_field(self, "n_samples", int, minimum=2)
+        object.__setattr__(self, "interval", coerce_interval("interval", self.interval))
+        coerce_field(self, "n_samples", int, minimum=2, maximum=MAX_POINTS)
         coerce_field(self, "max_iters", int, minimum=0)
         if coerce_field(self, "learning_rate", float) <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")

@@ -27,7 +27,8 @@ from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
 from ._kernels import uaf_terms as _k_terms
 from .core import (
-    PresetKind, UafParams, coerce_field, coerce_list, from_json, from_tagged_json, preset,
+    PresetKind, UafParams, check_size, coerce_field, coerce_list, from_json, from_tagged_json,
+    preset,
 )
 from .datasets import Dataset
 from .targets import TargetActivation
@@ -90,6 +91,11 @@ def _activation_from_dict(data: dict):
         kind=PresetKind.from_dict,
         init=UafParams.from_dict,
     )
+
+
+def _n_params(sizes: tuple[int, ...], trainable: bool) -> int:
+    """Length of the flat parameter vector: weights, biases and the UAF."""
+    return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) + 5 * trainable
 
 
 def _check_learning_rate(config) -> None:
@@ -163,6 +169,8 @@ class NetworkConfig:
             )
         object.__setattr__(self, "layer_sizes", sizes)
         coerce_field(self, "activation", (FixedActivation, TrainableUaf))
+        check_size("the parameters of layer_sizes",
+                   _n_params(sizes, isinstance(self.activation, TrainableUaf)))
         coerce_field(self, "use_batch_norm", bool)
         coerce_field(self, "seed", int, minimum=0)
         coerce_field(self, "optimizer", (SgdConfig, AdamConfig))
@@ -301,8 +309,7 @@ class Network:
         self.rng = np.random.default_rng(config.seed)
         sizes = config.layer_sizes
         trainable = isinstance(config.activation, TrainableUaf)
-        n_params = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) + 5 * trainable
-        self.flat = np.zeros(n_params)
+        self.flat = np.zeros(_n_params(sizes, trainable))
         self.weights, self.biases, self.uaf = _views(self.flat, sizes, trainable)
         for w in self.weights:
             bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
@@ -463,7 +470,9 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
     trajectory when the activation is trainable, and a divergence marker
     (with the failing epoch) when the loss, the validation metric or the
     shared UAF parameters leave the finite range. Raises
-    ValueError when the outer layer sizes do not match the dataset."""
+    ValueError when the outer layer sizes do not match the dataset, or when
+    a layer's activations for the validation set or a batch would hold more
+    than core.MAX_POINTS values."""
     start = time.perf_counter()
     shape = (dataset.inputs.shape[1], dataset.targets.shape[1])
     if (config.layer_sizes[0], config.layer_sizes[-1]) != shape:
@@ -471,8 +480,13 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
             f"layer_sizes {list(config.layer_sizes)} must start with the dataset's "
             f"{shape[0]} inputs and end with its {shape[1]} outputs"
         )
-    net = Network(config, task=dataset.kind)
     train_idx, val_idx, _ = dataset.split_indices()
+    # A layer's activations for the validation set or for one batch are the
+    # largest arrays a run builds beside the parameters.
+    rows = max(len(val_idx), min(config.batch_size, len(train_idx)))
+    check_size("validation or batch rows x the widest of layer_sizes", rows,
+               max(config.layer_sizes))
+    net = Network(config, task=dataset.kind)
     x_train = dataset.inputs[train_idx]
     y_train = dataset.targets[train_idx]
     x_val = dataset.inputs[val_idx]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import logistic, softplus
-from .core import LN2, PresetKind, UafParams, eval_batch, eval_stable
+from .core import LN2, PresetKind, UafParams, coerce, coerce_field, eval_batch, eval_stable
 
 __all__ = [
     "TargetActivation",
@@ -77,6 +77,9 @@ class TargetActivation:
 
     kind: PresetKind
 
+    def __post_init__(self) -> None:
+        coerce_field(self, "kind", PresetKind)
+
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
         out = _eval_kind(self.kind, np.atleast_1d(arr))
@@ -99,7 +102,7 @@ def target(kind: PresetKind) -> TargetActivation:
 
 def target_eval(t: TargetActivation, x: float) -> float:
     """Exact closed-form value of the target at a scalar x."""
-    return float(t(float(x)))
+    return float(t(coerce("x", x, float)))
 
 
 def target_eval_batch(t: TargetActivation, xs) -> np.ndarray:

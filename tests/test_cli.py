@@ -101,6 +101,20 @@ def test_overflowing_range_width_exits_2(runner, args):
     assert lo_flag in result.output and hi_flag in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--preset", "tanh", "--from", "0", "--to", "1", "--n", "1000000000000000"],
+    ["sweep", "--preset", "tanh", "--target", "tanh", "--from", "0", "--to", "1",
+     "--n", str(2**63)],
+    ["report", "--preset", "tanh", "--samples", "10000002"],
+    ["table", "--samples", "1000000000000000"],
+], ids=["eval", "sweep", "report", "table"])
+def test_sample_count_above_the_cap_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert args[-2] in result.output and str(uk.core.MAX_POINTS) in result.output
+
+
 def test_unwritable_output_exits_1(runner):
     result = runner.invoke(main, ["eval", "--preset", "identity",
                                   "--from", "0", "--to", "1",
@@ -245,6 +259,11 @@ _GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
     # 5 samples split 0.7/0.15/0.15 leave no validation sample
     ("dataset", {**_GAS_DATASET, "n_samples": 5}),
     ("dataset", {**_BLOBS_DATASET, "kind": ["blobs"]}),
+    # counts above the cap used to end in a MemoryError traceback
+    ("fit", _family_spec(n_samples=1e15)),
+    ("dataset", {**_BLOBS_DATASET, "n_samples": 1e15}),
+    ("dataset", {**_GAS_DATASET, "n_channels": 1e15}),
+    ("train", {**_TRAIN_CONFIG, "layer_sizes": [16, 10**15, 4]}),
 ], ids=[
     "string_learning_rate", "null_tie_value", "null_param", "null_epochs",
     "fractional_n_samples", "bool_max_iters", "string_batch_norm", "init_breaks_ties",
@@ -253,7 +272,8 @@ _GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
     "unknown_optimizer_key", "unknown_activation_key", "removed_output_activation",
     "adam_beta1_above_1", "negative_seed", "layer_sizes_mismatch_dataset",
     "infinite_interval_width", "overflowing_initial_error", "empty_validation_split",
-    "list_dataset_kind",
+    "list_dataset_kind", "fit_n_samples_above_cap", "blobs_n_samples_above_cap",
+    "gas_n_channels_above_cap", "layer_sizes_above_cap",
 ])
 # NumPy's overflow warnings would print on stderr ahead of the usage message.
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -7,7 +7,8 @@ Each JSON input starts from a valid document; an example changes up to
 three of its fields, nested ones included, to a value of the field's own
 type, to any JSON value, or removes them, or adds an unknown key. Sizes that
 allocate memory or time (layer sizes, epochs, sample and iteration counts,
-the report interval) are drawn from small ranges.
+the report interval) are drawn from small ranges; the sizes that allocate
+memory are also drawn above the count cap, where they fail at the check.
 """
 
 import copy
@@ -27,6 +28,15 @@ from uafkit.core import PARAM_NAMES, PRESET_NAMES
 def _counts(hi):
     """Whole and fractional numbers up to hi, for the fields that size work."""
     return st.integers(-2, hi) | st.floats(-2.0, float(hi))
+
+
+# Counts above core.MAX_POINTS; values just under it would allocate for real.
+_ABOVE_CAP = st.sampled_from([1e15, 2**63])
+
+
+def _sizes(hi):
+    """_counts for the fields that size arrays, plus counts above the cap."""
+    return _counts(hi) | _ABOVE_CAP
 
 
 # Any JSON value. Its numbers are small, since a size field may draw it:
@@ -83,7 +93,7 @@ _FIT_FIELDS = {
     ("interval",): st.lists(_NUMBERS, max_size=3),
     ("interval", 0): _NUMBERS,
     ("interval", 1): _NUMBERS,
-    ("n_samples",): _counts(60),
+    ("n_samples",): _sizes(60),
     ("max_iters",): _counts(30),
     ("learning_rate",): _NUMBERS,
     ("tolerance",): _NUMBERS,
@@ -103,8 +113,8 @@ _CONFIG = {
 }
 _FIXED = {"type": "fixed", "kind": {"name": "tanh", "alpha": None}, "exact": False}
 _CONFIG_FIELDS = {
-    ("layer_sizes",): st.lists(_counts(8), max_size=4),
-    ("layer_sizes", 1): _counts(8),
+    ("layer_sizes",): st.lists(_sizes(8), max_size=4),
+    ("layer_sizes", 1): _sizes(8),
     ("activation",): st.sampled_from([_FIXED, _CONFIG["activation"]]),
     ("activation", "type"): st.sampled_from(["fixed", "trainable", "relu"]),
     **_nested(("activation", "init"), _PARAMS_FIELDS),
@@ -130,11 +140,11 @@ _BLOBS = {"kind": "blobs", "seed": 1, "n_samples": 40, "n_classes": 3, "n_featur
 _DATASET_FIELDS = {
     ("kind",): st.sampled_from(["gas_analogue", "blobs", "cifar10"]),
     ("seed",): _NUMBERS,
-    ("n_samples",): _counts(80),
-    ("n_channels",): _counts(8),
-    ("n_species",): _counts(8),
-    ("n_classes",): _counts(8),
-    ("n_features",): _counts(8),
+    ("n_samples",): _sizes(80),
+    ("n_channels",): _sizes(8),
+    ("n_species",): _sizes(8),
+    ("n_classes",): _sizes(8),
+    ("n_features",): _sizes(8),
     ("spread",): _NUMBERS,
     ("snr_db",): _NUMBERS,
 }
@@ -178,7 +188,8 @@ def _flag_floats(values=st.floats()):
     return _mostly(values.map(repr), st.text(max_size=4))
 
 
-_FLAG_INTS = _mostly(st.integers(-2, 50).map(str), st.text(max_size=3))
+_FLAG_INTS = _mostly(st.integers(-2, 50).map(str),
+                     st.text(max_size=3) | _ABOVE_CAP.map(int).map(str))
 _ENDS = _mostly(st.floats(-50, 50), st.floats())
 # The report scan has 1e3 points per unit of width, so its interval is kept
 # small; infinite and NaN bounds are drawn as well.

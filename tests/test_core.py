@@ -52,6 +52,51 @@ def test_coerce_numpy_scalars():
         coerce("n", np.int64(1), int, minimum=2)
 
 
+_P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
+
+
+# Each call used to cast its argument with float() or int() and return a
+# result; the last column names the argument the ValueError must name, or is
+# None for an input that must still be accepted.
+@pytest.mark.parametrize("call, name", [
+    (lambda: uk.eval_stable(_P, "0.5"), "x"),
+    (lambda: uk.eval_naive(_P, "0.5"), "x"),
+    (lambda: uk.grad(_P, True), "x"),
+    (lambda: uk.error_report(_P, _T, ("-1", "1")), "interval"),
+    (lambda: uk.critical_points(_P, _T, (False, True)), "interval"),
+    (lambda: uk.error_report(_P, _T, (-1, 1, 5)), "interval"),
+    (lambda: uk.interval_rmse(_P, _T, (-1, 1), 2.9), "n_samples"),
+    (lambda: uk.rmse_table(2.5), "n_samples"),
+    # an infinite width used to print overflow warnings before failing
+    (lambda: uk.interval_rmse(_P, _T, (-1e308, 1e308), 11), "interval"),
+    (lambda: uk.interval_rmse(_P, _T, (-1, 1), 10**15), "n_samples"),
+    (lambda: uk.FitSpec(_T, ("A",), _P, n_samples=1e15), "n_samples"),
+    (lambda: uk.make_blobs(0, n_samples=10**15), "n_samples"),
+    (lambda: uk.make_gas_analogue(0, n_channels=2**63), "n_channels"),
+    (lambda: uk.NetworkConfig((16, 10**15, 4), uk.TrainableUaf(_P)), "layer_sizes"),
+    (lambda: uk.Dataset(np.zeros((20, 2)), np.zeros((20, 1)), split=("0.7", "0.15", "0.15")),
+     "split"),
+    (lambda: uk.TargetActivation("tanh"), "kind"),
+    (lambda: uk.eval_stable(_P, np.float32(0.5)), None),
+    (lambda: uk.grad(_P, np.int64(1)), None),
+    (lambda: uk.critical_points(_P, _T, np.array([-1.0, 1.0])), None),
+    (lambda: uk.interval_rmse(_P, _T, (np.float64(-1), np.int64(1)), np.int64(11)), None),
+    (lambda: uk.FitSpec(_T, ("A",), _P, interval=np.array([-2.0, 2.0])), None),
+], ids=[
+    "string_x", "string_naive_x", "bool_x", "string_bounds", "bool_bounds", "three_bounds",
+    "fractional_n_samples", "fractional_table_n_samples", "infinite_width",
+    "n_samples_above_cap", "fit_n_samples_above_cap", "blobs_above_cap", "gas_above_cap",
+    "layer_sizes_above_cap", "string_split", "string_target_kind",
+    "numpy_float_x", "numpy_int_x", "numpy_array_interval", "numpy_scalars", "fit_numpy_interval",
+])
+def test_numeric_api_reads_arguments_strictly(call, name):
+    if name is None:
+        call()
+    else:
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call()
+
+
 def test_params_dict_round_trip():
     p = uk.UafParams(1.25, -0.5, 0.125, 2.0, -3.5)
     q = uk.UafParams.from_dict(p.to_dict())

@@ -1,7 +1,7 @@
 """The elementwise kernels every layer reaches the UAF through: evaluation
-(``uaf_eval``), its six first derivatives (``uaf_grad``), the terms both are
-built from (``uaf_terms``), and the overflow-safe ``softplus`` and
-``logistic``, which ``targets`` also uses.
+(``uaf_eval``), its six first derivatives (``uaf_grad``), the x-derivative
+alone (``uaf_slope``), the terms they are built from (``uaf_terms``), and the
+overflow-safe ``softplus`` and ``logistic``, which ``targets`` also uses.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
@@ -85,3 +85,10 @@ def uaf_grad(
     out[:, 4] = -s2 * (xs - B)
     out[:, 5] = 1.0
     return out
+
+
+def uaf_slope(xs: np.ndarray, A: float, B: float, C: float, D: float) -> np.ndarray:
+    """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, bitwise equal to column 0 of
+    uaf_grad: the error scan needs no parameter partials."""
+    xs, z1, z2, e1, e2 = uaf_terms(xs, A, B, C, D)
+    return logistic(z1, e1) * (A + 2.0 * C * xs) - logistic(z2, e2) * D

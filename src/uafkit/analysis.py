@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import logistic
-from ._kernels import uaf_grad as _k_grad
+from ._kernels import uaf_slope as _k_slope
 from .core import MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, preset
 from .targets import TargetActivation, approx_error, approx_error_batch
 
@@ -30,6 +30,11 @@ __all__ = [
 # Scan resolution and bisection tolerance for the error-slope roots.
 _SCAN_STEP = 1e-3
 _BISECT_XTOL = 1e-10
+# Nodes per scan block: the block's arrays stay small enough for the
+# allocator to reuse their memory instead of mapping fresh pages each call.
+_SCAN_BLOCK = 4096
+# Halvings per bisection pass: 2**8 - 1 midpoints per bracket, one kernel call.
+_TREE_LEVELS = 8
 # Most grid points a scan may take: an interval of width 1e4, such as
 # [-5000, 5000]; wider intervals are refused.
 MAX_SCAN_POINTS = MAX_POINTS
@@ -91,16 +96,86 @@ class RmseTable:
 
 
 def _slope(p: UafParams, t: TargetActivation, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact error slope dE/dx = f'(x) - t'(x) on xs, and its rounding bound.
-
-    f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded by
-    |A + 2Cx|, |D| and |t'(x)|; a slope below a few ulp of their total cannot
-    be told from rounding noise.
-    """
+    """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x)."""
     dt = t.derivative(xs)
-    slope = _k_grad(xs, *p.as_tuple())[:, 0] - dt
+    return _k_slope(xs, p.A, p.B, p.C, p.D) - dt, dt
+
+
+def _grid(lo: float, hi: float, n: int, i0: int, i1: int) -> np.ndarray:
+    """np.linspace(lo, hi, n)[i0:i1], bitwise, without the rest of the grid."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    xs = np.arange(i0, i1, dtype=np.float64)
+    if step == 0.0:  # linspace's order for a step that underflows
+        xs /= div
+        xs *= delta
+    else:
+        xs *= step
+    xs += lo
+    if i1 == n:
+        xs[-1] = hi
+    return xs
+
+
+def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int):
+    """Brackets and exact-zero nodes of the slope on the grid nodes xs.
+
+    Cells before first_cell and the two end nodes belong to the neighbouring
+    blocks. Returns (a, b, up, nodes): the cells [a, b] where the slope
+    changes sign, whether it is positive at a, and the interior nodes where
+    it is exactly 0 between neighbours of opposite sign.
+    """
+    g, dt = _slope(p, t, xs)
+    # f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded
+    # by |A + 2Cx|, |D| and |t'(x)|; a slope below a few ulp of their total
+    # cannot be told from rounding noise.
     floor = 16.0 * _EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
-    return slope, floor
+    keep = np.ones(xs.size - 1, dtype=bool)
+    if t.kind.name in _NONSMOOTH_AT_ZERO:
+        keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
+    # Cell i is [xs[i], xs[i+1]]: a sign change counts when the larger end
+    # value clears the rounding bound of both ends.
+    bound = np.maximum(floor[:-1], floor[1:])
+    bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
+    bracket[:first_cell] = False
+    # Exact zero on an interior node between neighbours of opposite sign.
+    node = keep[:-1] & keep[1:] & (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
+    node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
+    i = np.flatnonzero(bracket)
+    return xs[i], xs[i + 1], g[i] > 0, xs[1:-1][node]
+
+
+def _bisect(p: UafParams, t: TargetActivation, a, b, up, halvings: int) -> np.ndarray:
+    """Midpoints of the brackets [a, b] after a fixed count of halvings; up
+    says whether the slope is positive at a.
+
+    Each pass takes _TREE_LEVELS halvings at once. It forms every point those
+    levels could reach, level by level, with the same 0.5 * (a + b) of the
+    same ends that one halving at a time would take, evaluates the slope at
+    all of them in one call, and then walks the sign decisions. Brackets go
+    in groups that keep each call within one scan block.
+    """
+    group = max(1, _SCAN_BLOCK >> _TREE_LEVELS)
+    roots = [np.empty(0)]
+    for k in range(0, a.size, group):
+        a_k, b_k, up_k = a[k : k + group], b[k : k + group], up[k : k + group, None]
+        for done in range(0, halvings, _TREE_LEVELS):
+            levels = min(halvings - done, _TREE_LEVELS)
+            width = 1 << levels
+            pts = np.empty((a_k.size, width + 1))
+            pts[:, 0], pts[:, -1] = a_k, b_k
+            for step in (width >> level for level in range(levels)):
+                pts[:, step // 2 :: step] = 0.5 * (pts[:, :-1:step] + pts[:, step::step])
+            pts = pts.ravel()
+            same = ((_slope(p, t, pts)[0] > 0).reshape(a_k.size, -1) == up_k).ravel()
+            at = np.arange(a_k.size) * (width + 1)  # each bracket's left end
+            for level in range(1, levels + 1):
+                half = width >> level
+                at += half * same[at + half]
+            a_k, b_k = pts[at], pts[at + 1]
+        roots.append(0.5 * (a_k + b_k))
+    return np.concatenate(roots)
 
 
 def critical_points(
@@ -109,13 +184,14 @@ def critical_points(
     """All x in the interval where the exact error slope changes sign, each
     paired with the error value there.
 
-    The slope is scanned on a grid of step _SCAN_STEP, and all brackets are
-    bisected together to 1e-10. Raises ValueError when the grid would take
-    more than MAX_SCAN_POINTS points. A grid node where the slope is exactly 0
-    between neighbours of opposite sign (gaussian's x = 0) is a root as it
-    stands. For targets that are non-smooth at 0 (step, relu, leaky_relu) the
-    cells touching 0 are skipped; the point itself is treated as a candidate
-    extremum by error_report, not returned here.
+    The slope is scanned on a grid of step _SCAN_STEP, in blocks of
+    _SCAN_BLOCK nodes so that memory does not grow with the interval, and
+    all brackets are bisected together to 1e-10. Raises ValueError when the
+    grid would take more than MAX_SCAN_POINTS points. A grid node where the
+    slope is exactly 0 between neighbours of opposite sign (gaussian's x = 0)
+    is a root as it stands. For targets that are non-smooth at 0 (step, relu,
+    leaky_relu) the cells touching 0 are skipped; the point itself is treated
+    as a candidate extremum by error_report, not returned here.
     """
     lo, hi = coerce_interval("interval", interval)
     steps = (hi - lo) / _SCAN_STEP  # inf when the quotient overflows
@@ -125,29 +201,18 @@ def critical_points(
             f"above the cap of {MAX_SCAN_POINTS}"
         )
     n = max(3, int(round(steps)) + 1)
-    xs = np.linspace(lo, hi, n)
-    g, floor = _slope(p, t, xs)
-    keep = np.ones(n - 1, dtype=bool)
-    if t.kind.name in _NONSMOOTH_AT_ZERO:
-        keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
-    # Cell i is [xs[i], xs[i+1]]: a sign change counts when the larger end
-    # value clears the rounding bound of both ends.
-    bound = np.maximum(floor[:-1], floor[1:])
-    bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
-    # Exact zero on an interior node between neighbours of opposite sign.
-    node = keep[:-1] & keep[1:] & (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
-    node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
-    i = np.flatnonzero(bracket)
-    a, b, up = xs[i], xs[i + 1], g[i] > 0
+    # Consecutive blocks share two nodes, so that every cell and every
+    # interior node is judged once, with both of its neighbours in view.
+    found = [
+        _scan(p, t, _grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0)
+        for i0 in range(0, n - 2, _SCAN_BLOCK - 2)
+    ]
+    a, b, up, nodes = (np.concatenate(parts) for parts in zip(*found))
     # A fixed count of halvings brings every bracket to _BISECT_XTOL, or to
     # adjacent floats where their spacing is wider (|x| > ~1e6), and ends.
     width = np.max(b - a, initial=_BISECT_XTOL)
-    for _ in range(math.ceil(math.log2(width / _BISECT_XTOL))):
-        mid = 0.5 * (a + b)
-        same = (_slope(p, t, mid)[0] > 0) == up
-        a = np.where(same, mid, a)
-        b = np.where(same, b, mid)
-    roots = np.sort(np.concatenate([0.5 * (a + b), xs[1:-1][node]]))
+    halvings = math.ceil(math.log2(width / _BISECT_XTOL))
+    roots = np.sort(np.concatenate([_bisect(p, t, a, b, up, halvings), nodes]))
     return [(float(x), float(e)) for x, e in zip(roots, approx_error_batch(p, t, roots))]
 
 
@@ -188,6 +253,8 @@ def error_report(
     """Full extremum/RMSE report: critical points plus the interval endpoints
     and any discontinuity candidates, with the max taken over all of them."""
     lo, hi = coerce_interval("interval", interval)
+    # read before the scan, so that a bad count fails at once
+    n_samples = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
     cps = critical_points(p, t, (lo, hi))
     candidates = list(cps)
     candidates.append((lo, approx_error(p, t, lo)))

@@ -359,22 +359,28 @@ def grad(p: UafParams, x: float) -> UafGradient:
     return UafGradient(*(float(v) for v in row))
 
 
-def _points(xs) -> np.ndarray:
-    """xs as a contiguous 1-d float64 array of finite values."""
-    arr = np.ascontiguousarray(xs, dtype=np.float64)
+def coerce_points(name: str, value) -> np.ndarray:
+    """A point array: value as a contiguous 1-d float64 array of finite
+    values. Like coerce, it takes numbers only: an input of string, bool,
+    object or complex dtype is refused before the cast. Raises ValueError
+    naming the field."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError(f"xs must be one-dimensional, got shape {arr.shape}")
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("xs must contain only finite values")
+        raise ValueError(f"{name} must contain only finite values")
     return arr
 
 
 def eval_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise eval_stable over a sequence; returns a float64 array."""
-    return _k_eval(_points(xs), *p.as_tuple())
+    return _k_eval(coerce_points("xs", xs), *p.as_tuple())
 
 
 def grad_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise grad over a sequence; returns an (n, 6) float64 array
     with columns (d_x, d_A, d_B, d_C, d_D, d_E)."""
-    return _k_grad(_points(xs), *p.as_tuple())
+    return _k_grad(coerce_points("xs", xs), *p.as_tuple())

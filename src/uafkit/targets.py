@@ -1,8 +1,10 @@
 """Exact closed-form reference activations and the approximation error
 E(x) = f_uaf(x) - f_target(x).
 
-Every evaluator is overflow-safe (logistic and softplus via the log1p trick)
-and accepts scalars or 1-d arrays.
+Every evaluator is overflow-safe (logistic and softplus via the log1p trick).
+TargetActivation itself takes scalars or arrays unchecked, as the network's
+activation; the *_batch functions read their points through
+core.coerce_points.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import logistic, softplus
-from .core import LN2, PresetKind, UafParams, coerce, coerce_field, eval_batch, eval_stable
+from ._kernels import logistic, softplus, uaf_eval
+from .core import LN2, PresetKind, UafParams, coerce, coerce_field, coerce_points, eval_stable
 
 __all__ = [
     "TargetActivation",
@@ -106,13 +108,13 @@ def target_eval(t: TargetActivation, x: float) -> float:
 
 
 def target_eval_batch(t: TargetActivation, xs) -> np.ndarray:
-    """Exact closed-form values over a 1-d array."""
-    return t(np.ascontiguousarray(xs, dtype=np.float64))
+    """Exact closed-form values over a 1-d array of finite numbers."""
+    return t(coerce_points("xs", xs))
 
 
 def target_derivative_batch(t: TargetActivation, xs) -> np.ndarray:
     """Pointwise target derivative over a 1-d array (right-hand slope at kinks)."""
-    return t.derivative(np.ascontiguousarray(xs, dtype=np.float64))
+    return t.derivative(coerce_points("xs", xs))
 
 
 def approx_error(p: UafParams, t: TargetActivation, x: float) -> float:
@@ -121,6 +123,6 @@ def approx_error(p: UafParams, t: TargetActivation, x: float) -> float:
 
 
 def approx_error_batch(p: UafParams, t: TargetActivation, xs) -> np.ndarray:
-    """Elementwise approx_error over a 1-d array."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    return eval_batch(p, xs) - target_eval_batch(t, xs)
+    """Elementwise approx_error over a 1-d array of finite numbers."""
+    xs = coerce_points("xs", xs)
+    return uaf_eval(xs, *p.as_tuple()) - t(xs)

@@ -3,6 +3,9 @@ characteristic-equation residuals."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +112,105 @@ def test_bisection_ends_where_floats_are_coarser_than_its_tolerance():
     assert abs(pts[0][0] - r) <= 4 * np.spacing(r)
 
 
+# --- block scan -------------------------------------------------------------------
+
+
+ALL_KINDS = (uk.IDENTITY, uk.STEP, uk.RELU, uk.leaky_relu(0.1), uk.SIGMOID, uk.TANH,
+             uk.SOFTPLUS, uk.GAUSSIAN)
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (-10.0, 10.0, 20001), (-3.3, 7.1, 10401), (1e6, 1e6 + 3.0, 3001), (-0.0021, 0.002, 5),
+    # the step underflows to 0, which linspace computes in another order
+    (0.0, 5e-324, 3), (0.0, 2.5e-323, 11),
+    (-5e-324, 5e-324, 3), (-1e300, 1e300, 7),
+])
+def test_block_grid_is_the_linspace_grid(lo, hi, n):
+    whole = np.linspace(lo, hi, n)
+    for i0, i1 in ((0, n), (0, 2), (1, n - 1), (n // 3, n // 2 + 1), (n - 2, n)):
+        assert np.array_equal(_bits(uk.analysis._grid(lo, hi, n, i0, i1)), _bits(whole[i0:i1]))
+
+
+def _scan_bits(monkeypatch, block, kind, interval):
+    monkeypatch.setattr(uk.analysis, "_SCAN_BLOCK", block)
+    pts = uk.critical_points(uk.preset(kind), uk.target(kind), interval)
+    return _bits([v for pt in pts for v in pt])
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_block_scan_matches_one_block(monkeypatch, block, kind):
+    # 20001 nodes: the last block is a partial one for either size
+    one = _scan_bits(monkeypatch, 10**9, kind, INTERVAL)
+    assert np.array_equal(_scan_bits(monkeypatch, block, kind, INTERVAL), one)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_exact_zero_node_on_a_block_boundary(monkeypatch, block):
+    # Blocks start every block - 2 nodes and share two nodes. On (-h, h) with
+    # h = m * 1e-3, x = 0 is node m; these put it on each of the shared nodes.
+    for m in (block - 2, block - 1):
+        interval = (-m * 1e-3, m * 1e-3)
+        assert np.linspace(*interval, 2 * m + 1)[m] == 0.0
+        pts = _scan_bits(monkeypatch, block, uk.GAUSSIAN, interval)
+        assert np.array_equal(pts, _scan_bits(monkeypatch, 10**9, uk.GAUSSIAN, interval))
+        assert _bits([0.0])[0] in pts[::2]
+
+
+def _sequential_bisect(p, t, a, b, up, halvings):
+    """The reference for the midpoint tree: one halving at a time."""
+    for _ in range(halvings):
+        mid = 0.5 * (a + b)
+        same = ((uk.grad_batch(p, mid)[:, 0] - t.derivative(mid)) > 0) == up
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("halvings", [0, 1, 8, 13, 24, 30])
+def test_tree_bisection_matches_sequential_halving(monkeypatch, halvings):
+    monkeypatch.setattr(uk.analysis, "_SCAN_BLOCK", 600)  # brackets in groups of 2
+    rng = np.random.default_rng(halvings)
+    for kind in (uk.SIGMOID, uk.TANH, uk.GAUSSIAN, uk.RELU):
+        p, t = uk.preset(kind), uk.target(kind)
+        xs = np.linspace(-4.0, 4.0, 201)
+        g = uk.grad_batch(p, xs)[:, 0] - t.derivative(xs)
+        # every cell, bracket or not, and a few wide random ones
+        a = np.concatenate([xs[:-1], rng.uniform(-4.0, 0.0, 5)])
+        b = np.concatenate([xs[1:], rng.uniform(0.0, 4.0, 5)])
+        up = np.concatenate([g[:-1] > 0, rng.random(5) < 0.5])
+        got = uk.analysis._bisect(p, t, a, b, up, halvings)
+        assert np.array_equal(_bits(got), _bits(_sequential_bisect(p, t, a, b, up, halvings)))
+
+
+_MEMORY_PROBE = """
+import resource
+import uafkit as uk
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+p, t = uk.preset(uk.TANH), uk.target(uk.TANH)
+for half_width in (1000.0, 5000.0):
+    uk.error_report(p, t, (-half_width, half_width))
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
+"""
+
+
+def test_scan_memory_does_not_grow_with_the_interval():
+    # 2,000,001 and 10,000,001 (the cap) scan points, in a fresh process so
+    # that the peak resident size measures this scan alone
+    pytest.importorskip("resource")
+    paths = [os.path.dirname(os.path.dirname(uk.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert len(out) == 2
+    for grown_mb in map(float, out):
+        assert grown_mb < 100.0
+
+
 # --- exact roots ------------------------------------------------------------------
 
 
@@ -173,6 +275,19 @@ def test_interval_rmse_validation():
         uk.interval_rmse(p, t, (5.0, -5.0), 101)
     with pytest.raises(ValueError):
         uk.interval_rmse(p, t, INTERVAL, 1)
+
+
+def test_bad_sample_count_fails_before_the_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the scan ran before n_samples was read")
+
+    monkeypatch.setattr(uk.analysis, "critical_points", no_scan)
+    p, t = uk.preset(uk.TANH), uk.target(uk.TANH)
+    for call in (lambda: uk.rmse_table(2.5), lambda: uk.rmse_table(1),
+                 lambda: uk.error_report(p, t, INTERVAL, n_samples=2.5),
+                 lambda: uk.error_report(p, t, INTERVAL, n_samples=10**15)):
+        with pytest.raises(ValueError, match="n_samples"):
+            call()
 
 
 def test_scan_above_the_point_cap_is_refused():

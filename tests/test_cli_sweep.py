@@ -9,6 +9,8 @@ type, to any JSON value, or removes them, or adds an unknown key. Sizes that
 allocate memory or time (layer sizes, epochs, sample and iteration counts,
 the report interval) are drawn from small ranges; the sizes that allocate
 memory are also drawn above the count cap, where they fail at the check.
+Since few examples draw those, a parametrised test below sets each of them
+above the cap in turn.
 """
 
 import copy
@@ -17,6 +19,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -291,3 +294,44 @@ def test_cli_contract_holds_for_any_input(invocation):
     # a diverged train run (exit 1) prints its report too
     if json_out and result.exit_code in (0, 1):
         json.loads(result.stdout, parse_constant=_reject_constant)
+
+
+
+def _above_cap(doc, *path):
+    """doc with the count at path set above core.MAX_POINTS."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    parent[key] = 1e15
+    return doc
+
+
+# Every JSON count that sizes an array, set above the cap in valid inputs.
+_ABOVE_CAP_INPUTS = {
+    "fit-family-n_samples": {"spec.json": _above_cap(_SIGMOID_FAMILY, "n_samples")},
+    "fit-free-n_samples": {"spec.json": _above_cap(_FREE_FIT, "n_samples")},
+    **{f"{base['kind']}-{field}": {"config.json": _CONFIG, "dataset.json": _above_cap(base, field)}
+       for base, fields in ((_GAS, ("n_samples", "n_channels", "n_species")),
+                            (_BLOBS, ("n_samples", "n_features", "n_classes")))
+       for field in fields},
+    "config-layer_sizes": {"config.json": _above_cap(_CONFIG, "layer_sizes", 1), "dataset.json": _GAS},
+}
+
+
+@pytest.mark.parametrize("files", _ABOVE_CAP_INPUTS.values(), ids=_ABOVE_CAP_INPUTS.keys())
+def test_counts_above_the_cap_are_usage_errors(files):
+    with tempfile.TemporaryDirectory() as work:
+        for name, doc in files.items():
+            with open(os.path.join(work, name), "w") as handle:
+                json.dump(doc, handle)
+        if "spec.json" in files:
+            args = ["fit", "--spec", os.path.join(work, "spec.json")]
+        else:
+            args = ["train", "--config", os.path.join(work, "config.json"),
+                    "--dataset", os.path.join(work, "dataset.json")]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

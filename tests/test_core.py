@@ -201,6 +201,18 @@ def test_eval_batch_rejects_bad_input():
         uk.eval_batch(p, np.array([0.0, math.nan]))
 
 
+@pytest.mark.parametrize("xs", [
+    ["0.5", True], [True, False], np.array(["1.0"]), np.array([None, 1.0]), [1 + 2j],
+], ids=["string_and_bool", "bools", "string_array", "object_array", "complex"])
+def test_point_arrays_hold_real_numbers_only(xs):
+    p = uk.preset(uk.TANH)
+    for batch in (uk.eval_batch, uk.grad_batch):
+        with pytest.raises(ValueError, match="real numbers"):
+            batch(p, xs)
+    # integers and narrower floats are numbers
+    assert np.array_equal(uk.eval_batch(p, [1, 2]), uk.eval_batch(p, np.float32([1.0, 2.0])))
+
+
 def test_naive_agrees_with_stable_when_representable():
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -300,6 +312,18 @@ def test_continuity_near_kink_scale():
 
 
 # --- kernel implementation -----------------------------------------------------
+
+
+def test_slope_kernel_is_the_grad_column():
+    from uafkit._kernels import uaf_grad, uaf_slope
+
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([np.linspace(-10.0, 10.0, 2001), rng.normal(0.0, 1e3, 500), [0.0, -0.0]])
+    for kind in ALL_KINDS:
+        p = uk.preset(kind).as_tuple()
+        for params in (p, tuple(v * (1.0 + d) for v, d in zip(p, rng.uniform(-0.1, 0.1, 5)))):
+            want = uaf_grad(xs, *params)[:, 0]
+            assert np.array_equal(uaf_slope(xs, *params[:4]).view(np.int64), want.view(np.int64))
 
 
 def test_backend_name_is_known():

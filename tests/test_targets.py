@@ -109,3 +109,22 @@ def test_sigmoid_error_at_primary_extremum():
     p = uk.preset(uk.SIGMOID)
     t = uk.target(uk.SIGMOID)
     assert abs(uk.approx_error(p, t, 0.866516)) == pytest.approx(0.000616, abs=2e-6)
+
+
+@pytest.mark.parametrize("xs", [["0.5"], [True, False], [0.0, math.inf], [math.nan], [[0.0]]],
+                         ids=["string", "bools", "inf", "nan", "two_dimensional"])
+def test_batch_evaluators_check_their_points(xs):
+    p, t = uk.preset(uk.TANH), uk.target(uk.TANH)
+    for call in (lambda: uk.targets.target_eval_batch(t, xs),
+                 lambda: uk.targets.target_derivative_batch(t, xs),
+                 lambda: uk.approx_error_batch(p, t, xs)):
+        with pytest.raises(ValueError, match="xs"):
+            call()
+
+
+def test_activation_call_stays_unchecked():
+    # the network's activation: a non-finite value there is divergence, which
+    # the training loop reports, not bad input
+    t = uk.target(uk.TANH)
+    assert np.array_equal(t(np.array([math.inf, -math.inf])), [1.0, -1.0])
+    assert np.isnan(t.derivative(np.array([math.nan]))[0])

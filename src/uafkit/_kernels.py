@@ -3,9 +3,20 @@
 alone (``uaf_slope``), the terms they are built from (``uaf_terms``), and the
 overflow-safe ``softplus`` and ``logistic``, which ``targets`` also uses.
 
+The terms of n points are the tuple (xs, z, e, x+B, x-B): xs as contiguous
+float64, z one stacked (2, n) buffer holding z1 = A(x+B)+Cx^2 in row 0 and
+z2 = D(x-B) in row 1, e = e^{-|z|} stacked alike, and the two shifted grids.
+Each pass takes exp, softplus and logistic once over all 2n elements, and a
+caller that needs both the value and the derivatives at the same points (the
+fitter's accepted residual and its Jacobian, the network's activation forward
+and backward) computes the terms once.
+
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
-at n ~ 1e4 each live temporary array costs page faults on every call.
+at n ~ 1e4 each live temporary array costs page faults on every call. The
+in-place steps keep the operand order of the formulas (s(z1) * (A + 2Cx),
+not (A + 2Cx) * s(z1)): where both operands are NaN, the first one's sign
+bit is the result's.
 """
 
 from __future__ import annotations
@@ -28,21 +39,26 @@ def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     (computed when not given): 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
     if e is None:
         e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    out = e / d
-    np.divide(1.0, d, out=d)
-    np.copyto(out, d, where=z >= 0)
-    return out
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def uaf_terms(xs: np.ndarray, A: float, B: float, C: float, D: float) -> tuple:
-    """(xs, z1, z2, e^{-|z1|}, e^{-|z2|}) with z1 = A(x+B)+Cx^2, z2 = D(x-B)
-    and xs as contiguous float64: what uaf_eval and uaf_grad share, so that a
-    caller needing both at the same points computes them once."""
+    """(xs, z, e, x+B, x-B) as laid out in the module docstring: what
+    uaf_eval, uaf_grad and uaf_slope share, so that a caller needing more
+    than one of them at the same points computes the terms once."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    z1 = A * (xs + B) + C * xs * xs
-    z2 = D * (xs - B)
-    return xs, z1, z2, np.exp(-np.abs(z1)), np.exp(-np.abs(z2))
+    xpb = xs + B
+    xmb = xs - B
+    z = np.empty((2,) + xs.shape)
+    np.multiply(A, xpb, out=z[0])
+    np.multiply(C, xs, out=z[1])  # Cx^2, in the row z2 fills next
+    z[1] *= xs
+    z[0] += z[1]
+    np.multiply(D, xmb, out=z[1])
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return xs, z, e, xpb, xmb
 
 
 def uaf_eval(
@@ -50,10 +66,9 @@ def uaf_eval(
 ) -> np.ndarray:
     """Stable elementwise f(x) = softplus(A(x+B)+Cx^2) - softplus(D(x-B)) + E.
     terms, from uaf_terms on the same xs and parameters, saves computing them."""
-    _, z1, z2, e1, e2 = uaf_terms(xs, A, B, C, D) if terms is None else terms
-    out = softplus(z1, e1)
-    del z1, e1
-    out -= softplus(z2, e2)
+    _, z, e, _, _ = uaf_terms(xs, A, B, C, D) if terms is None else terms
+    sp = softplus(z, e)
+    out = sp[0] - sp[1]
     out += E
     return out
 
@@ -73,22 +88,40 @@ def uaf_grad(
         df/dD = -s(z2)(x - B)
         df/dE = 1
     """
-    xs, z1, z2, e1, e2 = uaf_terms(xs, A, B, C, D) if terms is None else terms
-    s1 = logistic(z1, e1)
-    s2 = logistic(z2, e2)
-    del z1, z2, e1, e2
+    xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
+    s1, s2 = logistic(z, e)
+    s2d = s2 * D
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
-    out[:, 0] = s1 * (A + 2.0 * C * xs) - s2 * D
-    out[:, 1] = s1 * (xs + B)
-    out[:, 2] = s1 * A + s2 * D
-    out[:, 3] = s1 * xs * xs
-    out[:, 4] = -s2 * (xs - B)
+    col = out[:, 0]
+    np.multiply(2.0 * C, xs, out=col)
+    np.add(A, col, out=col)
+    np.multiply(s1, col, out=col)
+    col -= s2d
+    np.multiply(s1, xpb, out=out[:, 1])
+    col = out[:, 2]
+    np.multiply(s1, A, out=col)
+    col += s2d
+    col = out[:, 3]
+    np.multiply(s1, xs, out=col)
+    col *= xs
+    col = out[:, 4]
+    np.negative(s2, out=col)
+    col *= xmb
     out[:, 5] = 1.0
     return out
 
 
-def uaf_slope(xs: np.ndarray, A: float, B: float, C: float, D: float) -> np.ndarray:
+def uaf_slope(
+    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None
+) -> np.ndarray:
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, bitwise equal to column 0 of
-    uaf_grad: the error scan needs no parameter partials."""
-    xs, z1, z2, e1, e2 = uaf_terms(xs, A, B, C, D)
-    return logistic(z1, e1) * (A + 2.0 * C * xs) - logistic(z2, e2) * D
+    uaf_grad: the error scan and a fixed activation's backward need no
+    parameter partials. terms as in uaf_eval."""
+    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D) if terms is None else terms
+    s1, s2 = logistic(z, e)
+    out = 2.0 * C * xs
+    np.add(A, out, out=out)
+    np.multiply(s1, out, out=out)
+    s2 *= D
+    out -= s2
+    return out

@@ -33,6 +33,9 @@ _BISECT_XTOL = 1e-10
 # Nodes per scan block: the block's arrays stay small enough for the
 # allocator to reuse their memory instead of mapping fresh pages each call.
 _SCAN_BLOCK = 4096
+# NumPy sums up to this many values in one pass and splits longer ranges
+# in two; interval_rmse splits its blocks the same way (see there).
+_PAIRWISE_LEAF = 128
 # Halvings per bisection pass: 2**8 - 1 midpoints per bracket, one kernel call.
 _TREE_LEVELS = 8
 # Most grid points a scan may take: an interval of width 1e4, such as
@@ -217,11 +220,27 @@ def critical_points(
 
 
 def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -> float:
-    """Root-mean-square error over n_samples uniform points incl. endpoints."""
+    """Root-mean-square error over n_samples uniform points incl. endpoints.
+
+    The points are taken in blocks of at most _SCAN_BLOCK, so that memory
+    does not grow with n_samples. The blocks split the sum of squared errors
+    where NumPy's pairwise summation splits one array of all of them (half
+    the range, rounded down to a multiple of 8), so the result is bitwise
+    that of summing them at once.
+    """
     lo, hi = coerce_interval("interval", interval)
-    xs = np.linspace(lo, hi, coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS))
-    e = approx_error_batch(p, t, xs)
-    return float(np.sqrt(np.mean(e * e)))
+    n = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
+    leaf = max(_SCAN_BLOCK, _PAIRWISE_LEAF)
+
+    def total(i0: int, i1: int) -> float:
+        if i1 - i0 <= leaf:
+            e = approx_error_batch(p, t, _grid(lo, hi, n, i0, i1))
+            return (e * e).sum()
+        half = (i1 - i0) // 2
+        mid = i0 + half - half % 8
+        return total(i0, mid) + total(mid, i1)
+
+    return float(np.sqrt(total(0, n) / n))
 
 
 def _jump_candidates(

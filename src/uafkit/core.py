@@ -362,11 +362,16 @@ def grad(p: UafParams, x: float) -> UafGradient:
 def coerce_points(name: str, value) -> np.ndarray:
     """A point array: value as a contiguous 1-d float64 array of finite
     values. Like coerce, it takes numbers only: an input of string, bool,
-    object or complex dtype is refused before the cast. Raises ValueError
+    object or complex dtype is refused before the cast, and so is a bool
+    among the numbers of a list, which NumPy would cast. Raises ValueError
     naming the field."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    if not isinstance(value, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    ):
+        raise ValueError(f"{name} must hold real numbers, got a bool")
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
+from ._kernels import uaf_terms as _k_terms
 from .core import (
     LN2, MAX_POINTS, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce_field, coerce_interval,
     coerce_list, from_json,
@@ -231,22 +232,28 @@ class _Objective:
         except (ValueError, ZeroDivisionError):
             return None
 
-    def residual(self, params: UafParams) -> tuple[np.ndarray, float]:
-        """r = f - target on the grid, and its mean square."""
-        r = _k_eval(self.grid, *params.as_tuple()) - self.tvals
-        return r, float(np.mean(r * r))
+    def residual(self, params: UafParams) -> tuple[np.ndarray, float, tuple]:
+        """r = f - target on the grid, its mean square, and the kernel terms
+        it was computed from (see _kernels), for the Jacobian at params."""
+        values = params.as_tuple()
+        terms = _k_terms(self.grid, *values[:4])
+        r = _k_eval(self.grid, *values, terms=terms) - self.tvals
+        return r, float((r * r).sum() / r.size), terms
 
-    def jacobian(self, params: UafParams, theta: np.ndarray) -> np.ndarray:
+    def jacobian(
+        self, params: UafParams, theta: np.ndarray, terms: tuple | None = None
+    ) -> np.ndarray:
         """(n, k) matrix d r / d theta: the kernel's parameter partials times
         d(A..E)/d(theta), which is 1 on each free parameter's own row and the
-        tie slope on the row of every parameter tied to it."""
+        tie slope on the row of every parameter tied to it. terms, from
+        residual(params), saves computing them again."""
         chain = np.zeros((len(PARAM_NAMES), len(theta)))
         for i, name in enumerate(self.spec.free):
             chain[PARAM_NAMES.index(name), i] = 1.0
             for tie in self.spec.ties:
                 if tie.source == name:
                     chain[PARAM_NAMES.index(tie.param), i] = tie.d_source(float(theta[i]))
-        return _k_grad(self.grid, *params.as_tuple())[:, 1:] @ chain
+        return _k_grad(self.grid, *params.as_tuple(), terms=terms)[:, 1:] @ chain
 
 
 # Consecutive rejected trials before the fit stops as stalled: the damping has
@@ -260,12 +267,13 @@ _MAX_REJECTIONS = 30
 def fit(spec: FitSpec) -> FitResult:
     """Levenberg-Marquardt on the free parameters.
 
-    Each accepted step builds the residual r and its Jacobian J once and
-    solves the k x k damped normal equations (J^T J + lam diag(J^T J)) delta =
-    J^T r, starting from lam = spec.learning_rate. The trial theta - delta is
-    accepted when its ties assemble to finite parameters and its MSE does not
-    increase, so the RMSE trace is non-increasing; lam then shrinks 10x. A
-    rejected trial grows lam 10x and is retried from the same point.
+    Each accepted step builds the residual r and its Jacobian J once, from
+    the same kernel terms, and solves the k x k damped normal equations
+    (J^T J + lam diag(J^T J)) delta = J^T r, starting from
+    lam = spec.learning_rate. The trial theta - delta is accepted when its
+    ties assemble to finite parameters and its MSE does not increase, so the
+    RMSE trace is non-increasing; lam then shrinks 10x. A rejected trial
+    grows lam 10x and is retried from the same point.
 
     stop_reason is "tolerance" when an accepted trial improves the RMSE by
     less than spec.tolerance (the trial is not recorded); "stalled" after
@@ -282,7 +290,7 @@ def fit(spec: FitSpec) -> FitResult:
     if params is None:
         raise ValueError("initial parameters violate the ties (non-finite result)")
 
-    r, cur_mse = obj.residual(params)
+    r, cur_mse, terms = obj.residual(params)
     if not math.isfinite(cur_mse):
         raise ValueError("initial parameters give a non-finite mean squared error")
     trace = [math.sqrt(cur_mse)]
@@ -290,7 +298,7 @@ def fit(spec: FitSpec) -> FitResult:
     stop_reason = "max_iters"
 
     for _ in range(spec.max_iters):
-        jac = obj.jacobian(params, theta)
+        jac = obj.jacobian(params, theta, terms)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         if not (np.isfinite(jtj).all() and np.isfinite(jtr).all()):
@@ -306,7 +314,7 @@ def fit(spec: FitSpec) -> FitResult:
             trial_theta = theta - delta
             trial_params = obj.assemble(trial_theta)
             if trial_params is not None:
-                trial_r, trial_mse = obj.residual(trial_params)
+                trial_r, trial_mse, trial_terms = obj.residual(trial_params)
                 if math.isfinite(trial_mse) and trial_mse <= cur_mse:
                     lam /= 10.0
                     break
@@ -317,7 +325,9 @@ def fit(spec: FitSpec) -> FitResult:
         if math.sqrt(cur_mse) - math.sqrt(trial_mse) < spec.tolerance:
             stop_reason = "tolerance"
             break
-        theta, params, r, cur_mse = trial_theta, trial_params, trial_r, trial_mse
+        theta, params, r, cur_mse, terms = (
+            trial_theta, trial_params, trial_r, trial_mse, trial_terms
+        )
         trace.append(math.sqrt(cur_mse))
 
     return FitResult(

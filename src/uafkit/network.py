@@ -25,6 +25,7 @@ import numpy as np
 
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
+from ._kernels import uaf_slope as _k_slope
 from ._kernels import uaf_terms as _k_terms
 from .core import (
     PresetKind, UafParams, check_size, coerce_field, coerce_list, from_json, from_tagged_json,
@@ -267,10 +268,10 @@ class _BatchNorm:
             mu = h.sum(axis=0) / n
             centred = h - mu
             sigma = np.sqrt((centred * centred).sum(axis=0) / n)
-            self.running_mu = (1 - _BN_MOMENTUM) * self.running_mu + _BN_MOMENTUM * mu
-            self.running_sigma = (
-                1 - _BN_MOMENTUM
-            ) * self.running_sigma + _BN_MOMENTUM * sigma
+            self.running_mu *= 1 - _BN_MOMENTUM
+            self.running_mu += _BN_MOMENTUM * mu
+            self.running_sigma *= 1 - _BN_MOMENTUM
+            self.running_sigma += _BN_MOMENTUM * sigma
         else:
             sigma = self.running_sigma
             centred = h - self.running_mu
@@ -336,6 +337,8 @@ class Network:
         self._adam_t = 0
         self._adam_m = np.zeros_like(self.flat)
         self._adam_v = np.zeros_like(self.flat)
+        # Adam's two scratch vectors, so that an update allocates nothing.
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     # -- activation ---------------------------------------------------------
 
@@ -359,11 +362,11 @@ class Network:
         """Returns (d loss/d y, d loss/d uaf-params or None)."""
         if self._fixed_target is not None:
             return upstream * self._fixed_target.derivative(cache), None
-        params = self.uaf if self.uaf is not None else self._fixed_params
-        g6 = _k_grad(cache[0], *params, terms=cache)
-        d_y = (upstream.ravel() * g6[:, 0]).reshape(upstream.shape)
         if self.uaf is None:
-            return d_y, None
+            slope = _k_slope(cache[0], *self._fixed_params[:4], terms=cache)
+            return (upstream.ravel() * slope).reshape(upstream.shape), None
+        g6 = _k_grad(cache[0], *self.uaf, terms=cache)
+        d_y = (upstream.ravel() * g6[:, 0]).reshape(upstream.shape)
         return d_y, g6[:, 1:].T @ upstream.ravel()
 
     # -- forward / backward -------------------------------------------------
@@ -427,7 +430,7 @@ class Network:
     def _loss_and_grad(self, output: np.ndarray, targets: np.ndarray):
         if self.task == "regression":
             diff = output - targets
-            loss = float(np.mean(diff * diff))
+            loss = float((diff * diff).sum() / diff.size)
             return loss, 2.0 * diff / diff.size
         # Softmax cross-entropy, numerically stable via the shifted logsumexp.
         shifted = output - output.max(axis=1, keepdims=True)
@@ -456,13 +459,24 @@ class Network:
         self._adam_t += 1
         t = self._adam_t
         m, v = self._adam_m, self._adam_v
+        step, denom = self._scratch
+        # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+        # flat -= (rates m_hat) / (sqrt(v_hat) + eps), each product taken in
+        # that order, through the two scratch vectors.
         m *= opt.beta1
-        m += (1 - opt.beta1) * g
+        np.multiply(1 - opt.beta1, g, out=step)
+        m += step
         v *= opt.beta2
-        v += (1 - opt.beta2) * g * g
-        m_hat = m / (1 - opt.beta1**t)
-        v_hat = v / (1 - opt.beta2**t)
-        self.flat -= self._rates * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        np.multiply(1 - opt.beta2, g, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1 - opt.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += opt.epsilon
+        np.divide(m, 1 - opt.beta1**t, out=step)
+        np.multiply(self._rates, step, out=step)
+        step /= denom
+        self.flat -= step
 
 
 def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
@@ -502,14 +516,15 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
 
     for epoch in range(1, config.epochs + 1):
         order = net.rng.permutation(len(x_train))
+        x_epoch, y_epoch = x_train[order], y_train[order]
         batch_losses: list[float] = []
         # Divergence is detected from the loss, the metric and the UAF
         # themselves, so the intermediate overflow warnings on an exploding
         # run are noise.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(order), config.batch_size):
-                sel = order[lo : lo + config.batch_size]
-                loss, grads = net.step(x_train[sel], y_train[sel])
+                hi = lo + config.batch_size
+                loss, grads = net.step(x_epoch[lo:hi], y_epoch[lo:hi])
                 if not math.isfinite(loss):
                     diverged = True
                     diverged_epoch = epoch

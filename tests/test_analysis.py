@@ -192,23 +192,35 @@ import resource
 import uafkit as uk
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 p, t = uk.preset(uk.TANH), uk.target(uk.TANH)
-for half_width in (1000.0, 5000.0):
-    uk.error_report(p, t, (-half_width, half_width))
+for interval, n_samples in {calls}:
+    uk.error_report(p, t, interval, n_samples)
     print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
 """
 
 
-def test_scan_memory_does_not_grow_with_the_interval():
-    # 2,000,001 and 10,000,001 (the cap) scan points, in a fresh process so
-    # that the peak resident size measures this scan alone
+def _peak_growth_mb(calls):
+    """Growth of the peak resident size, in MB, after each error_report call
+    of calls, run in a fresh process so that it measures those calls alone."""
     pytest.importorskip("resource")
     paths = [os.path.dirname(os.path.dirname(uk.__file__)), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert len(out) == 2
-    for grown_mb in map(float, out):
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE.format(calls=calls)], env=env,
+                         check=True, capture_output=True, text=True).stdout.split()
+    assert len(out) == len(calls)
+    return list(map(float, out))
+
+
+def test_scan_memory_does_not_grow_with_the_interval():
+    # 2,000,001 and 10,000,001 (the cap) scan points
+    calls = [((-1000.0, 1000.0), 2001), ((-5000.0, 5000.0), 2001)]
+    for grown_mb in _peak_growth_mb(calls):
         assert grown_mb < 100.0
+
+
+def test_rmse_memory_does_not_grow_with_the_sample_count():
+    # 2,000,001 samples took 108 MB when they were evaluated at once
+    for grown_mb in _peak_growth_mb([((-10.0, 10.0), 2_000_001)]):
+        assert grown_mb < 20.0
 
 
 # --- exact roots ------------------------------------------------------------------
@@ -259,6 +271,33 @@ def test_interval_rmse_values():
         assert got == pytest.approx(want, abs=5e-6), kind.label()
     for kind in (uk.IDENTITY, uk.SOFTPLUS):
         assert uk.interval_rmse(uk.preset(kind), uk.target(kind), INTERVAL, 2001) < 1e-12
+
+
+def _one_sum_rmse(p, t, interval, n):
+    """The RMSE from one array of all n squared errors."""
+    e = uk.approx_error_batch(p, t, np.linspace(*interval, n))
+    return float(np.sqrt(np.mean(e * e)))
+
+
+@pytest.mark.parametrize("block", [1, 128, 1000, 4096])
+def test_block_rmse_is_the_one_sum_rmse(monkeypatch, block):
+    monkeypatch.setattr(uk.analysis, "_SCAN_BLOCK", block)
+    sizes = (2, 3, 128, 129, 1000, 1001, 2001, 4096, 4097, 8193, 20001)
+    for kind in ALL_KINDS:
+        p, t = uk.preset(kind), uk.target(kind)
+        for interval in (INTERVAL, (-3.3, 7.1)):
+            for n in sizes:
+                got = uk.interval_rmse(p, t, interval, n)
+                want = _one_sum_rmse(p, t, interval, n)
+                assert np.array_equal(_bits([got]), _bits([want])), (kind.label(), interval, n)
+
+
+def test_block_rmse_is_the_one_sum_rmse_at_two_million_points():
+    p, t = uk.preset(uk.TANH), uk.target(uk.TANH)
+    for n in (1_234_567, 2_000_001):
+        got = uk.interval_rmse(p, t, (-1000.0, 1000.0), n)
+        want = _one_sum_rmse(p, t, (-1000.0, 1000.0), n)
+        assert np.array_equal(_bits([got]), _bits([want])), n
 
 
 def test_interval_rmse_grid_stability():

@@ -203,7 +203,9 @@ def test_eval_batch_rejects_bad_input():
 
 @pytest.mark.parametrize("xs", [
     ["0.5", True], [True, False], np.array(["1.0"]), np.array([None, 1.0]), [1 + 2j],
-], ids=["string_and_bool", "bools", "string_array", "object_array", "complex"])
+    [0.5, True], (1, np.False_),
+], ids=["string_and_bool", "bools", "string_array", "object_array", "complex",
+        "float_and_bool", "int_and_numpy_bool"])
 def test_point_arrays_hold_real_numbers_only(xs):
     p = uk.preset(uk.TANH)
     for batch in (uk.eval_batch, uk.grad_batch):
@@ -324,6 +326,108 @@ def test_slope_kernel_is_the_grad_column():
         for params in (p, tuple(v * (1.0 + d) for v, d in zip(p, rng.uniform(-0.1, 0.1, 5)))):
             want = uaf_grad(xs, *params)[:, 0]
             assert np.array_equal(uaf_slope(xs, *params[:4]).view(np.int64), want.view(np.int64))
+
+
+# The two-array kernels that the stacked (2, n) ones replaced, frozen as the
+# bitwise reference: each pass takes exp, logistic and softplus once for z1
+# and once for z2.
+
+
+def _two_array_softplus(z, e=None):
+    if e is None:
+        e = np.exp(-np.abs(z))
+    out = np.maximum(z, 0.0)
+    out += np.log1p(e)
+    return out
+
+
+def _two_array_logistic(z, e=None):
+    if e is None:
+        e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    out = e / d
+    np.divide(1.0, d, out=d)
+    np.copyto(out, d, where=z >= 0)
+    return out
+
+
+def _two_array_terms(xs, A, B, C, D):
+    z1 = A * (xs + B) + C * xs * xs
+    z2 = D * (xs - B)
+    return z1, z2, np.exp(-np.abs(z1)), np.exp(-np.abs(z2))
+
+
+def _two_array_eval(xs, A, B, C, D, E):
+    z1, z2, e1, e2 = _two_array_terms(xs, A, B, C, D)
+    out = _two_array_softplus(z1, e1)
+    out -= _two_array_softplus(z2, e2)
+    out += E
+    return out
+
+
+def _two_array_grad(xs, A, B, C, D, E):
+    z1, z2, e1, e2 = _two_array_terms(xs, A, B, C, D)
+    s1 = _two_array_logistic(z1, e1)
+    s2 = _two_array_logistic(z2, e2)
+    out = np.empty((xs.shape[0], 6), dtype=np.float64)
+    out[:, 0] = s1 * (A + 2.0 * C * xs) - s2 * D
+    out[:, 1] = s1 * (xs + B)
+    out[:, 2] = s1 * A + s2 * D
+    out[:, 3] = s1 * xs * xs
+    out[:, 4] = -s2 * (xs - B)
+    out[:, 5] = 1.0
+    return out
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, the sign and payload of every NaN included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_SPECIAL = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024, 2001, 4096])
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_stacked_kernels_match_the_two_array_kernels_bitwise(n, scale):
+    from uafkit import _kernels as k
+
+    rng = np.random.default_rng(n)
+    xs = rng.normal(0.0, 10.0, n)
+    xs[: min(n, 6)] = _SPECIAL[: min(n, 6)] if n > 1 else 0.5
+    z = rng.normal(0.0, 100.0 * scale, n)
+    z[: min(n, 6)] = _SPECIAL[: min(n, 6)]
+    with np.errstate(all="ignore"):
+        for f, ref in ((k.logistic, _two_array_logistic), (k.softplus, _two_array_softplus)):
+            assert _same_bits(f(z), ref(z))
+            assert _same_bits(f(z, np.exp(-np.abs(z))), ref(z))
+        for _ in range(3):
+            params = tuple(rng.normal(0.0, scale, 5))
+            grad = _two_array_grad(xs, *params)
+            terms = k.uaf_terms(xs, *params[:4])
+            for t in (None, terms):
+                assert _same_bits(k.uaf_eval(xs, *params, terms=t), _two_array_eval(xs, *params))
+                assert _same_bits(k.uaf_grad(xs, *params, terms=t), grad)
+                assert _same_bits(k.uaf_slope(xs, *params[:4], terms=t), grad[:, 0])
+
+
+def test_terms_are_stacked_and_left_unchanged_by_their_users():
+    from uafkit import _kernels as k
+
+    xs = np.linspace(-3.0, 3.0, 11)
+    params = (1.5, 0.25, -0.5, 0.75, 0.1)
+    xs_, z, e, xpb, xmb = terms = k.uaf_terms(xs, *params[:4])
+    assert z.shape == e.shape == (2, 11)
+    z1, z2, e1, e2 = _two_array_terms(xs, *params[:4])
+    for got, want in ((z[0], z1), (z[1], z2), (e[0], e1), (e[1], e2),
+                      (xpb, xs + 0.25), (xmb, xs - 0.25), (xs_, xs)):
+        assert _same_bits(got, want)
+    before = [a.copy() for a in terms]
+    k.uaf_eval(xs, *params, terms=terms)
+    k.uaf_grad(xs, *params, terms=terms)
+    k.uaf_slope(xs, *params[:4], terms=terms)
+    assert all(_same_bits(a, b) for a, b in zip(terms, before))
 
 
 def test_backend_name_is_known():

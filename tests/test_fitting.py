@@ -1,12 +1,13 @@
 """Unit tests for the constrained fitter, ties, and builtin fit specs."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import uafkit as uk
-from uafkit.fitting import FitSpec, Tie
+from uafkit.fitting import FitSpec, Tie, _Objective
 
 
 # --- ties ---------------------------------------------------------------------
@@ -139,6 +140,33 @@ def test_fit_is_deterministic():
     assert a.params == b.params
     assert a.rmse_trace == b.rmse_trace
     assert a.iterations == b.iterations
+
+
+def _reuse_specs():
+    """The four builtin families and the free softplus fit from identity."""
+    free = FitSpec(target=uk.TargetActivation(uk.SOFTPLUS), free=uk.core.PARAM_NAMES,
+                   init=uk.preset(uk.IDENTITY))
+    return [uk.builtin_spec(name) for name in uk.BUILTIN_SPEC_NAMES] + [free]
+
+
+def test_jacobian_from_the_residual_terms_equals_a_fresh_one():
+    for spec in _reuse_specs():
+        obj = _Objective(spec)
+        theta = 1.1 * np.array([getattr(spec.init, name) for name in spec.free]) + 0.01
+        params = obj.assemble(theta)
+        _, _, terms = obj.residual(params)
+        fresh = obj.jacobian(params, theta)
+        assert np.array_equal(obj.jacobian(params, theta, terms).view(np.int64),
+                              fresh.view(np.int64))
+
+
+def test_fit_with_reused_terms_matches_fresh_jacobians(monkeypatch):
+    specs = _reuse_specs()
+    reused = [json.dumps(uk.fit(spec).to_dict()) for spec in specs]
+    fresh_jacobian = _Objective.jacobian
+    monkeypatch.setattr(_Objective, "jacobian",
+                        lambda self, params, theta, terms=None: fresh_jacobian(self, params, theta))
+    assert [json.dumps(uk.fit(spec).to_dict()) for spec in specs] == reused
 
 
 def test_builtin_constants():

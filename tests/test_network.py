@@ -205,6 +205,35 @@ def test_frozen_activation_emits_no_uaf_gradients():
     assert grads.uaf is None
 
 
+def test_frozen_uaf_backward_is_the_trainable_one_without_the_uaf_gradient():
+    # The frozen UAF takes only the slope kernel; the trainable one takes the
+    # slope as column 0 of the full gradient, bitwise the same.
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(7, 3)), rng.normal(size=(7, 2))
+    grads = []
+    for activation in (FixedActivation(uk.TANH), TrainableUaf(uk.preset(uk.TANH))):
+        cfg = NetworkConfig(layer_sizes=(3, 5, 4, 2), activation=activation, seed=9)
+        grads.append(Network(cfg).backward(x, y))
+    frozen, trainable = grads
+    for a, b in zip(frozen.weights + frozen.biases, trainable.weights + trainable.biases):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_batch_norm_running_statistics_follow_the_momentum_rule():
+    bn = uk.network._BatchNorm(3)
+    rng = np.random.default_rng(5)
+    mu_run, sigma_run = bn.running_mu.copy(), bn.running_sigma.copy()
+    for _ in range(3):
+        h = rng.normal(2.0, 3.0, size=(16, 3))
+        bn.forward(h, training=True)
+        mu = h.sum(axis=0) / 16
+        sigma = np.sqrt(((h - mu) * (h - mu)).sum(axis=0) / 16)
+        mu_run = (1 - 0.1) * mu_run + 0.1 * mu
+        sigma_run = (1 - 0.1) * sigma_run + 0.1 * sigma
+        assert np.array_equal(bn.running_mu, mu_run)
+        assert np.array_equal(bn.running_sigma, sigma_run)
+
+
 def test_shared_uaf_is_one_vector_across_layers():
     cfg = NetworkConfig(
         layer_sizes=(3, 4, 4, 2),

@@ -13,15 +13,42 @@ and backward) computes the terms once.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
-at n ~ 1e4 each live temporary array costs page faults on every call. The
-in-place steps keep the operand order of the formulas (s(z1) * (A + 2Cx),
-not (A + 2Cx) * s(z1)): where both operands are NaN, the first one's sign
-bit is the result's.
+at n ~ 1e4 each live temporary array costs page faults on every call, so
+uaf_eval and uaf_grad also drop the terms they computed themselves once
+those are used. The in-place steps keep the operand order of the formulas
+(s(z1) * (A + 2Cx), not (A + 2Cx) * s(z1)): where both operands are NaN,
+the first one's sign bit is the result's.
+
+The public batch functions take up to core.MAX_POINTS points and call the
+kernels through ``in_blocks``, so that the temporaries of one call stay
+under 10 MB at any n.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Most points in_blocks hands one kernel call: a piece's arrays are 512 KB
+# each (the stacked ones 1 MB), under 10 MB of temporaries in all. Each
+# split costs a copy of the result and another call's overhead (7% at
+# 20,001 points split at 16,384), so moderate sizes stay whole.
+BATCH_BLOCK = 65536
+
+
+def in_blocks(fn, xs: np.ndarray, *args) -> np.ndarray:
+    """fn(xs, *args) for an fn that works point by point (row i of its result
+    depends on xs[i] alone), taken in pieces of at most BATCH_BLOCK points
+    written into one result: bitwise equal to a single call, with fn's
+    temporaries bounded by the piece instead of growing with len(xs)."""
+    n = xs.shape[0]
+    if n <= BATCH_BLOCK:
+        return fn(xs, *args)
+    first = fn(xs[:BATCH_BLOCK], *args)
+    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+    out[:BATCH_BLOCK] = first
+    for i in range(BATCH_BLOCK, n, BATCH_BLOCK):
+        out[i : i + BATCH_BLOCK] = fn(xs[i : i + BATCH_BLOCK], *args)
+    return out
 
 
 def softplus(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -39,26 +66,32 @@ def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     (computed when not given): 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
     if e is None:
         e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
-def uaf_terms(xs: np.ndarray, A: float, B: float, C: float, D: float) -> tuple:
+def uaf_terms(
+    xs: np.ndarray, A: float, B: float, C: float, D: float, shifts: bool = True
+) -> tuple:
     """(xs, z, e, x+B, x-B) as laid out in the module docstring: what
     uaf_eval, uaf_grad and uaf_slope share, so that a caller needing more
-    than one of them at the same points computes the terms once."""
+    than one of them at the same points computes the terms once. With
+    shifts=False, x+B and x-B are formed in the rows of z and the last two
+    entries are None: only uaf_grad reads them."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    xpb = xs + B
-    xmb = xs - B
     z = np.empty((2,) + xs.shape)
+    xpb = np.add(xs, B, out=None if shifts else z[0])
     np.multiply(A, xpb, out=z[0])
     np.multiply(C, xs, out=z[1])  # Cx^2, in the row z2 fills next
     z[1] *= xs
     z[0] += z[1]
+    xmb = np.subtract(xs, B, out=None if shifts else z[1])
     np.multiply(D, xmb, out=z[1])
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    return xs, z, e, xpb, xmb
+    return (xs, z, e, xpb, xmb) if shifts else (xs, z, e, None, None)
 
 
 def uaf_eval(
@@ -66,8 +99,13 @@ def uaf_eval(
 ) -> np.ndarray:
     """Stable elementwise f(x) = softplus(A(x+B)+Cx^2) - softplus(D(x-B)) + E.
     terms, from uaf_terms on the same xs and parameters, saves computing them."""
-    _, z, e, _, _ = uaf_terms(xs, A, B, C, D) if terms is None else terms
-    sp = softplus(z, e)
+    if terms is None:
+        # The terms are this call's own: softplus in place, into z and e.
+        _, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False)
+        sp = np.maximum(z, 0.0, out=z)
+        sp += np.log1p(e, out=e)
+    else:
+        sp = softplus(terms[1], terms[2])
     out = sp[0] - sp[1]
     out += E
     return out
@@ -90,6 +128,7 @@ def uaf_grad(
     """
     xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
     s1, s2 = logistic(z, e)
+    del z, e  # frees them when the terms are this call's own
     s2d = s2 * D
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
     col = out[:, 0]
@@ -117,7 +156,7 @@ def uaf_slope(
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, bitwise equal to column 0 of
     uaf_grad: the error scan and a fixed activation's backward need no
     parameter partials. terms as in uaf_eval."""
-    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D) if terms is None else terms
+    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False) if terms is None else terms
     s1, s2 = logistic(z, e)
     out = 2.0 * C * xs
     np.add(A, out, out=out)

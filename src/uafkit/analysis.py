@@ -32,10 +32,9 @@ _SCAN_STEP = 1e-3
 _BISECT_XTOL = 1e-10
 # Nodes per scan block: the block's arrays stay small enough for the
 # allocator to reuse their memory instead of mapping fresh pages each call.
+# interval_rmse sums its blocks where NumPy's pairwise summation splits, so
+# a block must be at least NumPy's 128-value pairwise leaf.
 _SCAN_BLOCK = 4096
-# NumPy sums up to this many values in one pass and splits longer ranges
-# in two; interval_rmse splits its blocks the same way (see there).
-_PAIRWISE_LEAF = 128
 # Halvings per bisection pass: 2**8 - 1 midpoints per bracket, one kernel call.
 _TREE_LEVELS = 8
 # Most grid points a scan may take: an interval of width 1e4, such as
@@ -230,10 +229,9 @@ def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -
     """
     lo, hi = coerce_interval("interval", interval)
     n = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
-    leaf = max(_SCAN_BLOCK, _PAIRWISE_LEAF)
 
     def total(i0: int, i1: int) -> float:
-        if i1 - i0 <= leaf:
+        if i1 - i0 <= _SCAN_BLOCK:
             e = approx_error_batch(p, t, _grid(lo, hi, n, i0, i1))
             return (e * e).sum()
         half = (i1 - i0) // 2

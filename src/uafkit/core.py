@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import in_blocks
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
 
@@ -363,12 +364,12 @@ def coerce_points(name: str, value) -> np.ndarray:
     """A point array: value as a contiguous 1-d float64 array of finite
     values. Like coerce, it takes numbers only: an input of string, bool,
     object or complex dtype is refused before the cast, and so is a bool
-    among the numbers of a list, which NumPy would cast. Raises ValueError
-    naming the field."""
+    among the numbers of a list or tuple, which NumPy would cast. Raises
+    ValueError naming the field."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    if not isinstance(value, np.ndarray) and any(
+    if isinstance(value, (list, tuple)) and any(
         isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
     ):
         raise ValueError(f"{name} must hold real numbers, got a bool")
@@ -382,10 +383,10 @@ def coerce_points(name: str, value) -> np.ndarray:
 
 def eval_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise eval_stable over a sequence; returns a float64 array."""
-    return _k_eval(coerce_points("xs", xs), *p.as_tuple())
+    return in_blocks(_k_eval, coerce_points("xs", xs), *p.as_tuple())
 
 
 def grad_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise grad over a sequence; returns an (n, 6) float64 array
     with columns (d_x, d_A, d_B, d_C, d_D, d_E)."""
-    return _k_grad(coerce_points("xs", xs), *p.as_tuple())
+    return in_blocks(_k_grad, coerce_points("xs", xs), *p.as_tuple())

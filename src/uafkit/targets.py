@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import logistic, softplus, uaf_eval
+from ._kernels import in_blocks, logistic, softplus, uaf_eval
 from .core import LN2, PresetKind, UafParams, coerce, coerce_field, coerce_points, eval_stable
 
 __all__ = [
@@ -124,5 +124,5 @@ def approx_error(p: UafParams, t: TargetActivation, x: float) -> float:
 
 def approx_error_batch(p: UafParams, t: TargetActivation, xs) -> np.ndarray:
     """Elementwise approx_error over a 1-d array of finite numbers."""
-    xs = coerce_points("xs", xs)
-    return uaf_eval(xs, *p.as_tuple()) - t(xs)
+    params = p.as_tuple()
+    return in_blocks(lambda b: uaf_eval(b, *params) - t(b), coerce_points("xs", xs))

@@ -1,5 +1,6 @@
 """Unit tests for the core parameter types, presets, and evaluators."""
 
+import array
 import math
 
 import numpy as np
@@ -211,8 +212,9 @@ def test_point_arrays_hold_real_numbers_only(xs):
     for batch in (uk.eval_batch, uk.grad_batch):
         with pytest.raises(ValueError, match="real numbers"):
             batch(p, xs)
-    # integers and narrower floats are numbers
+    # integers, narrower floats and other array-likes are numbers
     assert np.array_equal(uk.eval_batch(p, [1, 2]), uk.eval_batch(p, np.float32([1.0, 2.0])))
+    assert np.array_equal(uk.eval_batch(p, array.array("d", [1.0, 2.0])), uk.eval_batch(p, [1, 2]))
 
 
 def test_naive_agrees_with_stable_when_representable():
@@ -423,11 +425,39 @@ def test_terms_are_stacked_and_left_unchanged_by_their_users():
     for got, want in ((z[0], z1), (z[1], z2), (e[0], e1), (e[1], e2),
                       (xpb, xs + 0.25), (xmb, xs - 0.25), (xs_, xs)):
         assert _same_bits(got, want)
+    _, z_, e_, no_xpb, no_xmb = k.uaf_terms(xs, *params[:4], shifts=False)
+    assert _same_bits(z_, z) and _same_bits(e_, e) and no_xpb is None and no_xmb is None
     before = [a.copy() for a in terms]
     k.uaf_eval(xs, *params, terms=terms)
     k.uaf_grad(xs, *params, terms=terms)
     k.uaf_slope(xs, *params[:4], terms=terms)
     assert all(_same_bits(a, b) for a, b in zip(terms, before))
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_batch_functions_in_blocks_match_one_kernel_call(monkeypatch, block):
+    from uafkit import _kernels as k
+
+    monkeypatch.setattr(k, "BATCH_BLOCK", block)
+    p, t = uk.preset(uk.GAUSSIAN), uk.target(uk.GAUSSIAN)
+    for n in (1, 6, 7, 8, 999, 1000, 1001, 2001, 7001):
+        xs = np.linspace(-10.0, 10.0, n)
+        assert _same_bits(uk.eval_batch(p, xs), k.uaf_eval(xs, *p.as_tuple()))
+        assert _same_bits(uk.grad_batch(p, xs), k.uaf_grad(xs, *p.as_tuple()))
+        want = k.uaf_eval(xs, *p.as_tuple()) - t(xs)
+        assert _same_bits(uk.approx_error_batch(p, t, xs), want)
+
+
+@pytest.mark.parametrize("call, output_mb", [
+    ("uk.eval_batch(p, xs)", 15.3), ("uk.approx_error_batch(p, t, xs)", 15.3),
+    ("uk.grad_batch(p, xs)", 91.6),
+], ids=["eval_batch", "approx_error_batch", "grad_batch"])
+def test_batch_memory_stays_near_the_output(peak_growth_mb, call, output_mb):
+    # 2,000,001 points: in pieces the temporaries take under 10 MB; in one
+    # kernel call the peak grew by 92, 92 and 186 MB with the two-array
+    # kernels and by 138, 138 and 230 MB with the stacked ones
+    made_xs, called = peak_growth_mb(["xs = np.linspace(-10.0, 10.0, 2_000_001)", "out = " + call])
+    assert called - made_xs < output_mb + 16.0
 
 
 def test_backend_name_is_known():

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._kernels import logistic
 from ._kernels import uaf_slope as _k_slope
-from .core import MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, preset
+from .core import MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, grid, preset
 from .targets import TargetActivation, approx_error, approx_error_batch
 
 __all__ = [
@@ -103,23 +103,6 @@ def _slope(p: UafParams, t: TargetActivation, xs: np.ndarray) -> tuple[np.ndarra
     return _k_slope(xs, p.A, p.B, p.C, p.D) - dt, dt
 
 
-def _grid(lo: float, hi: float, n: int, i0: int, i1: int) -> np.ndarray:
-    """np.linspace(lo, hi, n)[i0:i1], bitwise, without the rest of the grid."""
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    xs = np.arange(i0, i1, dtype=np.float64)
-    if step == 0.0:  # linspace's order for a step that underflows
-        xs /= div
-        xs *= delta
-    else:
-        xs *= step
-    xs += lo
-    if i1 == n:
-        xs[-1] = hi
-    return xs
-
-
 def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int):
     """Brackets and exact-zero nodes of the slope on the grid nodes xs.
 
@@ -206,7 +189,7 @@ def critical_points(
     # Consecutive blocks share two nodes, so that every cell and every
     # interior node is judged once, with both of its neighbours in view.
     found = [
-        _scan(p, t, _grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0)
+        _scan(p, t, grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0)
         for i0 in range(0, n - 2, _SCAN_BLOCK - 2)
     ]
     a, b, up, nodes = (np.concatenate(parts) for parts in zip(*found))
@@ -232,7 +215,7 @@ def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -
 
     def total(i0: int, i1: int) -> float:
         if i1 - i0 <= _SCAN_BLOCK:
-            e = approx_error_batch(p, t, _grid(lo, hi, n, i0, i1))
+            e = approx_error_batch(p, t, grid(lo, hi, n, i0, i1))
             return (e * e).sum()
         half = (i1 - i0) // 2
         mid = i0 + half - half % 8

@@ -3,54 +3,55 @@ error reports, the RMSE summary table, and toy training runs.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, malformed JSON,
 unreadable input files), 1 on runtime failures (unwritable outputs, diverged
-training). File outputs are written atomically (temp file + rename). The
-UAFKIT_SEED environment variable, when set, overrides the seeds in training
-configs and dataset specs.
+training). Every command writes through one path, `_emit`, which streams text
+chunks to stdout or to a temp file that is renamed into place once complete;
+an output file gets the mode a plain open() would give it, 0o666 & ~umask.
+`eval` and `sweep` evaluate and write their grid in slices of BATCH_BLOCK
+points, so their memory does not grow with --n. The UAFKIT_SEED environment
+variable, when set, overrides the seeds in training configs and dataset specs.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import os
 import tempfile
 
 import click
-import numpy as np
 
 from . import analysis, datasets, fitting, network
+from ._kernels import BATCH_BLOCK
 from .core import (
     MAX_POINTS, PRESET_NAMES, PresetKind, UafParams, coerce_interval, eval_batch, from_tagged_json,
-    preset,
+    grid, preset,
 )
 from .targets import TargetActivation, target_eval_batch
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal for CSV cells."""
-    return repr(float(value))
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+def _emit(chunks, output: str | None) -> None:
+    """Write the text chunks to stdout, or to output all at once: they go to a
+    temp file beside it, which replaces output only when every chunk is
+    written, and which is removed when a chunk or the write fails."""
+    if output is None:
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
+        return
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".uafkit-", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)),
+                                   prefix=".uafkit-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+                handle.writelines(chunks)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, output)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise click.ClickException(f"cannot write output file '{path}': {exc}") from exc
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        _atomic_write(output, text)
+        raise click.ClickException(f"cannot write output file '{output}': {exc}") from exc
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -70,6 +71,8 @@ def _params_from_flags(params_file: str | None, preset_name: str | None, alpha: 
         raise click.UsageError("provide exactly one of --params or --preset")
     if preset_name is not None:
         return preset(_kind_from_flags(preset_name, alpha, "--preset"))
+    if alpha is not None:
+        raise click.UsageError("--alpha sets the slope of the leaky_relu preset; --params takes no alpha")
     data = _load_json(params_file, "parameters")
     # A fit result can be fed back directly: unwrap its params block.
     if isinstance(data, dict) and "params" in data and "A" not in data:
@@ -87,12 +90,16 @@ def _kind_from_flags(name: str, alpha: float | None, flag: str) -> PresetKind:
         raise click.UsageError(f"{flag}: {exc}") from exc
 
 
-def _grid(from_, to, n) -> np.ndarray:
+def _grid_csv(header: str, from_, to, n: int, rows):
+    """CSV text chunks over the uniform grid of n points on [from_, to]: the
+    header, then rows(xs) for each slice xs of at most BATCH_BLOCK points.
+    The interval is checked at once; each slice is made as it is written."""
     try:
         lo, hi = coerce_interval("--from/--to", (from_, to))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    return np.linspace(lo, hi, n)
+    slices = (grid(lo, hi, n, i0, min(i0 + BATCH_BLOCK, n)) for i0 in range(0, n, BATCH_BLOCK))
+    return itertools.chain([header], map(rows, slices))
 
 
 _PRESET_CHOICES = click.Choice(PRESET_NAMES)
@@ -115,13 +122,11 @@ def main() -> None:
 def eval_cmd(params_file, preset_name, alpha, from_, to, n, output) -> None:
     """Evaluate the UAF on a uniform grid; CSV columns x,f_uaf."""
     p = _params_from_flags(params_file, preset_name, alpha)
-    xs = _grid(from_, to, n)
-    ys = eval_batch(p, xs)
-    buf = io.StringIO()
-    buf.write("x,f_uaf\n")
-    for x, y in zip(xs, ys):
-        buf.write(f"{_fmt(x)},{_fmt(y)}\n")
-    _emit(buf.getvalue(), output)
+
+    def rows(xs):
+        return "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), eval_batch(p, xs).tolist()))
+
+    _emit(_grid_csv("x,f_uaf\n", from_, to, n, rows), output)
 
 
 @main.group("presets")
@@ -170,7 +175,7 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
             result = fitting.fit(fitting.FitSpec.from_dict(data))
         except ValueError as exc:
             raise click.UsageError(f"--spec file '{spec_file}': {exc}") from exc
-    _emit(json.dumps(result.to_dict(), indent=2) + "\n", output)
+    _emit([json.dumps(result.to_dict(), indent=2) + "\n"], output)
 
 
 @main.command("report")
@@ -187,7 +192,7 @@ def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
         rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
     except ValueError as exc:
         raise click.UsageError(f"--lo/--hi: {exc}") from exc
-    _emit(json.dumps(rep.to_dict(), indent=2) + "\n", output)
+    _emit([json.dumps(rep.to_dict(), indent=2) + "\n"], output)
 
 
 @main.command("table")
@@ -197,20 +202,18 @@ def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
 def table_cmd(samples, fmt, output) -> None:
     """RMSE summary table: one row per preset on [-10, 10]."""
     table = analysis.rmse_table(samples)
-    buf = io.StringIO()
     if fmt == "csv":
-        buf.write("kind,rmse,max_error,locations\n")
+        lines = ["kind,rmse,max_error,locations\n"]
         for row in table.rows:
             locs = ";".join(f"{x:.6g}" for x in row.locations)
-            buf.write(f"{row.kind.label()},{row.rmse:.5f},{row.max_error:.5f},{locs}\n")
+            lines.append(f"{row.kind.label()},{row.rmse:.5f},{row.max_error:.5f},{locs}\n")
     else:
         header = f"{'kind':<16}{'rmse':>10}{'max_error':>12}  locations"
-        buf.write(header + "\n")
-        buf.write("-" * len(header) + "\n")
+        lines = [header + "\n", "-" * len(header) + "\n"]
         for row in table.rows:
             locs = ", ".join(f"{x:.4g}" for x in row.locations)
-            buf.write(f"{row.kind.label():<16}{row.rmse:>10.5f}{row.max_error:>12.5f}  {locs}\n")
-    _emit(buf.getvalue(), output)
+            lines.append(f"{row.kind.label():<16}{row.rmse:>10.5f}{row.max_error:>12.5f}  {locs}\n")
+    _emit(lines, output)
 
 
 def _seed_override() -> int | None:
@@ -237,19 +240,16 @@ def _dataset_from_spec(path: str, seed_override: int | None) -> datasets.Dataset
         raise click.UsageError(f"--dataset file '{path}': {exc}") from exc
 
 
-def _trajectory_csv(report: network.TrainReport) -> str:
-    buf = io.StringIO()
-    buf.write("epoch,loss,metric,A,B,C,D,E\n")
+def _trajectory_csv(report: network.TrainReport):
+    yield "epoch,loss,metric,A,B,C,D,E\n"
     traj = {e: p for e, p in (report.uaf_trajectory or ())}
     for i, (loss, metric) in enumerate(zip(report.loss_trace, report.metric_trace)):
         epoch = i + 1
         if epoch in traj:
-            p = traj[epoch]
-            tail = ",".join(_fmt(getattr(p, n)) for n in ("A", "B", "C", "D", "E"))
+            tail = ",".join(repr(float(v)) for v in traj[epoch].as_tuple())
         else:
             tail = ",,,,"
-        buf.write(f"{epoch},{_fmt(loss)},{_fmt(metric)},{tail}\n")
-    return buf.getvalue()
+        yield f"{epoch},{float(loss)!r},{float(metric)!r},{tail}\n"
 
 
 @main.command("train")
@@ -274,9 +274,9 @@ def train_cmd(config_file, dataset_file, output, csv_file) -> None:
         raise click.UsageError(
             f"--config file '{config_file}' does not fit --dataset file '{dataset_file}': {exc}"
         ) from exc
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", output)
+    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], output)
     if csv_file is not None:
-        _atomic_write(csv_file, _trajectory_csv(report))
+        _emit(_trajectory_csv(report), csv_file)
     if report.diverged:
         raise click.ClickException(
             f"training diverged (non-finite loss, metric or UAF parameters) at epoch "
@@ -298,14 +298,13 @@ def sweep_cmd(params_file, preset_name, alpha, target_name, target_alpha, from_,
     """UAF vs target sweep; CSV columns x,f_uaf,f_target,error."""
     p = _params_from_flags(params_file, preset_name, alpha)
     t = TargetActivation(_kind_from_flags(target_name, target_alpha, "--target"))
-    xs = _grid(from_, to, n)
-    f_uaf = eval_batch(p, xs)
-    f_tgt = target_eval_batch(t, xs)
-    buf = io.StringIO()
-    buf.write("x,f_uaf,f_target,error\n")
-    for x, fu, ft, e in zip(xs, f_uaf, f_tgt, f_uaf - f_tgt):
-        buf.write(f"{_fmt(x)},{_fmt(fu)},{_fmt(ft)},{_fmt(e)}\n")
-    _emit(buf.getvalue(), output)
+
+    def rows(xs):
+        f_uaf, f_tgt = eval_batch(p, xs), target_eval_batch(t, xs)
+        cols = zip(xs.tolist(), f_uaf.tolist(), f_tgt.tolist(), (f_uaf - f_tgt).tolist())
+        return "".join(f"{x!r},{u!r},{v!r},{e!r}\n" for x, u, v, e in cols)
+
+    _emit(_grid_csv("x,f_uaf,f_target,error\n", from_, to, n, rows), output)
 
 
 if __name__ == "__main__":

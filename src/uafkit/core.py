@@ -381,6 +381,23 @@ def coerce_points(name: str, value) -> np.ndarray:
     return arr
 
 
+def grid(lo: float, hi: float, n: int, i0: int, i1: int) -> np.ndarray:
+    """np.linspace(lo, hi, n)[i0:i1], bitwise, without the rest of the grid."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    xs = np.arange(i0, i1, dtype=np.float64)
+    if step == 0.0:  # linspace's order for a step that underflows
+        xs /= div
+        xs *= delta
+    else:
+        xs *= step
+    xs += lo
+    if i1 == n:
+        xs[-1] = hi
+    return xs
+
+
 def eval_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise eval_stable over a sequence; returns a float64 array."""
     return in_blocks(_k_eval, coerce_points("xs", xs), *p.as_tuple())

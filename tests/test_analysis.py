@@ -129,7 +129,7 @@ def _bits(xs):
 def test_block_grid_is_the_linspace_grid(lo, hi, n):
     whole = np.linspace(lo, hi, n)
     for i0, i1 in ((0, n), (0, 2), (1, n - 1), (n // 3, n // 2 + 1), (n - 2, n)):
-        assert np.array_equal(_bits(uk.analysis._grid(lo, hi, n, i0, i1)), _bits(whole[i0:i1]))
+        assert np.array_equal(_bits(uk.core.grid(lo, hi, n, i0, i1)), _bits(whole[i0:i1]))
 
 
 def _scan_bits(monkeypatch, block, kind, interval):

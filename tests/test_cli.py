@@ -3,12 +3,16 @@
 import json
 import math
 import os
+import stat
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import uafkit as uk
+from uafkit._kernels import BATCH_BLOCK
 from uafkit.cli import main
+from uafkit.targets import target_eval_batch
 
 
 @pytest.fixture()
@@ -84,6 +88,16 @@ def test_usage_errors_exit_2(runner, tmp_path):
                                 "--from", "2", "--to", "-2"]).exit_code == 2
     assert runner.invoke(main, ["eval", "--preset", "tanh", "--from", "0",
                                 "--to", "1", "--n", "1"]).exit_code == 2
+    # --alpha is the slope of the leaky_relu preset: a kind without one, or a
+    # --params file, has none to set
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(uk.preset(uk.TANH).to_dict()))
+    for args, named in ((["eval", "--preset", "tanh"], "alpha"),
+                        (["eval", "--params", str(params)], "--alpha"),
+                        (["sweep", "--params", str(params), "--target", "tanh"], "--alpha")):
+        result = runner.invoke(main, [*args, "--alpha", "0.3", "--from", "0", "--to", "1"])
+        assert result.exit_code == 2, args
+        assert named in result.output
 
 
 @pytest.mark.parametrize("args", [
@@ -445,3 +459,87 @@ def test_train_gas_spec_accepts_infinite_snr(runner, tmp_path):
     ds.write_text(json.dumps({**_GAS_DATASET, "snr_db": math.inf}))
     result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds)])
     assert result.exit_code == 0, result.output
+
+
+# --- streaming output -------------------------------------------------------------
+
+
+_STREAM_COMMANDS = {
+    "eval": ["eval", "--preset", "tanh"],
+    "sweep": ["sweep", "--preset", "tanh", "--target", "sigmoid"],
+}
+
+
+def _old_csv(command, n):
+    """The CSV text as it was formatted from the whole grid at once."""
+    xs = np.linspace(-7.5, 3.25, n)
+    columns = [xs, uk.eval_batch(uk.preset(uk.TANH), xs)]
+    header = "x,f_uaf\n"
+    if command == "sweep":
+        f_tgt = target_eval_batch(uk.target(uk.SIGMOID), xs)
+        columns += [f_tgt, columns[1] - f_tgt]
+        header = "x,f_uaf,f_target,error\n"
+    rows = (",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+    return (header + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("command", _STREAM_COMMANDS)
+def test_streamed_csv_is_the_whole_grid_csv(runner, tmp_path, command, to_file):
+    n = 2 * BATCH_BLOCK + 3
+    args = [*_STREAM_COMMANDS[command], "--from", "-7.5", "--to", "3.25", "--n", str(n)]
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + (["--output", str(out)] if to_file else []))
+    assert result.exit_code == 0, result.output
+    assert (out.read_bytes() if to_file else result.stdout_bytes) == _old_csv(command, n)
+
+
+@pytest.mark.parametrize("command", _STREAM_COMMANDS)
+def test_failure_mid_stream_leaves_the_output_file_alone(runner, tmp_path, monkeypatch, command):
+    calls = []
+
+    def second_block_fails(p, xs):
+        calls.append(xs.size)
+        if len(calls) == 2:
+            raise OSError("device lost")
+        return uk.eval_batch(p, xs)
+
+    monkeypatch.setattr("uafkit.cli.eval_batch", second_block_fails)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x,f_uaf\n0.0,1.0\n")
+    result = runner.invoke(main, [*_STREAM_COMMANDS[command], "--from", "0", "--to", "1",
+                                  "--n", str(2 * BATCH_BLOCK + 3), "--output", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert calls == [BATCH_BLOCK, BATCH_BLOCK]
+    assert out.read_bytes() == b"x,f_uaf\n0.0,1.0\n"
+    assert not list(tmp_path.glob(".uafkit-*.tmp"))
+
+
+@pytest.mark.parametrize("command", _STREAM_COMMANDS)
+def test_streamed_csv_memory_does_not_grow_with_n(peak_growth_mb, tmp_path, command):
+    run = ("r = CliRunner().invoke(main, {args!r}); assert r.exit_code == 0, r.output")
+    args = [*_STREAM_COMMANDS[command], "--from", "-10", "--to", "10",
+            "--output", str(tmp_path / "out.csv"), "--n"]
+    growth = peak_growth_mb([
+        "from click.testing import CliRunner; from uafkit.cli import main",
+        run.format(args=args + ["100001"]),
+        run.format(args=args + ["400001"]),
+    ])
+    assert growth[2] - growth[1] < 8.0, growth
+
+
+def test_output_files_get_the_mode_of_a_plain_open(runner, tmp_path):
+    cfg, ds = _write_train_inputs(tmp_path)
+    paths = [tmp_path / name for name in ("eval.csv", "report.json", "trace.csv")]
+    old = os.umask(0o022)
+    try:
+        result = runner.invoke(main, ["eval", "--preset", "tanh", "--from", "0", "--to", "1",
+                                      "--output", str(paths[0])])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds),
+                                      "--output", str(paths[1]), "--csv", str(paths[2])])
+        assert result.exit_code == 0, result.output
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [0o644] * 3

@@ -1,7 +1,8 @@
 """The elementwise kernels every layer reaches the UAF through: evaluation
-(``uaf_eval``), its six first derivatives (``uaf_grad``), the x-derivative
-alone (``uaf_slope``), the terms they are built from (``uaf_terms``), and the
-overflow-safe ``softplus`` and ``logistic``, which ``targets`` also uses.
+(``uaf_eval``), its six first derivatives (``uaf_grad``), the five parameter
+partials alone (``uaf_partials``), the x-derivative alone (``uaf_slope``),
+the terms they are built from (``uaf_terms``), and the overflow-safe
+``softplus`` and ``logistic``, which ``targets`` also uses.
 
 The terms of n points are the tuple (xs, z, e, x+B, x-B): xs as contiguous
 float64, z one stacked (2, n) buffer holding z1 = A(x+B)+Cx^2 in row 0 and
@@ -10,6 +11,13 @@ Each pass takes exp, softplus and logistic once over all 2n elements, and a
 caller that needs both the value and the derivatives at the same points (the
 fitter's accepted residual and its Jacobian, the network's activation forward
 and backward) computes the terms once.
+
+A caller that knows a bound on |x| passes it to uaf_terms as xmax. When the
+parameters let some |z| pass -_EXP_ZERO, e is then taken with a masked exp
+that leaves 0.0 on the lanes where exp underflows, skipping NumPy's slow
+path for them (about 8x slower than a normal lane). Those lanes would have
+been 0.0 anyway, so xmax picks a path and never changes a bit; without it
+the unmasked exp, faster where nothing underflows, is always taken.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
@@ -33,6 +41,10 @@ import numpy as np
 # split costs a copy of the result and another call's overhead (7% at
 # 20,001 points split at 16,384), so moderate sizes stay whole.
 BATCH_BLOCK = 65536
+
+# ln 2^-1075: np.exp gives the subnormal 5e-324 here and 0.0 for every
+# argument below it.
+_EXP_ZERO = -745.1332191019411
 
 
 def in_blocks(fn, xs: np.ndarray, *args) -> np.ndarray:
@@ -72,13 +84,21 @@ def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def uaf_terms(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, shifts: bool = True
+    xs: np.ndarray, A: float, B: float, C: float, D: float, shifts: bool = True,
+    xmax: float | None = None,
 ) -> tuple:
     """(xs, z, e, x+B, x-B) as laid out in the module docstring: what
-    uaf_eval, uaf_grad and uaf_slope share, so that a caller needing more
-    than one of them at the same points computes the terms once. With
-    shifts=False, x+B and x-B are formed in the rows of z and the last two
-    entries are None: only uaf_grad reads them."""
+    uaf_eval, uaf_grad, uaf_partials and uaf_slope share, so that a caller
+    needing more than one of them at the same points computes the terms once.
+    With shifts=False, x+B and x-B are formed in the rows of z and the last
+    two entries are None: only uaf_grad and uaf_partials read them.
+
+    xmax is the caller's promise that every |x| <= xmax. From it and the
+    parameters alone, |z1| <= |A|(xmax + |B|) + |C|xmax^2 and
+    |z2| <= |D|(xmax + |B|); when either bound passes -_EXP_ZERO, the lanes
+    where -|z| < _EXP_ZERO get e = +0.0 without going through exp. The
+    result is bitwise the same for any xmax, None included: a wrong xmax
+    only picks the slower path."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     z = np.empty((2,) + xs.shape)
     xpb = np.add(xs, B, out=None if shifts else z[0])
@@ -88,9 +108,18 @@ def uaf_terms(
     z[0] += z[1]
     xmb = np.subtract(xs, B, out=None if shifts else z[1])
     np.multiply(D, xmb, out=z[1])
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
+    a = np.abs(z)
+    np.negative(a, out=a)
+    if xmax is not None and max(
+        abs(A) * (xmax + abs(B)) + abs(C) * xmax * xmax, abs(D) * (xmax + abs(B))
+    ) > -_EXP_ZERO:
+        # Not "a >= _EXP_ZERO": a NaN lane goes through exp as before.
+        lanes = np.less(a, _EXP_ZERO)
+        np.logical_not(lanes, out=lanes)
+        e = np.zeros_like(a)
+        np.exp(a, out=e, where=lanes)
+    else:
+        e = np.exp(a, out=a)
     return (xs, z, e, xpb, xmb) if shifts else (xs, z, e, None, None)
 
 
@@ -129,34 +158,58 @@ def uaf_grad(
     xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
     s1, s2 = logistic(z, e)
     del z, e  # frees them when the terms are this call's own
-    s2d = s2 * D
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
+    s2d = _partials_into(out[:, 1:], xs, A, D, s1, s2, xpb, xmb)
     col = out[:, 0]
     np.multiply(2.0 * C, xs, out=col)
     np.add(A, col, out=col)
     np.multiply(s1, col, out=col)
     col -= s2d
-    np.multiply(s1, xpb, out=out[:, 1])
-    col = out[:, 2]
-    np.multiply(s1, A, out=col)
-    col += s2d
-    col = out[:, 3]
-    np.multiply(s1, xs, out=col)
-    col *= xs
-    col = out[:, 4]
-    np.negative(s2, out=col)
-    col *= xmb
-    out[:, 5] = 1.0
     return out
 
 
-def uaf_slope(
+def uaf_partials(
     xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None
+) -> np.ndarray:
+    """The (n, 5) parameter partials (df/dA, ..., df/dE) alone, bitwise equal
+    to columns 1-5 of uaf_grad: the fitter's Jacobian needs no df/dx. terms
+    as in uaf_eval."""
+    xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
+    s1, s2 = logistic(z, e)
+    del z, e
+    out = np.empty((xs.shape[0], 5), dtype=np.float64)
+    _partials_into(out, xs, A, D, s1, s2, xpb, xmb)
+    return out
+
+
+def _partials_into(out, xs, A, D, s1, s2, xpb, xmb) -> np.ndarray:
+    """Writes the parameter partials of uaf_grad's docstring into the five
+    columns of out, from s1 = s(z1) and s2 = s(z2); returns s(z2)D, which
+    df/dx also takes."""
+    s2d = s2 * D
+    np.multiply(s1, xpb, out=out[:, 0])
+    col = out[:, 1]
+    np.multiply(s1, A, out=col)
+    col += s2d
+    col = out[:, 2]
+    np.multiply(s1, xs, out=col)
+    col *= xs
+    col = out[:, 3]
+    np.negative(s2, out=col)
+    col *= xmb
+    out[:, 4] = 1.0
+    return s2d
+
+
+def uaf_slope(
+    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None,
+    xmax: float | None = None,
 ) -> np.ndarray:
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, bitwise equal to column 0 of
     uaf_grad: the error scan and a fixed activation's backward need no
-    parameter partials. terms as in uaf_eval."""
-    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False) if terms is None else terms
+    parameter partials. terms as in uaf_eval; xmax, when the terms are this
+    call's own, as in uaf_terms."""
+    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False, xmax=xmax) if terms is None else terms
     s1, s2 = logistic(z, e)
     out = 2.0 * C * xs
     np.add(A, out, out=out)

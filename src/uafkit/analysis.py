@@ -97,13 +97,16 @@ class RmseTable:
         }
 
 
-def _slope(p: UafParams, t: TargetActivation, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x)."""
+def _slope(
+    p: UafParams, t: TargetActivation, xs: np.ndarray, xmax: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x); every
+    |x| <= xmax (see _kernels.uaf_terms)."""
     dt = t.derivative(xs)
-    return _k_slope(xs, p.A, p.B, p.C, p.D) - dt, dt
+    return _k_slope(xs, p.A, p.B, p.C, p.D, xmax=xmax) - dt, dt
 
 
-def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int):
+def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xmax: float):
     """Brackets and exact-zero nodes of the slope on the grid nodes xs.
 
     Cells before first_cell and the two end nodes belong to the neighbouring
@@ -111,7 +114,7 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int):
     changes sign, whether it is positive at a, and the interior nodes where
     it is exactly 0 between neighbours of opposite sign.
     """
-    g, dt = _slope(p, t, xs)
+    g, dt = _slope(p, t, xs, xmax)
     # f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded
     # by |A + 2Cx|, |D| and |t'(x)|; a slope below a few ulp of their total
     # cannot be told from rounding noise.
@@ -131,9 +134,11 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int):
     return xs[i], xs[i + 1], g[i] > 0, xs[1:-1][node]
 
 
-def _bisect(p: UafParams, t: TargetActivation, a, b, up, halvings: int) -> np.ndarray:
+def _bisect(
+    p: UafParams, t: TargetActivation, a, b, up, halvings: int, xmax: float | None = None
+) -> np.ndarray:
     """Midpoints of the brackets [a, b] after a fixed count of halvings; up
-    says whether the slope is positive at a.
+    says whether the slope is positive at a, and xmax bounds |a| and |b|.
 
     Each pass takes _TREE_LEVELS halvings at once. It forms every point those
     levels could reach, level by level, with the same 0.5 * (a + b) of the
@@ -153,7 +158,7 @@ def _bisect(p: UafParams, t: TargetActivation, a, b, up, halvings: int) -> np.nd
             for step in (width >> level for level in range(levels)):
                 pts[:, step // 2 :: step] = 0.5 * (pts[:, :-1:step] + pts[:, step::step])
             pts = pts.ravel()
-            same = ((_slope(p, t, pts)[0] > 0).reshape(a_k.size, -1) == up_k).ravel()
+            same = ((_slope(p, t, pts, xmax)[0] > 0).reshape(a_k.size, -1) == up_k).ravel()
             at = np.arange(a_k.size) * (width + 1)  # each bracket's left end
             for level in range(1, levels + 1):
                 half = width >> level
@@ -186,10 +191,12 @@ def critical_points(
             f"above the cap of {MAX_SCAN_POINTS}"
         )
     n = max(3, int(round(steps)) + 1)
+    # Every scan node and bisection point lies in [lo, hi].
+    xmax = max(abs(lo), abs(hi))
     # Consecutive blocks share two nodes, so that every cell and every
     # interior node is judged once, with both of its neighbours in view.
     found = [
-        _scan(p, t, grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0)
+        _scan(p, t, grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0, xmax)
         for i0 in range(0, n - 2, _SCAN_BLOCK - 2)
     ]
     a, b, up, nodes = (np.concatenate(parts) for parts in zip(*found))
@@ -197,7 +204,7 @@ def critical_points(
     # adjacent floats where their spacing is wider (|x| > ~1e6), and ends.
     width = np.max(b - a, initial=_BISECT_XTOL)
     halvings = math.ceil(math.log2(width / _BISECT_XTOL))
-    roots = np.sort(np.concatenate([_bisect(p, t, a, b, up, halvings), nodes]))
+    roots = np.sort(np.concatenate([_bisect(p, t, a, b, up, halvings, xmax), nodes]))
     return [(float(x), float(e)) for x, e in zip(roots, approx_error_batch(p, t, roots))]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import uaf_eval as _k_eval
-from ._kernels import uaf_grad as _k_grad
+from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_terms as _k_terms
 from .core import (
     LN2, MAX_POINTS, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce_field, coerce_interval,
@@ -211,7 +211,10 @@ class _Objective:
 
     def __init__(self, spec: FitSpec):
         self.spec = spec
-        self.grid = np.linspace(spec.interval[0], spec.interval[1], spec.n_samples)
+        lo, hi = spec.interval
+        self.grid = np.linspace(lo, hi, spec.n_samples)
+        # The bound on |x| that lets the kernel skip exp's underflow lanes.
+        self.xmax = max(abs(lo), abs(hi))
         self.tvals = target_eval_batch(spec.target, self.grid)
         self.const = {
             name: getattr(spec.init, name)
@@ -236,7 +239,7 @@ class _Objective:
         """r = f - target on the grid, its mean square, and the kernel terms
         it was computed from (see _kernels), for the Jacobian at params."""
         values = params.as_tuple()
-        terms = _k_terms(self.grid, *values[:4])
+        terms = _k_terms(self.grid, *values[:4], xmax=self.xmax)
         r = _k_eval(self.grid, *values, terms=terms) - self.tvals
         return r, float((r * r).sum() / r.size), terms
 
@@ -253,7 +256,7 @@ class _Objective:
             for tie in self.spec.ties:
                 if tie.source == name:
                     chain[PARAM_NAMES.index(tie.param), i] = tie.d_source(float(theta[i]))
-        return _k_grad(self.grid, *params.as_tuple(), terms=terms)[:, 1:] @ chain
+        return _k_partials(self.grid, *params.as_tuple()[:4], terms=terms) @ chain
 
 
 # Consecutive rejected trials before the fit stops as stalled: the damping has

@@ -158,6 +158,29 @@ def test_exact_zero_node_on_a_block_boundary(monkeypatch, block):
         assert _bits([0.0])[0] in pts[::2]
 
 
+def test_the_bound_on_x_changes_no_report(monkeypatch):
+    from uafkit import _kernels
+
+    underflows = []
+    terms = _kernels.uaf_terms
+
+    def spy(*args, **kwargs):
+        out = terms(*args, **kwargs)
+        underflows.append(bool(np.any(-np.abs(out[1]) < _kernels._EXP_ZERO)))
+        return out
+
+    monkeypatch.setattr(_kernels, "uaf_terms", spy)
+    kinds = (uk.STEP, uk.RELU, uk.TANH)
+    wide = (-1000.0, 1000.0)
+    bounded = [uk.error_report(uk.preset(k), uk.target(k), wide).to_dict() for k in kinds]
+    assert any(underflows)  # the masked exp was taken
+    slope = uk.analysis._k_slope
+    monkeypatch.setattr(uk.analysis, "_k_slope",
+                        lambda xs, A, B, C, D, xmax=None: slope(xs, A, B, C, D))
+    unbounded = [uk.error_report(uk.preset(k), uk.target(k), wide).to_dict() for k in kinds]
+    assert json.dumps(unbounded) == json.dumps(bounded)
+
+
 def _sequential_bisect(p, t, a, b, up, halvings):
     """The reference for the midpoint tree: one halving at a time."""
     for _ in range(halvings):

@@ -412,6 +412,7 @@ def test_stacked_kernels_match_the_two_array_kernels_bitwise(n, scale):
                 assert _same_bits(k.uaf_eval(xs, *params, terms=t), _two_array_eval(xs, *params))
                 assert _same_bits(k.uaf_grad(xs, *params, terms=t), grad)
                 assert _same_bits(k.uaf_slope(xs, *params[:4], terms=t), grad[:, 0])
+                assert _same_bits(k.uaf_partials(xs, *params[:4], terms=t), grad[:, 1:])
 
 
 def test_terms_are_stacked_and_left_unchanged_by_their_users():
@@ -432,6 +433,91 @@ def test_terms_are_stacked_and_left_unchanged_by_their_users():
     k.uaf_grad(xs, *params, terms=terms)
     k.uaf_slope(xs, *params[:4], terms=terms)
     assert all(_same_bits(a, b) for a, b in zip(terms, before))
+
+
+# Overflowing z (inf - inf is NaN), zero and signed-zero parameters, and
+# the relu-family fit's first and last slopes.
+_EXTREME_PARAMS = [
+    (1e300, 0.5, -1e300, 1e300, 0.0), (-1e300, -1e300, 1e300, -1e300, 1e300),
+    (0.0, -0.0, 0.0, -0.0, 0.0), (1e-300, 1e300, -1e-300, 1e-300, -1.0),
+    (71.05, 0.0, 0.0, 70.05, 0.0), (1923.0, 0.0, 0.0, 1922.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("params", _EXTREME_PARAMS)
+def test_partials_kernel_is_the_grad_columns_at_extreme_parameters(params):
+    from uafkit import _kernels as k
+
+    xs = np.concatenate([np.linspace(-1e3, 1e3, 2001), _SPECIAL, [1e200, -1e200]])
+    with np.errstate(all="ignore"):
+        for t in (None, k.uaf_terms(xs, *params[:4])):
+            want = k.uaf_grad(xs, *params, terms=t)[:, 1:]
+            assert _same_bits(k.uaf_partials(xs, *params[:4], terms=t), want)
+
+
+def test_exp_gives_zero_below_the_masked_point():
+    from uafkit._kernels import _EXP_ZERO
+
+    assert np.exp(np.nextafter(_EXP_ZERO, -np.inf)) == 0.0
+    assert np.exp(_EXP_ZERO) == 5e-324
+
+
+def _straddling_lanes():
+    """Every float within 40 ulp of +-_EXP_ZERO, then far beyond it and
+    inside it: with A = D = 1 and B = C = 0, z1 = z2 = x on these lanes."""
+    from uafkit._kernels import _EXP_ZERO
+
+    near = np.full(81, _EXP_ZERO)
+    for i in range(1, 41):
+        near[40 - i] = np.nextafter(near[41 - i], -np.inf)
+        near[40 + i] = np.nextafter(near[39 + i], np.inf)
+    return np.concatenate([near, -near, [-800.0, 800.0, -1e4, 1e4, 0.0, -0.0, 1.5, -700.0]])
+
+
+@pytest.mark.parametrize("params", [
+    (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0),
+    (-300.0, 0.5, -20.0, -150.0),  # z1's vertex -A/2C = -7.5 lies inside
+    (3.0, -2.0, 40.0, -60.0), (71.05, 0.0, 0.0, 70.05), (1923.0, 0.0, 0.0, 1922.0),
+])
+@pytest.mark.parametrize("sort", [True, False])
+def test_terms_are_bitwise_the_same_for_any_bound(params, sort):
+    from uafkit import _kernels as k
+
+    xs = np.concatenate([np.linspace(-10.0, 10.0, 2001), _straddling_lanes()])
+    if sort:
+        xs.sort()
+    else:
+        np.random.default_rng(5).shuffle(xs)
+    honest = float(np.max(np.abs(xs)))
+    plain = k.uaf_terms(xs, *params)
+    a = -np.abs(plain[1])
+    below = a < k._EXP_ZERO
+    assert below.any() and (~below).any()
+    assert np.array_equal(plain[2] > 0.0, ~below)
+    if params[:2] == (1.0, 0.0):
+        assert np.any(plain[2] == 5e-324)  # the subnormal lanes just above the point
+    for xmax in (None, 0.0, honest, np.inf):
+        terms = k.uaf_terms(xs, *params, xmax=xmax)
+        assert all(_same_bits(got, want) for got, want in zip(terms, plain))
+        # masked lanes are +0.0, not -0.0 and not the argument left behind
+        assert np.all(terms[2].view(np.int64)[below] == 0)
+        shortened = k.uaf_terms(xs, *params, shifts=False, xmax=xmax)
+        assert _same_bits(shortened[1], plain[1]) and _same_bits(shortened[2], plain[2])
+        assert _same_bits(k.uaf_slope(xs, *params, xmax=xmax), k.uaf_slope(xs, *params))
+
+
+def test_a_nan_lane_goes_through_exp_with_the_bound():
+    from uafkit import _kernels as k
+
+    # A(x + B) and Cx^2 overflow to opposite infinities: z1 is NaN from finite inputs.
+    xs = np.array([-10.0, -1.0, 0.0, 1.0, 10.0])
+    params = (1e308, 0.0, -1e308, 1.0)
+    with np.errstate(all="ignore"):
+        plain = k.uaf_terms(xs, *params)
+        assert np.isnan(plain[1]).any()
+        bounded = k.uaf_terms(xs, *params, xmax=10.0)
+        assert all(_same_bits(got, want) for got, want in zip(bounded, plain))
+        assert _same_bits(k.uaf_slope(xs, *params, xmax=10.0), k.uaf_slope(xs, *params))
 
 
 @pytest.mark.parametrize("block", [7, 1000])

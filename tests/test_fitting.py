@@ -169,6 +169,35 @@ def test_fit_with_reused_terms_matches_fresh_jacobians(monkeypatch):
     assert [json.dumps(uk.fit(spec).to_dict()) for spec in specs] == reused
 
 
+def test_the_bound_on_x_changes_no_fit_result(monkeypatch):
+    from uafkit import fitting
+    from uafkit._kernels import _EXP_ZERO
+
+    specs = _reuse_specs() + [
+        FitSpec.from_dict({**uk.builtin_spec(name).to_dict(), "interval": [-1000.0, 1000.0]})
+        for name in uk.BUILTIN_SPEC_NAMES
+    ]
+    underflows = []
+    terms = fitting._k_terms
+
+    def spy(*args, **kwargs):
+        out = terms(*args, **kwargs)
+        underflows.append(bool(np.any(-np.abs(out[1]) < _EXP_ZERO)))
+        return out
+
+    monkeypatch.setattr(fitting, "_k_terms", spy)
+    bounded = [json.dumps(uk.fit(spec).to_dict()) for spec in specs]
+    assert any(underflows)  # the masked exp was taken
+    init = _Objective.__init__
+
+    def unbounded(self, spec):
+        init(self, spec)
+        self.xmax = None
+
+    monkeypatch.setattr(_Objective, "__init__", unbounded)
+    assert [json.dumps(uk.fit(spec).to_dict()) for spec in specs] == bounded
+
+
 def test_builtin_constants():
     sig = uk.fit(uk.builtin_spec("sigmoid-family"))
     assert sig.converged

@@ -4,6 +4,10 @@ partials alone (``uaf_partials``), the x-derivative alone (``uaf_slope``),
 the terms they are built from (``uaf_terms``), and the overflow-safe
 ``softplus`` and ``logistic``, which ``targets`` also uses.
 
+``uaf_partials(..., read=)`` fills only the partial columns its caller
+reads and leaves the others +0.0: the fitter's tie matrix multiplies most
+of the five by zero rows.
+
 The terms of n points are the tuple (xs, z, e, x+B, x-B): xs as contiguous
 float64, z one stacked (2, n) buffer holding z1 = A(x+B)+Cx^2 in row 0 and
 z2 = D(x-B) in row 1, e = e^{-|z|} stacked alike, and the two shifted grids.
@@ -45,6 +49,9 @@ BATCH_BLOCK = 65536
 # ln 2^-1075: np.exp gives the subnormal 5e-324 here and 0.0 for every
 # argument below it.
 _EXP_ZERO = -745.1332191019411
+
+# uaf_partials' default read mask: all five columns, (dA, dB, dC, dD, dE).
+ALL_PARTIALS = (True,) * 5
 
 
 def in_blocks(fn, xs: np.ndarray, *args) -> np.ndarray:
@@ -169,35 +176,47 @@ def uaf_grad(
 
 
 def uaf_partials(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None
+    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None,
+    read: tuple[bool, ...] = ALL_PARTIALS,
 ) -> np.ndarray:
     """The (n, 5) parameter partials (df/dA, ..., df/dE) alone, bitwise equal
     to columns 1-5 of uaf_grad: the fitter's Jacobian needs no df/dx. terms
-    as in uaf_eval."""
+    as in uaf_eval.
+
+    read marks, in that order, the columns the caller reads. Those are
+    bitwise the columns of uaf_grad; every other column is +0.0, even where
+    the partial itself would be inf or NaN."""
     xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
     s1, s2 = logistic(z, e)
     del z, e
-    out = np.empty((xs.shape[0], 5), dtype=np.float64)
-    _partials_into(out, xs, A, D, s1, s2, xpb, xmb)
+    out = (np.empty if all(read) else np.zeros)((xs.shape[0], 5), dtype=np.float64)
+    _partials_into(out, xs, A, D, s1, s2, xpb, xmb, read)
     return out
 
 
-def _partials_into(out, xs, A, D, s1, s2, xpb, xmb) -> np.ndarray:
-    """Writes the parameter partials of uaf_grad's docstring into the five
-    columns of out, from s1 = s(z1) and s2 = s(z2); returns s(z2)D, which
-    df/dx also takes."""
-    s2d = s2 * D
-    np.multiply(s1, xpb, out=out[:, 0])
-    col = out[:, 1]
-    np.multiply(s1, A, out=col)
-    col += s2d
-    col = out[:, 2]
-    np.multiply(s1, xs, out=col)
-    col *= xs
-    col = out[:, 3]
-    np.negative(s2, out=col)
-    col *= xmb
-    out[:, 4] = 1.0
+def _partials_into(out, xs, A, D, s1, s2, xpb, xmb, read=ALL_PARTIALS) -> np.ndarray | None:
+    """Writes the parameter partials of uaf_grad's docstring into the columns
+    of out that read marks, from s1 = s(z1) and s2 = s(z2); returns s(z2)D,
+    which df/dx also takes, when the df/dB column is read (else None)."""
+    read_a, read_b, read_c, read_d, read_e = read
+    s2d = None
+    if read_a:
+        np.multiply(s1, xpb, out=out[:, 0])
+    if read_b:
+        s2d = s2 * D
+        col = out[:, 1]
+        np.multiply(s1, A, out=col)
+        col += s2d
+    if read_c:
+        col = out[:, 2]
+        np.multiply(s1, xs, out=col)
+        col *= xs
+    if read_d:
+        col = out[:, 3]
+        np.negative(s2, out=col)
+        col *= xmb
+    if read_e:
+        out[:, 4] = 1.0
     return s2d
 
 

@@ -9,6 +9,13 @@ the k x k normal equations of the free parameters, whose Jacobian comes from
 the analytic parameter partials chained through the ties. A trial step is
 kept only when the mean squared error does not increase, so the reported
 RMSE trace is monotone; there is no randomness, so fits are deterministic.
+
+An iteration does only the work whose result is read. The kernel fills the
+partial columns of the free parameters and of those tied to one, and leaves
+the rest +0.0 for the tie matrix's zero rows (unless a column may hold inf,
+whose product with 0.0 is NaN). The 1 x 1 system of a one-parameter fit is
+solved as b * (1 / m), which is what LAPACK's lstsq computes for it. Both
+keep every result bitwise what all five columns and lstsq give.
 """
 
 from __future__ import annotations
@@ -215,6 +222,14 @@ class _Objective:
         self.grid = np.linspace(lo, hi, spec.n_samples)
         # The bound on |x| that lets the kernel skip exp's underflow lanes.
         self.xmax = max(abs(lo), abs(hi))
+        # The rows of chain (see jacobian) that can be nonzero: the free
+        # parameters and those tied to one. Only their partials are read.
+        tied = {t.param for t in spec.ties if t.kind != "const"}
+        self.read = tuple(name in spec.free or name in tied for name in PARAM_NAMES)
+        # The largest |x| on the grid, for jacobian's bounds on the unread
+        # partials. Those bounds decide bits, so they do not take self.xmax,
+        # which only picks a kernel path.
+        self.grid_max = float(np.abs(self.grid).max())
         self.tvals = target_eval_batch(spec.target, self.grid)
         self.const = {
             name: getattr(spec.init, name)
@@ -249,14 +264,48 @@ class _Objective:
         """(n, k) matrix d r / d theta: the kernel's parameter partials times
         d(A..E)/d(theta), which is 1 on each free parameter's own row and the
         tie slope on the row of every parameter tied to it. terms, from
-        residual(params), saves computing them again."""
+        residual(params), saves computing them again.
+
+        Only the partials of self.read are computed; the others are +0.0, so
+        that 0.0 times their zero row of chain adds nothing, as a finite
+        partial does. A partial is computed anyway where its bound is not
+        finite, since inf times 0.0 is NaN. With s = logistic in [0, 1]
+        (finite where the mean square is), the bounds are grid_max + |B| for
+        dA and dD, |A| + |D| for dB and grid_max^2 for dC; dE is 1."""
+        A, B, C, D = params.as_tuple()[:4]
+        read = self.read
+        if not all(read):
+            shift = self.grid_max + abs(B)
+            bounds = (shift, abs(A) + abs(D), self.grid_max * self.grid_max, shift, 1.0)
+            read = tuple(r or not math.isfinite(b) for r, b in zip(read, bounds))
         chain = np.zeros((len(PARAM_NAMES), len(theta)))
         for i, name in enumerate(self.spec.free):
             chain[PARAM_NAMES.index(name), i] = 1.0
             for tie in self.spec.ties:
                 if tie.source == name:
                     chain[PARAM_NAMES.index(tie.param), i] = tie.d_source(float(theta[i]))
-        return _k_partials(self.grid, *params.as_tuple()[:4], terms=terms) @ chain
+        return _k_partials(self.grid, A, B, C, D, terms=terms, read=read) @ chain
+
+
+# dgelsd, which lstsq calls, scales a matrix or right-hand side whose largest
+# magnitude lies outside [2^-970, 2^970] (its SMLNUM and BIGNUM); a 1 x 1
+# system inside that range it solves as b * (1 / m).
+_UNSCALED = (2.0**-970, 2.0**970)
+
+
+def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray:
+    """delta solving (jtj + lam diag(jtj)) delta = jtr, bitwise as lstsq
+    gives it. For k = 1 with m = jtj + lam jtj and b = jtr both in _UNSCALED,
+    that is b * (1 / m) without the SVD; any other system goes to lstsq."""
+    if jtr.shape[0] == 1:
+        j, b = float(jtj[0, 0]), float(jtr[0])
+        m = j + lam * j
+        lo, hi = _UNSCALED
+        if lo <= abs(m) <= hi and lo <= abs(b) <= hi:
+            return np.array([b * (1.0 / m)])
+    # lstsq, not solve: a parameter with no effect on the residual leaves a
+    # zero row and column, and gets a zero step.
+    return np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), jtr, rcond=None)[0]
 
 
 # Consecutive rejected trials before the fit stops as stalled: the damping has
@@ -273,8 +322,11 @@ def fit(spec: FitSpec) -> FitResult:
     Each accepted step builds the residual r and its Jacobian J once, from
     the same kernel terms, and solves the k x k damped normal equations
     (J^T J + lam diag(J^T J)) delta = J^T r, starting from
-    lam = spec.learning_rate. The trial theta - delta is accepted when its
-    ties assemble to finite parameters and its MSE does not increase, so the
+    lam = spec.learning_rate. J fills only the partial columns that its tie
+    matrix reads (see _Objective.jacobian), and a 1 x 1 system is solved by
+    one multiply with the reciprocal, bitwise as lstsq solves it (see
+    _damped_step). The trial theta - delta is accepted when its ties
+    assemble to finite parameters and its MSE does not increase, so the
     RMSE trace is non-increasing; lam then shrinks 10x. A rejected trial
     grows lam 10x and is retried from the same point.
 
@@ -311,9 +363,7 @@ def fit(spec: FitSpec) -> FitResult:
             stop_reason = "zero_gradient"
             break
         for _trial in range(_MAX_REJECTIONS):
-            # lstsq, not solve: a parameter with no effect on the residual
-            # leaves a zero row and column, and gets a zero step.
-            delta = np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), jtr, rcond=None)[0]
+            delta = _damped_step(jtj, jtr, lam)
             trial_theta = theta - delta
             trial_params = obj.assemble(trial_theta)
             if trial_params is not None:

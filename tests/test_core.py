@@ -455,6 +455,28 @@ def test_partials_kernel_is_the_grad_columns_at_extreme_parameters(params):
             assert _same_bits(k.uaf_partials(xs, *params[:4], terms=t), want)
 
 
+_RANDOM_PARAMS = [tuple(np.random.default_rng(seed).normal(0.0, scale, 5))
+                  for seed, scale in enumerate((1e-2, 1.0, 1e2))]
+
+
+@pytest.mark.parametrize("params", _EXTREME_PARAMS + _RANDOM_PARAMS)
+def test_partials_fill_only_the_read_columns(params):
+    import itertools
+
+    from uafkit import _kernels as k
+
+    xs = np.concatenate([np.linspace(-1e3, 1e3, 2001), _SPECIAL, [1e200, -1e200]])
+    with np.errstate(all="ignore"):
+        full = k.uaf_grad(xs, *params)[:, 1:]
+        assert _same_bits(k.uaf_partials(xs, *params[:4]), full)
+        for t in (None, k.uaf_terms(xs, *params[:4])):
+            for read in itertools.product((False, True), repeat=5):
+                got = k.uaf_partials(xs, *params[:4], terms=t, read=read)
+                cols = np.array(read)
+                assert got.shape == full.shape and _same_bits(got[:, cols], full[:, cols])
+                assert np.all(got[:, ~cols].view(np.int64) == 0)  # +0.0, never -0.0
+
+
 def test_exp_gives_zero_below_the_masked_point():
     from uafkit._kernels import _EXP_ZERO
 

@@ -198,6 +198,104 @@ def test_the_bound_on_x_changes_no_fit_result(monkeypatch):
     assert [json.dumps(uk.fit(spec).to_dict()) for spec in specs] == bounded
 
 
+def _outcome(call):
+    """The bits of call()'s result, or the type of the exception it raised."""
+    try:
+        return np.ascontiguousarray(call()).view(np.int64).tolist()
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+def _lstsq_step(jtj, jtr, lam):
+    return np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), jtr, rcond=None)[0]
+
+
+def test_the_damped_step_is_lstsq_bitwise():
+    from uafkit.fitting import _damped_step
+
+    rng = np.random.default_rng(13)
+    lo, hi = 2.0**-970, 2.0**970
+    edges = [np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0),
+             np.nextafter(hi, 0.0), hi, np.nextafter(hi, np.inf)]
+    cases = [(10.0 ** rng.uniform(-200, 200), 10.0 ** rng.uniform(-12, 12),
+              rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-200, 200)) for _ in range(5000)]
+    # lam = 1e-30 leaves m = j, so m sits on each edge exactly
+    cases += [(m, 1e-30, b) for m in edges for b in (1.0, -3.0, lo, -hi)]
+    cases += [(1.0, 0.1, b) for b in edges + [5e-324, -5e-324, 1.7976931348623157e308]]
+    cases += [(0.0, 0.1, 1.0), (0.0, 1e6, -2.5)]  # m = 0
+    cases += [(1e300, 1e10, 1.0), (1e200, 1e200, -1.0)]  # lam * jtj overflows: m = inf
+    with np.errstate(all="ignore"):
+        for j, lam, b in cases:
+            jtj, jtr = np.array([[j]]), np.array([b])
+            want = _outcome(lambda: _lstsq_step(jtj, jtr, lam))
+            assert _outcome(lambda: _damped_step(jtj, jtr, lam)) == want, (j, lam, b)
+        jtj, jtr = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, -2.0])
+        assert _outcome(lambda: _damped_step(jtj, jtr, 0.1)) == _outcome(
+            lambda: _lstsq_step(jtj, jtr, 0.1))
+
+
+def _masked_fit_specs():
+    """The builtins on three intervals at three initial lambdas, tie kinds
+    that leave chain rows zero, k = 2, and a free fit."""
+    specs = [
+        FitSpec.from_dict({**uk.builtin_spec(name).to_dict(), "interval": list(interval),
+                           "learning_rate": lam})
+        for name in uk.BUILTIN_SPEC_NAMES
+        for interval in ((-10.0, 10.0), (-1000.0, 1000.0), (-1e-3, 2e-3))
+        for lam in (0.1, 1e-6, 1e6)
+    ]
+    sigmoid = uk.TargetActivation(uk.SIGMOID)
+    specs += [
+        _spec(ties=(Tie("D", "same", "A"), Tie("E", "const", None, 0.125)),
+              init=uk.UafParams(1.0, 0.5, 0.0, 1.0, 0.125)),
+        _spec(ties=(Tie("B", "recip", "A", 0.0), Tie("D", "same", "A"))),  # a zero chain row
+        _spec(ties=(Tie("D", "offset", "A", -0.5),), init=uk.UafParams(1.0, 0.5, 0.0, 0.5, 0.0)),
+        _spec(free=("A", "C"), ties=(Tie("B", "recip", "A", 0.5), Tie("D", "same", "A"))),
+        FitSpec(target=uk.TargetActivation(uk.SOFTPLUS), free=uk.core.PARAM_NAMES,
+                init=uk.preset(uk.IDENTITY)),
+        FitSpec(target=sigmoid, free=("B", "E"), init=uk.preset(uk.SIGMOID)),
+    ]
+    return specs
+
+
+# Each start has one unread partial that is inf or NaN somewhere, and its
+# zero row of chain makes the Jacobian NaN, so the fit stalls at once:
+# dB = s1 A + s2 D = inf where x > 0; dA = s1 (x + B) = 0 * inf where x + B
+# overflows; dD = -s2 (x - B) = -0 * inf likewise; dC = 0.5 x^2 = inf.
+_ZERO_TIMES_INF = [
+    FitSpec(target=uk.TargetActivation(uk.IDENTITY), free=("A",),
+            init=uk.UafParams(1e308, 0.0, 0.0, 1e308, 0.0), interval=(-1e-160, 1e-160)),
+    FitSpec(target=uk.TargetActivation(uk.SIGMOID), free=("E",),
+            init=uk.UafParams(-1.0, 1e308, 0.0, 0.0, 0.0), interval=(-1e300, 8e307)),
+    FitSpec(target=uk.TargetActivation(uk.SIGMOID), free=("E",),
+            init=uk.UafParams(0.0, -1e308, -1.0, -1.0, 0.0), interval=(-1e300, 8e307)),
+    FitSpec(target=uk.TargetActivation(uk.SIGMOID), free=("E",),
+            init=uk.UafParams(0.0, 0.0, 0.0, 0.0, 0.0), interval=(-1e200, 1e200)),
+]
+
+
+def test_reading_fewer_columns_and_the_k1_step_change_no_fit_result(monkeypatch):
+    from uafkit import fitting
+
+    specs = _masked_fit_specs() + _ZERO_TIMES_INF
+    assert sum(not all(_Objective(spec).read) for spec in specs) >= 36 + len(_ZERO_TIMES_INF)
+    with np.errstate(all="ignore"):
+        masked = [uk.fit(spec) for spec in specs]
+    for res in masked[-len(_ZERO_TIMES_INF):]:
+        assert (res.stop_reason, res.iterations) == ("stalled", 0)
+    init = _Objective.__init__
+
+    def all_columns(self, spec):
+        init(self, spec)
+        self.read = (True,) * 5
+
+    monkeypatch.setattr(_Objective, "__init__", all_columns)
+    monkeypatch.setattr(fitting, "_damped_step", _lstsq_step)
+    with np.errstate(all="ignore"):
+        full = [uk.fit(spec) for spec in specs]
+    assert [json.dumps(r.to_dict()) for r in full] == [json.dumps(r.to_dict()) for r in masked]
+
+
 def test_builtin_constants():
     sig = uk.fit(uk.builtin_spec("sigmoid-family"))
     assert sig.converged

@@ -16,12 +16,15 @@ caller that needs both the value and the derivatives at the same points (the
 fitter's accepted residual and its Jacobian, the network's activation forward
 and backward) computes the terms once.
 
-A caller that knows a bound on |x| passes it to uaf_terms as xmax. When the
-parameters let some |z| pass -_EXP_ZERO, e is then taken with a masked exp
-that leaves 0.0 on the lanes where exp underflows, skipping NumPy's slow
-path for them (about 8x slower than a normal lane). Those lanes would have
-been 0.0 anyway, so xmax picks a path and never changes a bit; without it
-the unmasked exp, faster where nothing underflows, is always taken.
+A caller that knows its points are finite and bounded in |x| passes the
+bound to uaf_terms as xmax. When the parameters let some |z| pass
+-_EXP_ZERO, e is then taken with a masked exp that leaves 0.0 on the lanes
+where exp underflows, skipping NumPy's slow path for them (about 8x slower
+than a normal lane). Those lanes would have been 0.0 anyway. With xmax
+given and C = +-0.0, z1 also skips the Cx^2 pass: for finite x, (Cx)x is
+C's own signed zero, so z1 = A(x+B) + C. For finite points, then, xmax
+picks a path and never changes a bit; without it the unmasked exp, faster
+where nothing underflows, and the full z1 are always taken.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
@@ -100,19 +103,24 @@ def uaf_terms(
     With shifts=False, x+B and x-B are formed in the rows of z and the last
     two entries are None: only uaf_grad and uaf_partials read them.
 
-    xmax is the caller's promise that every |x| <= xmax. From it and the
-    parameters alone, |z1| <= |A|(xmax + |B|) + |C|xmax^2 and
-    |z2| <= |D|(xmax + |B|); when either bound passes -_EXP_ZERO, the lanes
-    where -|z| < _EXP_ZERO get e = +0.0 without going through exp. The
-    result is bitwise the same for any xmax, None included: a wrong xmax
-    only picks the slower path."""
+    xmax is the caller's promise that every x is finite and |x| <= xmax.
+    From it and the parameters alone, |z1| <= |A|(xmax + |B|) + |C|xmax^2
+    and |z2| <= |D|(xmax + |B|); when either bound passes -_EXP_ZERO, the
+    lanes where -|z| < _EXP_ZERO get e = +0.0 without going through exp.
+    When C == 0.0, z1 adds C in place of Cx^2, which finite x makes the
+    same signed zero. For finite xs the result is bitwise the same for any
+    xmax, None included: a wrong bound only picks the slower path. A
+    non-finite x needs xmax=None."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     z = np.empty((2,) + xs.shape)
     xpb = np.add(xs, B, out=None if shifts else z[0])
     np.multiply(A, xpb, out=z[0])
-    np.multiply(C, xs, out=z[1])  # Cx^2, in the row z2 fills next
-    z[1] *= xs
-    z[0] += z[1]
+    if xmax is not None and C == 0.0:
+        z[0] += C  # for finite x, (Cx)x is C's own signed zero
+    else:
+        np.multiply(C, xs, out=z[1])  # Cx^2, in the row z2 fills next
+        z[1] *= xs
+        z[0] += z[1]
     xmb = np.subtract(xs, B, out=None if shifts else z[1])
     np.multiply(D, xmb, out=z[1])
     a = np.abs(z)

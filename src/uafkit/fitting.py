@@ -16,6 +16,12 @@ the rest +0.0 for the tie matrix's zero rows (unless a column may hold inf,
 whose product with 0.0 is NaN). The 1 x 1 system of a one-parameter fit is
 solved as b * (1 / m), which is what LAPACK's lstsq computes for it. Both
 keep every result bitwise what all five columns and lstsq give.
+
+What does not change between iterations is built once per fit: the tie
+matrix, of which only the recip slopes are refilled at each theta, and the
+parameters pinned by spec.init or a const tie. Trial parameters travel as
+5-tuples of floats, and a one-parameter fit tests its 1 x 1 normal
+equations as two floats.
 """
 
 from __future__ import annotations
@@ -214,10 +220,10 @@ class FitResult:
 
 class _Objective:
     """Residual r = f - target over the sample grid, and its Jacobian with
-    respect to the free parameters, chained through the ties."""
+    respect to the free parameters, chained through the ties. Parameters
+    travel as 5-tuples of floats in PARAM_NAMES order (see assemble)."""
 
     def __init__(self, spec: FitSpec):
-        self.spec = spec
         lo, hi = spec.interval
         self.grid = np.linspace(lo, hi, spec.n_samples)
         # The bound on |x| that lets the kernel skip exp's underflow lanes.
@@ -231,40 +237,60 @@ class _Objective:
         # which only picks a kernel path.
         self.grid_max = float(np.abs(self.grid).max())
         self.tvals = target_eval_batch(spec.target, self.grid)
-        self.const = {
-            name: getattr(spec.init, name)
-            for name in PARAM_NAMES
-            if name not in spec.free and name not in {t.param for t in spec.ties}
-        }
+        # What assemble starts from: spec.init with the const ties applied.
+        # theta[i] goes to row self.free_rows[i]; every other tie sets its row
+        # from its source's, which is a free row.
+        row = PARAM_NAMES.index
+        self.free_rows = tuple(map(row, spec.free))
+        values = list(spec.init.as_tuple())
+        self.ties = []
+        for tie in spec.ties:
+            if tie.kind == "const":
+                values[row(tie.param)] = tie.value
+            else:
+                self.ties.append((row(tie.param), row(tie.source), tie))
+        self.fixed = values
+        # The tie matrix d(A..E)/d(theta): 1 on each free parameter's own row
+        # and the tie slope on the row of every parameter tied to it. Only a
+        # recip slope depends on theta; jacobian fills those (row, column).
+        column = {r: i for i, r in enumerate(self.free_rows)}
+        self.chain = np.zeros((len(PARAM_NAMES), len(spec.free)))
+        for r, i in column.items():
+            self.chain[r, i] = 1.0
+        self.recip = []
+        for r, source, tie in self.ties:
+            if tie.kind == "recip":
+                self.recip.append((r, column[source], tie))
+            else:
+                self.chain[r, column[source]] = tie.d_source(0.0)
 
-    def assemble(self, theta: np.ndarray) -> UafParams | None:
-        """Full parameter vector for the given free values; None when a tie
-        or a non-finite free value makes the result invalid."""
-        vals = dict(self.const)
-        vals.update(zip(self.spec.free, theta.tolist()))
+    def assemble(self, theta: np.ndarray) -> tuple[float, ...] | None:
+        """The five parameters as floats for the given free values; None
+        when a tie divides by zero or any of them is not finite."""
+        values = self.fixed.copy()
+        for r, value in zip(self.free_rows, theta.tolist()):
+            values[r] = value
         try:
-            for tie in self.spec.ties:
-                src = 0.0 if tie.source is None else vals[tie.source]
-                vals[tie.param] = tie.resolve(src)
-            return UafParams(**vals)
-        except (ValueError, ZeroDivisionError):
+            for r, source, tie in self.ties:
+                values[r] = tie.resolve(values[source])
+        except ZeroDivisionError:
             return None
+        return tuple(values) if all(map(math.isfinite, values)) else None
 
-    def residual(self, params: UafParams) -> tuple[np.ndarray, float, tuple]:
+    def residual(self, values: tuple) -> tuple[np.ndarray, float, tuple]:
         """r = f - target on the grid, its mean square, and the kernel terms
-        it was computed from (see _kernels), for the Jacobian at params."""
-        values = params.as_tuple()
+        it was computed from (see _kernels), for the Jacobian at values."""
         terms = _k_terms(self.grid, *values[:4], xmax=self.xmax)
-        r = _k_eval(self.grid, *values, terms=terms) - self.tvals
+        r = _k_eval(self.grid, *values, terms=terms)
+        r -= self.tvals
         return r, float((r * r).sum() / r.size), terms
 
     def jacobian(
-        self, params: UafParams, theta: np.ndarray, terms: tuple | None = None
+        self, values: tuple, theta: np.ndarray, terms: tuple | None = None
     ) -> np.ndarray:
         """(n, k) matrix d r / d theta: the kernel's parameter partials times
-        d(A..E)/d(theta), which is 1 on each free parameter's own row and the
-        tie slope on the row of every parameter tied to it. terms, from
-        residual(params), saves computing them again.
+        the tie matrix self.chain, whose recip slopes are taken at theta.
+        terms, from residual(values), saves computing them again.
 
         Only the partials of self.read are computed; the others are +0.0, so
         that 0.0 times their zero row of chain adds nothing, as a finite
@@ -272,18 +298,19 @@ class _Objective:
         finite, since inf times 0.0 is NaN. With s = logistic in [0, 1]
         (finite where the mean square is), the bounds are grid_max + |B| for
         dA and dD, |A| + |D| for dB and grid_max^2 for dC; dE is 1."""
-        A, B, C, D = params.as_tuple()[:4]
+        A, B, C, D = values[:4]
         read = self.read
         if not all(read):
             shift = self.grid_max + abs(B)
             bounds = (shift, abs(A) + abs(D), self.grid_max * self.grid_max, shift, 1.0)
-            read = tuple(r or not math.isfinite(b) for r, b in zip(read, bounds))
-        chain = np.zeros((len(PARAM_NAMES), len(theta)))
-        for i, name in enumerate(self.spec.free):
-            chain[PARAM_NAMES.index(name), i] = 1.0
-            for tie in self.spec.ties:
-                if tie.source == name:
-                    chain[PARAM_NAMES.index(tie.param), i] = tie.d_source(float(theta[i]))
+            # The bounds are >= 0, so a finite sum means all are finite.
+            if not math.isfinite(sum(bounds)):
+                read = tuple(r or not math.isfinite(b) for r, b in zip(read, bounds))
+        chain = self.chain
+        if self.recip:
+            chain = chain.copy()
+            for r, i, tie in self.recip:
+                chain[r, i] = tie.d_source(theta.item(i))
         return _k_partials(self.grid, A, B, C, D, terms=terms, read=read) @ chain
 
 
@@ -293,19 +320,27 @@ class _Objective:
 _UNSCALED = (2.0**-970, 2.0**970)
 
 
-def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray:
+def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray | None:
     """delta solving (jtj + lam diag(jtj)) delta = jtr, bitwise as lstsq
-    gives it. For k = 1 with m = jtj + lam jtj and b = jtr both in _UNSCALED,
-    that is b * (1 / m) without the SVD; any other system goes to lstsq."""
+    gives it, or None when that damped matrix is not finite (jtj and jtr
+    are). For k = 1 with m = jtj + lam jtj and b = jtr both in _UNSCALED,
+    delta is b * (1 / m) without the SVD; any other system goes to lstsq."""
     if jtr.shape[0] == 1:
-        j, b = float(jtj[0, 0]), float(jtr[0])
+        j, b = jtj.item(), jtr.item()
         m = j + lam * j
         lo, hi = _UNSCALED
         if lo <= abs(m) <= hi and lo <= abs(b) <= hi:
             return np.array([b * (1.0 / m)])
+        if not math.isfinite(m):
+            return None
+        damped = np.array([[m]])
+    else:
+        damped = jtj + lam * np.diag(np.diag(jtj))
+        if not np.isfinite(damped).all():
+            return None
     # lstsq, not solve: a parameter with no effect on the residual leaves a
     # zero row and column, and gets a zero step.
-    return np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), jtr, rcond=None)[0]
+    return np.linalg.lstsq(damped, jtr, rcond=None)[0]
 
 
 # Consecutive rejected trials before the fit stops as stalled: the damping has
@@ -326,65 +361,81 @@ def fit(spec: FitSpec) -> FitResult:
     matrix reads (see _Objective.jacobian), and a 1 x 1 system is solved by
     one multiply with the reciprocal, bitwise as lstsq solves it (see
     _damped_step). The trial theta - delta is accepted when its ties
-    assemble to finite parameters and its MSE does not increase, so the
-    RMSE trace is non-increasing; lam then shrinks 10x. A rejected trial
-    grows lam 10x and is retried from the same point.
+    assemble to finite parameters (see _Objective.assemble) and its MSE does
+    not increase, so the RMSE trace is non-increasing; lam then shrinks 10x.
+    A rejected trial grows lam 10x and is retried from the same point. With
+    one free parameter, J^T J and J^T r are read as two floats once per step
+    for the finiteness and zero-gradient tests.
 
     stop_reason is "tolerance" when an accepted trial improves the RMSE by
     less than spec.tolerance (the trial is not recorded); "stalled" after
-    _MAX_REJECTIONS rejected trials in a row, or when the normal equations
-    overflow; "zero_gradient" when J^T r is exactly zero; and "max_iters"
-    after spec.max_iters accepted steps, the only stop not counted converged.
+    _MAX_REJECTIONS rejected trials in a row, when the normal equations
+    overflow, or when the damped matrix does (lam * diag(J^T J) is not
+    finite: lam only grows from there, so no step can follow);
+    "zero_gradient" when J^T r is exactly zero; and "max_iters" after
+    spec.max_iters accepted steps, the only stop not counted converged.
 
     Raises ValueError when spec.init breaks the ties or gives a non-finite
     error, since no step can be measured from there.
     """
     obj = _Objective(spec)
     theta = np.array([getattr(spec.init, name) for name in spec.free], dtype=np.float64)
-    params = obj.assemble(theta)
-    if params is None:
+    values = obj.assemble(theta)
+    if values is None:
         raise ValueError("initial parameters violate the ties (non-finite result)")
 
-    r, cur_mse, terms = obj.residual(params)
+    r, cur_mse, terms = obj.residual(values)
     if not math.isfinite(cur_mse):
         raise ValueError("initial parameters give a non-finite mean squared error")
     trace = [math.sqrt(cur_mse)]
     lam = spec.learning_rate
     stop_reason = "max_iters"
+    scalar = len(theta) == 1
 
     for _ in range(spec.max_iters):
-        jac = obj.jacobian(params, theta, terms)
+        jac = obj.jacobian(values, theta, terms)
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        if not (np.isfinite(jtj).all() and np.isfinite(jtr).all()):
+        if scalar:
+            j, b = jtj.item(), jtr.item()
+            finite, moving = math.isfinite(j) and math.isfinite(b), b != 0.0
+        else:
+            finite = np.isfinite(jtj).all() and np.isfinite(jtr).all()
+            moving = np.any(jtr)
+        if not finite:
             stop_reason = "stalled"
             break
-        if not np.any(jtr):
+        if not moving:
             stop_reason = "zero_gradient"
             break
         for _trial in range(_MAX_REJECTIONS):
             delta = _damped_step(jtj, jtr, lam)
+            if delta is None:
+                # lam only grows from here, so the damped matrix stays non-finite.
+                break
             trial_theta = theta - delta
-            trial_params = obj.assemble(trial_theta)
-            if trial_params is not None:
-                trial_r, trial_mse, trial_terms = obj.residual(trial_params)
+            trial_values = obj.assemble(trial_theta)
+            if trial_values is not None:
+                trial_r, trial_mse, trial_terms = obj.residual(trial_values)
                 if math.isfinite(trial_mse) and trial_mse <= cur_mse:
                     lam /= 10.0
                     break
             lam *= 10.0
         else:
+            delta = None
+        if delta is None:
             stop_reason = "stalled"
             break
         if math.sqrt(cur_mse) - math.sqrt(trial_mse) < spec.tolerance:
             stop_reason = "tolerance"
             break
-        theta, params, r, cur_mse, terms = (
-            trial_theta, trial_params, trial_r, trial_mse, trial_terms
+        theta, values, r, cur_mse, terms = (
+            trial_theta, trial_values, trial_r, trial_mse, trial_terms
         )
         trace.append(math.sqrt(cur_mse))
 
     return FitResult(
-        params=params,
+        params=UafParams(*values),
         rmse=math.sqrt(cur_mse),
         iterations=len(trace) - 1,
         stop_reason=stop_reason,

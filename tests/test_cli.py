@@ -195,6 +195,22 @@ def test_fit_spec_file(runner, tmp_path):
     assert abs(data["params"]["A"] - 1.01605291) < 1e-4
 
 
+@pytest.mark.parametrize("spec", [
+    {**uk.builtin_spec("sigmoid-family").to_dict(), "learning_rate": 1.7e308},
+    {"target": {"name": "sigmoid"}, "free": ["A", "B", "C", "D", "E"],
+     "init": uk.preset(uk.IDENTITY).to_dict(), "learning_rate": 1.7e308},
+], ids=["family", "free"])
+def test_fit_spec_with_an_overflowing_damping_stalls(runner, tmp_path, capfd, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["fit", "--spec", str(path)])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.output)  # output holds stderr too: nothing else was written
+    assert (data["stop_reason"], data["iterations"]) == ("stalled", 0)
+    assert data["rmse_trace"] == [data["rmse"]]
+    assert capfd.readouterr() == ("", "")  # nothing from LAPACK either
+
+
 def test_fit_requires_exactly_one_mode(runner, tmp_path):
     assert runner.invoke(main, ["fit"]).exit_code == 2
     path = tmp_path / "spec.json"

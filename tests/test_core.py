@@ -542,6 +542,31 @@ def test_a_nan_lane_goes_through_exp_with_the_bound():
         assert _same_bits(k.uaf_slope(xs, *params, xmax=10.0), k.uaf_slope(xs, *params))
 
 
+@pytest.mark.parametrize("C", [0.0, -0.0])
+@pytest.mark.parametrize("A, B, D", [
+    (-1.0, 3.0, 2.0),  # A(x + B) = -0.0 at x = -B
+    (0.0, 1.0, -1.0),  # A(x + B) = -0.0 wherever x + B < 0
+    (-0.0, -0.0, 0.0), (1.5, -0.25, 0.75), (1923.0, 0.0, 1922.0),
+    (1e300, -1e300, -1e300),  # overflowing lanes, NaN where inf - inf
+])
+def test_a_zero_c_with_the_bound_keeps_every_bit(A, B, C, D):
+    from uafkit import _kernels as k
+
+    xs = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -B, -3.0, 3.0],
+                         np.linspace(-10.0, 10.0, 201)])
+    with np.errstate(all="ignore"):
+        if A <= 0.0:
+            zero = A * (xs + B)
+            assert np.any(np.signbit(zero) & (zero == 0.0))
+        for shifts in (True, False):
+            plain = k.uaf_terms(xs, A, B, C, D, shifts=shifts)
+            for xmax in (1e300, 10.0):
+                bounded = k.uaf_terms(xs, A, B, C, D, shifts=shifts, xmax=xmax)
+                assert all(got is want is None or _same_bits(got, want)
+                           for got, want in zip(bounded, plain))
+        assert _same_bits(k.uaf_slope(xs, A, B, C, D, xmax=1e300), k.uaf_slope(xs, A, B, C, D))
+
+
 @pytest.mark.parametrize("block", [7, 1000])
 def test_batch_functions_in_blocks_match_one_kernel_call(monkeypatch, block):
     from uafkit import _kernels as k

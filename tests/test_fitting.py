@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uafkit as uk
 from uafkit.fitting import FitSpec, Tie, _Objective
@@ -160,6 +162,44 @@ def test_jacobian_from_the_residual_terms_equals_a_fresh_one():
                               fresh.view(np.int64))
 
 
+def _chain_at(spec, theta):
+    """The tie matrix d(A..E)/d(theta), built from Tie.d_source at theta."""
+    row = uk.core.PARAM_NAMES.index
+    chain = np.zeros((5, len(spec.free)))
+    for i, name in enumerate(spec.free):
+        chain[row(name), i] = 1.0
+        for tie in spec.ties:
+            if tie.source == name:
+                chain[row(tie.param), i] = tie.d_source(float(theta[i]))
+    return chain
+
+
+@pytest.mark.parametrize("spec, thetas", [
+    (_spec(ties=(Tie("D", "same", "A"),)), [[1.0], [-2.5]]),
+    (_spec(ties=(Tie("D", "offset", "A", -0.5),)), [[1.0], [0.25]]),
+    (_spec(ties=(Tie("E", "const", None, 0.125),)), [[1.0], [3.0]]),
+    # the recip slope is -0.5 / A^2: -inf at A = +-0.0 and where A^2 underflows
+    (_spec(), [[1.0], [-0.3], [0.0], [-0.0], [1e-170]]),
+    (_spec(ties=(Tie("B", "recip", "A", -0.5), Tie("D", "same", "A"))), [[0.0], [-0.0]]),
+    (_spec(ties=(Tie("B", "recip", "A", 0.0),)), [[2.0], [0.0]]),
+    (_spec(free=("A", "C"), ties=(Tie("B", "recip", "A", 0.5), Tie("D", "offset", "C", 1.0)),
+           init=uk.UafParams(1.0, 0.5, 0.0, 1.0, 0.0)), [[1.0, 0.0], [0.5, -0.25], [0.0, 2.0]]),
+], ids=["same", "offset", "const", "recip", "recip-negative", "recip-zero-value", "k2"])
+def test_the_tie_matrix_template_is_chain_at_theta(spec, thetas):
+    from uafkit._kernels import uaf_partials
+
+    obj = _Objective(spec)
+    values = obj.assemble(np.array([getattr(spec.init, name) for name in spec.free]))
+    A, B, C, D = values[:4]
+    partials = uaf_partials(obj.grid, A, B, C, D, read=obj.read)
+    template = obj.chain.copy()
+    with np.errstate(all="ignore"):
+        for theta in map(np.array, thetas):
+            want = partials @ _chain_at(spec, theta)
+            assert np.array_equal(obj.jacobian(values, theta).view(np.int64), want.view(np.int64))
+    assert np.array_equal(obj.chain.view(np.int64), template.view(np.int64))
+
+
 def test_fit_with_reused_terms_matches_fresh_jacobians(monkeypatch):
     specs = _reuse_specs()
     reused = [json.dumps(uk.fit(spec).to_dict()) for spec in specs]
@@ -223,7 +263,6 @@ def test_the_damped_step_is_lstsq_bitwise():
     cases += [(m, 1e-30, b) for m in edges for b in (1.0, -3.0, lo, -hi)]
     cases += [(1.0, 0.1, b) for b in edges + [5e-324, -5e-324, 1.7976931348623157e308]]
     cases += [(0.0, 0.1, 1.0), (0.0, 1e6, -2.5)]  # m = 0
-    cases += [(1e300, 1e10, 1.0), (1e200, 1e200, -1.0)]  # lam * jtj overflows: m = inf
     with np.errstate(all="ignore"):
         for j, lam, b in cases:
             jtj, jtr = np.array([[j]]), np.array([b])
@@ -232,6 +271,64 @@ def test_the_damped_step_is_lstsq_bitwise():
         jtj, jtr = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, -2.0])
         assert _outcome(lambda: _damped_step(jtj, jtr, 0.1)) == _outcome(
             lambda: _lstsq_step(jtj, jtr, 0.1))
+        # lam * jtj overflows: no step, where lstsq raises LinAlgError
+        for j, lam, b in [(1e300, 1e10, 1.0), (1e200, 1e200, -1.0)]:
+            assert _damped_step(np.array([[j]]), np.array([b]), lam) is None, (j, lam, b)
+        assert _damped_step(np.array([[1e300, 1.0], [1.0, 3.0]]), jtr, 1e10) is None
+        assert _damped_step(np.array([[0.0, 0.0], [0.0, 3.0]]), jtr, np.inf) is None  # inf * 0
+
+
+def test_an_overflowing_damped_system_stalls_the_fit(capfd):
+    family = FitSpec.from_dict({**uk.builtin_spec("sigmoid-family").to_dict(),
+                                "learning_rate": 1.7e308})
+    free = FitSpec(target=uk.TargetActivation(uk.SIGMOID), free=uk.core.PARAM_NAMES,
+                   init=uk.preset(uk.IDENTITY), learning_rate=1.7e308)
+    for spec in (family, free):
+        res = uk.fit(spec)
+        assert (res.stop_reason, res.iterations) == ("stalled", 0)
+        assert res.rmse_trace == (res.rmse,)
+    assert capfd.readouterr() == ("", "")  # LAPACK prints nothing
+
+
+@st.composite
+def _fit_specs(draw):
+    """A builtin family or a free fit from a preset, on a random interval,
+    from any initial damping."""
+    name = draw(st.sampled_from(uk.BUILTIN_SPEC_NAMES + ("free",)))
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 2e3))
+    data = {
+        "interval": [lo, lo + width],
+        "n_samples": draw(st.integers(2, 2001)),
+        "max_iters": draw(st.integers(0, 40)),
+        "learning_rate": draw(st.floats(1e-300, 1.7e308)),
+    }
+    if name == "free":
+        preset = uk.preset(draw(st.sampled_from([uk.IDENTITY, uk.SIGMOID, uk.TANH, uk.RELU,
+                                                 uk.SOFTPLUS, uk.GAUSSIAN])))
+        target = draw(st.sampled_from(["sigmoid", "tanh", "softplus", "gaussian", "relu"]))
+        data.update(target={"name": target}, free=list(uk.core.PARAM_NAMES),
+                    init=preset.to_dict())
+        return FitSpec.from_dict(data)
+    return FitSpec.from_dict({**uk.builtin_spec(name).to_dict(), **data})
+
+
+@settings(max_examples=800, derandomize=True, database=None, deadline=None)
+@given(_fit_specs())
+def test_any_fit_is_monotone_and_repeats_bitwise(spec):
+    with np.errstate(all="ignore"):
+        try:
+            res = uk.fit(spec)
+        except ValueError as exc:
+            assert "initial parameters" in str(exc)
+            return
+        again = uk.fit(spec)
+    trace = res.rmse_trace
+    assert len(trace) == res.iterations + 1 and trace[-1] == res.rmse
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    assert json.dumps(again.to_dict()) == json.dumps(res.to_dict())
+    assert np.array_equal(np.array(again.params.as_tuple()).view(np.int64),
+                          np.array(res.params.as_tuple()).view(np.int64))
 
 
 def _masked_fit_specs():

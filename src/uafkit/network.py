@@ -11,8 +11,10 @@ TrainReport.
 Weights, biases and the trainable UAF vector are views into one float64
 vector, Network.flat, and a step's Gradients are views into one vector laid
 out alike, so SGD and Adam are one elementwise pass (uaf_learning_rate applies
-on the UAF's five slots). Network.step(x, y) returns a batch's loss and
-gradients; train alternates it with apply_gradients.
+on the UAF's five slots). Network.forward returns (activations, output,
+caches), caches[i] being hidden layer i's (activation cache, batch-norm cache);
+Network.step(x, y) reads them and returns a batch's loss and gradients, and
+train alternates it with apply_gradients.
 """
 
 from __future__ import annotations
@@ -321,14 +323,15 @@ class Network:
             if config.use_batch_norm
             else None
         )
-        self._fixed_params = None
-        self._fixed_target = None
+        # The activation, resolved once: the trainable view, the frozen
+        # preset's vector, or None with the exact _target.
+        self._params, self._target = self.uaf, None
         if trainable:
             self.uaf[...] = config.activation.init.as_tuple()
         elif config.activation.exact:
-            self._fixed_target = TargetActivation(config.activation.kind)
+            self._target = TargetActivation(config.activation.kind)
         else:
-            self._fixed_params = np.array(preset(config.activation.kind).as_tuple())
+            self._params = np.array(preset(config.activation.kind).as_tuple())
         # Per-element step sizes: the optimizer's rate, and uaf_learning_rate
         # on the UAF's five slots when it is set.
         self._rates = np.full(self.flat.size, config.optimizer.learning_rate)
@@ -343,44 +346,43 @@ class Network:
     # -- activation ---------------------------------------------------------
 
     def uaf_params(self) -> UafParams | None:
-        """Current shared UAF parameters (None for fixed activations)."""
-        if self.uaf is None:
-            if self._fixed_params is None:
-                return None
-            return UafParams(*self._fixed_params)
-        return UafParams(*self.uaf)
+        """Current UAF parameters, trainable or frozen (None for an exact
+        activation)."""
+        return None if self._params is None else UafParams(*self._params)
 
     def _act_forward(self, y: np.ndarray):
         """Returns (activation, cache for _act_backward)."""
-        if self._fixed_target is not None:
-            return self._fixed_target(y), y
-        params = self.uaf if self.uaf is not None else self._fixed_params
-        terms = _k_terms(y.ravel(), *params[:4])
-        return _k_eval(terms[0], *params, terms=terms).reshape(y.shape), terms
+        if self._target is not None:
+            return self._target(y), y
+        terms = _k_terms(y.ravel(), *self._params[:4])
+        return _k_eval(terms[0], *self._params, terms=terms).reshape(y.shape), terms
 
     def _act_backward(self, cache, upstream: np.ndarray):
         """Returns (d loss/d y, d loss/d uaf-params or None)."""
-        if self._fixed_target is not None:
-            return upstream * self._fixed_target.derivative(cache), None
+        if self._target is not None:
+            return upstream * self._target.derivative(cache), None
         if self.uaf is None:
-            slope = _k_slope(cache[0], *self._fixed_params[:4], terms=cache)
+            slope = _k_slope(cache[0], *self._params[:4], terms=cache)
             return (upstream.ravel() * slope).reshape(upstream.shape), None
-        g6 = _k_grad(cache[0], *self.uaf, terms=cache)
+        g6 = _k_grad(cache[0], *self._params, terms=cache)
         d_y = (upstream.ravel() * g6[:, 0]).reshape(upstream.shape)
         return d_y, g6[:, 1:].T @ upstream.ravel()
 
     # -- forward / backward -------------------------------------------------
 
     def forward(self, batch: np.ndarray, training: bool = False):
-        """Returns (per-layer post-activation list, output). The list holds
-        the input followed by each hidden layer's activation output."""
+        """Returns (activations, output, caches): the input and each hidden
+        layer's activation output, the output, and per hidden layer the
+        (activation cache, batch-norm cache) that step reads. Training mode
+        moves the running statistics, and refuses a batch with no rows."""
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.config.layer_sizes[0]:
             raise ValueError(
                 f"batch must have shape (n, {self.config.layer_sizes[0]}), got {batch.shape}"
             )
-        activations = [batch]
-        self._cache = []
+        if training and len(batch) == 0:
+            raise ValueError("a training batch needs at least one row, got 0")
+        activations, caches = [batch], []
         a = batch
         for i in range(self.n_hidden):
             h = a @ self.weights[i] + self.biases[i]
@@ -389,27 +391,27 @@ class Network:
             else:
                 y, bn_cache = h, None
             a, act_cache = self._act_forward(y)
-            self._cache.append((act_cache, bn_cache))
+            caches.append((act_cache, bn_cache))
             activations.append(a)
         output = a @ self.weights[-1] + self.biases[-1]
-        return activations, output
+        return activations, output, caches
 
     def step(self, batch: np.ndarray, targets: np.ndarray) -> tuple[float, Gradients]:
         """One training-mode forward pass and the exact gradients of the
         configured loss over the batch: (loss, gradients). The parameters are
-        left as they are; apply_gradients updates them."""
+        left as they are; apply_gradients updates them. Mismatched targets
+        are refused before the forward pass moves any running statistic."""
         targets = np.asarray(targets, dtype=np.float64)
-        activations, output = self.forward(batch, training=True)
-        if targets.shape != output.shape:
-            raise ValueError(
-                f"targets must have shape {output.shape}, got {targets.shape}"
-            )
+        shape = np.shape(batch)[:1] + self.config.layer_sizes[-1:]
+        if targets.shape != shape:
+            raise ValueError(f"targets must have shape {shape}, got {targets.shape}")
+        activations, output, caches = self.forward(batch, training=True)
         loss, g = self._loss_and_grad(output, targets)
         flat = np.zeros_like(self.flat)
         grads = Gradients(flat, *_views(flat, self.config.layer_sizes, self.uaf is not None))
         for i in range(self.n_hidden, -1, -1):
             if i < self.n_hidden:
-                act_cache, bn_cache = self._cache[i]
+                act_cache, bn_cache = caches[i]
                 g, d_uaf = self._act_backward(act_cache, g)
                 if d_uaf is not None:
                     grads.uaf += d_uaf
@@ -534,7 +536,7 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
             if diverged:
                 break
             epoch_loss = float(np.mean(batch_losses))
-            _, val_out = net.forward(x_val, training=False)
+            _, val_out, _ = net.forward(x_val, training=False)
             metric = net.metric(val_out, y_val)
         # The last update of an epoch can leave the shared UAF, and with it
         # the validation metric, non-finite while every batch loss was finite.

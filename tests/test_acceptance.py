@@ -175,7 +175,7 @@ def test_acceptance_5_gradient_suites(capsys):
     grad_tensors = grads.weights + grads.biases + [grads.uaf]
 
     def loss():
-        _, out = net.forward(x, training=True)
+        _, out, _ = net.forward(x, training=True)
         val, _ = net._loss_and_grad(out, y)
         return val
 

@@ -38,7 +38,7 @@ def test_forward_zero_network_outputs_zero():
     net = Network(cfg)
     for w in net.weights:
         w[:] = 0.0
-    _, out = net.forward(np.ones((5, 3)))
+    _, out, _ = net.forward(np.ones((5, 3)))
     assert np.array_equal(out, np.zeros((5, 2)))
 
 
@@ -54,7 +54,7 @@ def test_forward_identity_chain_passes_input_through():
     net.biases[0][:] = 0.0
     net.biases[1][:] = 0.0
     x = np.array([[0.3], [-2.0], [5.5]])
-    _, out = net.forward(x)
+    _, out, _ = net.forward(x)
     assert np.max(np.abs(out - x)) < 1e-12
 
 
@@ -74,7 +74,7 @@ def test_batch_norm_normalizes_small_batch():
     net = Network(cfg)
     net.weights[0][:] = 1.0
     net.biases[0][:] = 0.0
-    acts, _ = net.forward(np.array([[1.0], [2.0], [3.0]]), training=True)
+    acts, _, _ = net.forward(np.array([[1.0], [2.0], [3.0]]), training=True)
     normalized = acts[1][:, 0]
     assert abs(normalized.mean()) < 1e-9
     assert abs(normalized.std() - 1.0) < 1e-9
@@ -89,7 +89,7 @@ def test_batch_norm_invariant_on_random_net():
     )
     net = Network(cfg)
     rng = np.random.default_rng(0)
-    acts, _ = net.forward(rng.normal(size=(64, 6)) * 3.0 + 1.0, training=True)
+    acts, _, _ = net.forward(rng.normal(size=(64, 6)) * 3.0 + 1.0, training=True)
     for layer in acts[1:]:
         means = layer.mean(axis=0)
         stds = layer.std(axis=0)
@@ -109,7 +109,7 @@ def test_inference_uses_running_statistics():
     batch = rng.normal(size=(32, 2))
     net.forward(batch, training=True)
     # a single inference row works (batch statistics would be degenerate)
-    _, out = net.forward(batch[:1], training=False)
+    _, out, _ = net.forward(batch[:1], training=False)
     assert out.shape == (1, 1)
     assert np.all(np.isfinite(out))
 
@@ -127,7 +127,7 @@ def _fd_check(net, x, y, rel_tol):
     h = 1e-6
 
     def loss():
-        _, out = net.forward(x, training=True)
+        _, out, _ = net.forward(x, training=True)
         val, _ = net._loss_and_grad(out, y)
         return val
 
@@ -187,7 +187,7 @@ def test_zero_residual_gives_zero_gradients():
     net = Network(cfg)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 3))
-    _, out = net.forward(x, training=True)
+    _, out, _ = net.forward(x, training=True)
     grads = net.backward(x, out.copy())
     for g in grads.weights + grads.biases + [grads.uaf]:
         assert np.max(np.abs(g)) < 1e-10
@@ -244,7 +244,7 @@ def test_shared_uaf_is_one_vector_across_layers():
     net = Network(cfg)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 3))
-    acts, _ = net.forward(x)
+    acts, _, _ = net.forward(x)
     # every hidden layer applies exactly the current shared parameter vector
     p = net.uaf_params()
     a = acts[0]
@@ -255,7 +255,7 @@ def test_shared_uaf_is_one_vector_across_layers():
         a = acts[i + 1]
     # perturbing the single vector shifts every site identically
     net.uaf[4] += 0.25
-    acts2, _ = net.forward(x)
+    acts2, _, _ = net.forward(x)
     for i in range(1, len(acts)):
         assert np.max(np.abs(acts2[i][...] - acts[i])) > 0.0
     assert net.uaf_params().E == p.E + 0.25
@@ -269,9 +269,29 @@ def test_identity_init_matches_exact_identity_network():
     )
     rng = np.random.default_rng(18)
     x = rng.normal(size=(16, 5))
-    _, out_uaf = net_uaf.forward(x, training=True)
-    _, out_fix = net_fix.forward(x, training=True)
+    _, out_uaf, _ = net_uaf.forward(x, training=True)
+    _, out_fix, _ = net_fix.forward(x, training=True)
     assert np.max(np.abs(out_uaf - out_fix)) < 1e-9
+
+
+def _state(net):
+    """Every array the network holds, as bytes by attribute path: its own,
+    those in its lists and tuples, and its batch norms' running statistics."""
+    state = {}
+
+    def walk(path, value):
+        if isinstance(value, np.ndarray):
+            state[path] = value.tobytes()
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(f"{path}[{i}]", item)
+        elif isinstance(value, uk.network._BatchNorm):
+            for name, item in vars(value).items():
+                walk(f"{path}.{name}", item)
+
+    for name, value in vars(net).items():
+        walk(name, value)
+    return state
 
 
 def test_step_returns_the_loss_and_the_backward_gradients():
@@ -281,11 +301,52 @@ def test_step_returns_the_loss_and_the_backward_gradients():
     x = rng.normal(size=(7, 4))
     y = np.eye(3)[rng.integers(0, 3, size=7)]
     loss, grads = net.step(x, y)
-    _, out = net.forward(x, training=True)
+    _, out, _ = net.forward(x, training=True)
     assert loss == net._loss_and_grad(out, y)[0]
     assert np.array_equal(grads.flat, net.backward(x, y).flat)
+    before = _state(net)
     with pytest.raises(ValueError, match="targets"):
         net.step(x, y[:, :2])
+    assert _state(net) == before
+
+
+_ACTIVATIONS = [_identity_uaf(), FixedActivation(uk.TANH), FixedActivation(uk.TANH, exact=True)]
+_ACTIVATION_IDS = ["trainable", "frozen", "exact"]
+
+
+@pytest.mark.parametrize("activation", _ACTIVATIONS, ids=_ACTIVATION_IDS)
+def test_only_a_training_step_changes_state_and_only_the_running_statistics(activation):
+    cfg = NetworkConfig(layer_sizes=(3, 5, 4, 2), activation=activation, seed=4)
+    net = Network(cfg)
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    keys, before = set(vars(net)), _state(net)
+    net.forward(x)
+    assert set(vars(net)) == keys
+    assert _state(net) == before
+    net.step(x, y)
+    assert set(vars(net)) == keys
+    after = _state(net)
+    changed = {path for path in before if after[path] != before[path]}
+    assert set(after) == set(before)
+    assert changed == {f"batch_norms[{i}].{name}" for i in range(2)
+                       for name in ("running_mu", "running_sigma")}
+
+
+@pytest.mark.parametrize("activation", _ACTIVATIONS, ids=_ACTIVATION_IDS)
+def test_an_empty_batch_trains_nothing_and_infers_an_empty_output(activation):
+    cfg = NetworkConfig(layer_sizes=(3, 4, 2), activation=activation, seed=1)
+    net = Network(cfg)
+    before = _state(net)
+    with pytest.raises(ValueError, match="at least one row"):
+        net.step(np.empty((0, 3)), np.empty((0, 2)))
+    with pytest.raises(ValueError, match="at least one row"):
+        net.forward(np.empty((0, 3)), training=True)
+    assert _state(net) == before
+    acts, out, caches = net.forward(np.empty((0, 3)))
+    assert out.shape == (0, 2) and acts[1].shape == (0, 4) and len(caches) == 1
+    _, out, _ = net.forward(np.ones((2, 3)))
+    assert np.isfinite(out).all()
 
 
 # --- flat parameter buffer and optimizers ------------------------------------------
@@ -308,9 +369,9 @@ def test_parameters_and_gradients_are_views_of_one_flat_buffer():
         # every element of the buffer belongs to exactly one tensor
         sizes = [t.size for t in _tensors(owner)]
         assert np.bincount(owner.flat.astype(int)).tolist() == sizes
-    _, before = net.forward(x)
+    _, before, _ = net.forward(x)
     net.weights[0][0, 0] += 1.0
-    _, after = net.forward(x)
+    _, after, _ = net.forward(x)
     assert not np.array_equal(before, after)
 
 

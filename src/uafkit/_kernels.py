@@ -22,9 +22,11 @@ bound to uaf_terms as xmax. When the parameters let some |z| pass
 where exp underflows, skipping NumPy's slow path for them (about 8x slower
 than a normal lane). Those lanes would have been 0.0 anyway. With xmax
 given and C = +-0.0, z1 also skips the Cx^2 pass: for finite x, (Cx)x is
-C's own signed zero, so z1 = A(x+B) + C. For finite points, then, xmax
-picks a path and never changes a bit; without it the unmasked exp, faster
-where nothing underflows, and the full z1 are always taken.
+C's own signed zero, so z1 = A(x+B) + C, and uaf_slope takes s(z1)A for
+s(z1)(A + 2Cx) when A is also finite and nonzero: 2Cx is a signed zero,
+and adding it to such an A gives A. For finite points, then, xmax picks a
+path and never changes a bit; without it the unmasked exp, faster where
+nothing underflows, and the full z1 and A + 2Cx are always taken.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
@@ -234,13 +236,16 @@ def uaf_slope(
 ) -> np.ndarray:
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, bitwise equal to column 0 of
     uaf_grad: the error scan and a fixed activation's backward need no
-    parameter partials. terms as in uaf_eval; xmax, when the terms are this
-    call's own, as in uaf_terms."""
+    parameter partials. terms as in uaf_eval; xmax as in uaf_terms, which
+    also lets a C of 0.0 skip the two passes of A + 2Cx (module docstring)."""
     xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False, xmax=xmax) if terms is None else terms
     s1, s2 = logistic(z, e)
-    out = 2.0 * C * xs
-    np.add(A, out, out=out)
-    np.multiply(s1, out, out=out)
+    if xmax is not None and C == 0.0 and 0.0 < abs(A) < np.inf:
+        out = s1 * A  # for finite x, A + 2Cx is A itself
+    else:
+        out = 2.0 * C * xs
+        np.add(A, out, out=out)
+        np.multiply(s1, out, out=out)
     s2 *= D
     out -= s2
     return out

@@ -115,6 +115,14 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xm
     it is exactly 0 between neighbours of opposite sign.
     """
     g, dt = _slope(p, t, xs, xmax)
+    # Cell i is [xs[i], xs[i+1]]: the cells where the slope changes sign, and
+    # the interior nodes where it is exactly 0 between neighbours of opposite
+    # sign. A block with neither has nothing for the bounds below to accept.
+    cells = g[:-1] * g[1:] < 0
+    cells[:first_cell] = False
+    zeros = (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
+    if not (cells.any() or zeros.any()):
+        return xs[:0], xs[:0], cells[:0], xs[:0]
     # f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded
     # by |A + 2Cx|, |D| and |t'(x)|; a slope below a few ulp of their total
     # cannot be told from rounding noise.
@@ -122,13 +130,11 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xm
     keep = np.ones(xs.size - 1, dtype=bool)
     if t.kind.name in _NONSMOOTH_AT_ZERO:
         keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
-    # Cell i is [xs[i], xs[i+1]]: a sign change counts when the larger end
-    # value clears the rounding bound of both ends.
+    # An event counts when the larger neighbouring value clears the rounding
+    # bound of both ends of its cell.
     bound = np.maximum(floor[:-1], floor[1:])
-    bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
-    bracket[:first_cell] = False
-    # Exact zero on an interior node between neighbours of opposite sign.
-    node = keep[:-1] & keep[1:] & (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
+    bracket = keep & cells & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
+    node = keep[:-1] & keep[1:] & zeros
     node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
     i = np.flatnonzero(bracket)
     return xs[i], xs[i + 1], g[i] > 0, xs[1:-1][node]
@@ -263,9 +269,8 @@ def error_report(
     # read before the scan, so that a bad count fails at once
     n_samples = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
     cps = critical_points(p, t, (lo, hi))
-    candidates = list(cps)
-    candidates.append((lo, approx_error(p, t, lo)))
-    candidates.append((hi, approx_error(p, t, hi)))
+    e_lo, e_hi = approx_error_batch(p, t, [lo, hi])
+    candidates = [*cps, (lo, float(e_lo)), (hi, float(e_hi))]
     candidates.extend(_jump_candidates(p, t, lo, hi))
     max_abs = max(abs(e) for _, e in candidates)
     tol = max(1e-12, 1e-9 * max_abs)

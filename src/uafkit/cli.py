@@ -34,8 +34,11 @@ def _emit(chunks, output: str | None) -> None:
     temp file beside it, which replaces output only when every chunk is
     written, and which is removed when a chunk or the write fails."""
     if output is None:
+        # click.echo without a file caches a wrapper per sys.stdout object
+        # that is never freed: one per in-process (CliRunner) invocation.
+        stdout = click.get_text_stream("stdout")
         for chunk in chunks:
-            click.echo(chunk, nl=False)
+            click.echo(chunk, file=stdout, nl=False)
         return
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)),
@@ -143,9 +146,11 @@ def presets_list() -> None:
         p = preset(kind)
         rows.append((kind.label(), p))
     width = max(len(label) for label, _ in rows)
+    lines = []
     for label, p in rows:
         values = "  ".join(f"{n}={getattr(p, n):.8g}" for n in ("A", "B", "C", "D", "E"))
-        click.echo(f"{label:<{width}}  {values}")
+        lines.append(f"{label:<{width}}  {values}\n")
+    _emit(lines, None)
 
 
 @presets_group.command("show")
@@ -154,7 +159,7 @@ def presets_list() -> None:
 def presets_show(kind, alpha) -> None:
     """Parameters of one preset as JSON."""
     p = preset(_kind_from_flags(kind, alpha, "KIND"))
-    click.echo(json.dumps(p.to_dict(), indent=2))
+    _emit([json.dumps(p.to_dict(), indent=2) + "\n"], None)
 
 
 @main.command("fit")

@@ -158,6 +158,81 @@ def test_exact_zero_node_on_a_block_boundary(monkeypatch, block):
         assert _bits([0.0])[0] in pts[::2]
 
 
+def _full_mask_scan(p, t, xs, first_cell, xmax):
+    """analysis._scan with the rounding-bound passes taken on every block: the
+    reference that the skip of blocks without events must match."""
+    g, dt = uk.analysis._slope(p, t, xs, xmax)
+    floor = 16.0 * uk.analysis._EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
+    keep = np.ones(xs.size - 1, dtype=bool)
+    if t.kind.name in uk.analysis._NONSMOOTH_AT_ZERO:
+        keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
+    bound = np.maximum(floor[:-1], floor[1:])
+    bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
+    bracket[:first_cell] = False
+    node = keep[:-1] & keep[1:] & (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
+    node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
+    i = np.flatnonzero(bracket)
+    return xs[i], xs[i + 1], g[i] > 0, xs[1:-1][node]
+
+
+def _check_scan_blocks(p, t, interval):
+    """Runs critical_points with every block of analysis._scan compared, bit
+    for bit and dtype for dtype, to _full_mask_scan; returns the kinds of
+    block seen: "quiet" (no raw event), "zero node" (an exact-zero node is
+    the only raw event), "flat" (slope 0.0 on every node) and "noise" (raw
+    events that the rounding bound rejects)."""
+    scan, seen = uk.analysis._scan, set()
+
+    def compare(p, t, xs, first_cell, xmax):
+        got = scan(p, t, xs, first_cell, xmax)
+        want = _full_mask_scan(p, t, xs, first_cell, xmax)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+        g = uk.analysis._slope(p, t, xs, xmax)[0]
+        cells = (g[:-1] * g[1:] < 0)[first_cell:].any()
+        zeros = ((g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)).any()
+        seen.add("quiet" if not (cells or zeros) else "zero node" if not cells else
+                 "noise" if not any(part.size for part in want) else "events")
+        if not g.any():
+            seen.add("flat")
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uk.analysis, "_scan", compare)
+        uk.critical_points(p, t, interval)
+    return seen
+
+
+SCAN_INTERVALS = ((-10.0, 10.0), (-1000.0, 1000.0), (-1e-3, 2e-3), (-3.0, 7.5),
+                  (0.0, 1.0), (-1.0, 0.0), (-5.0, 0.0), (0.0, 5.0))
+
+
+def test_blocks_without_events_skip_the_bounds_and_change_nothing():
+    seen = {}
+    for kind in ALL_KINDS:
+        for interval in SCAN_INTERVALS:
+            seen[kind.label(), interval] = _check_scan_blocks(
+                uk.preset(kind), uk.target(kind), interval)
+    # the kinds of block the skip must get right, each seen
+    assert seen["gaussian", (-1e-3, 2e-3)] == {"zero node"}
+    assert {"flat", "quiet"} <= seen["softplus", (-10.0, 10.0)]
+    assert "flat" in seen["step", (-1000.0, 1000.0)]
+    assert "noise" in seen["identity", (-10.0, 10.0)]
+    assert "events" in seen["tanh", (-10.0, 10.0)]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    interval=st.sampled_from(SCAN_INTERVALS),
+    scales=st.lists(st.floats(-0.05, 0.05), min_size=5, max_size=5),
+)
+def test_perturbed_blocks_without_events_change_nothing(kind, interval, scales):
+    base = uk.preset(kind).as_tuple()
+    p = uk.UafParams(*(v * (1.0 + s) for v, s in zip(base, scales)))
+    _check_scan_blocks(p, uk.target(kind), interval)
+
+
 def test_the_bound_on_x_changes_no_report(monkeypatch):
     from uafkit import _kernels
 
@@ -377,6 +452,27 @@ def test_report_max_dominates_critical_points():
             assert abs(uk.approx_error(p, t, x)) == pytest.approx(
                 rep.max_abs_error, rel=1e-6
             )
+
+
+def test_report_endpoints_are_the_scalar_errors():
+    batch, calls = uk.analysis.approx_error_batch, []
+
+    def spy(p, t, xs):
+        out = batch(p, t, xs)
+        calls.append((np.asarray(xs, dtype=np.float64), out))
+        return out
+
+    for kind in ALL_KINDS:
+        p, t = uk.preset(kind), uk.target(kind)
+        for lo, hi in SCAN_INTERVALS:
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(uk.analysis, "approx_error_batch", spy)
+                uk.error_report(p, t, (lo, hi))
+            ends = [out for xs, out in calls if np.array_equal(_bits(xs), _bits([lo, hi]))]
+            assert len(ends) == 1
+            assert np.array_equal(_bits(ends[0]),
+                                  _bits([uk.approx_error(p, t, lo), uk.approx_error(p, t, hi)]))
 
 
 def test_report_serializes_to_json():

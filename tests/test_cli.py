@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +162,26 @@ def test_presets_show(runner):
     assert json.loads(result.output)["D"] == -0.05
 
     assert runner.invoke(main, ["presets", "show", "swish"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args", [["presets", "show", "tanh"], ["fit", "--builtin", "gaussian-family"]],
+                         ids=["presets", "fit"])
+def test_in_process_invocations_retain_no_memory(runner, args):
+    # click.echo without a file caches a stdout wrapper for each CliRunner
+    # invocation that is never freed: 200 calls of presets show kept 316 KB
+    for _ in range(300):
+        assert runner.invoke(main, args).exit_code == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            runner.invoke(main, args)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 # --- fit ----------------------------------------------------------------------

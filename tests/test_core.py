@@ -565,6 +565,14 @@ def test_a_zero_c_with_the_bound_keeps_every_bit(A, B, C, D):
                 assert all(got is want is None or _same_bits(got, want)
                            for got, want in zip(bounded, plain))
         assert _same_bits(k.uaf_slope(xs, A, B, C, D, xmax=1e300), k.uaf_slope(xs, A, B, C, D))
+        # with the bound, a nonzero finite A takes s(z1)A for s(z1)(A + 2Cx)
+        assert _same_bits(k.uaf_slope(xs, A, B, C, D, xmax=1e300),
+                          k.uaf_grad(xs, A, B, C, D, 0.0)[:, 0])
+        # without it, 2Cx at x = +-inf is 0 * inf = NaN, and stays in the slope
+        inf = np.array([np.inf, -np.inf])
+        want = k.uaf_grad(inf, A, B, C, D, 0.0)[:, 0]
+        assert np.isnan(want).all()
+        assert _same_bits(k.uaf_slope(inf, A, B, C, D), want)
 
 
 @pytest.mark.parametrize("block", [7, 1000])

@@ -36,9 +36,10 @@ those are used. The in-place steps keep the operand order of the formulas
 (s(z1) * (A + 2Cx), not (A + 2Cx) * s(z1)): where both operands are NaN,
 the first one's sign bit is the result's.
 
-The public batch functions take up to core.MAX_POINTS points and call the
-kernels through ``in_blocks``, so that the temporaries of one call stay
-under 10 MB at any n.
+The public batch functions take up to core.MAX_POINTS points and go through
+``in_blocks`` (core's eval_batch and grad_batch, and targets'
+target_eval_batch, target_derivative_batch and approx_error_batch), so that
+the temporaries of one call stay under 10 MB at any n.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._kernels import logistic
 from ._kernels import uaf_slope as _k_slope
-from .core import MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, grid, preset
+from .core import KINDS, MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, grid, preset
 from .targets import TargetActivation, approx_error, approx_error_batch
 
 __all__ = [
@@ -40,10 +40,6 @@ _TREE_LEVELS = 8
 # Most grid points a scan may take: an interval of width 1e4, such as
 # [-5000, 5000]; wider intervals are refused.
 MAX_SCAN_POINTS = MAX_POINTS
-# Kinds whose target is non-smooth at 0: the scan skips the grid cells that
-# touch 0, and the point itself is examined as a candidate extremum, not as a
-# slope root.
-_NONSMOOTH_AT_ZERO = ("step", "relu", "leaky_relu")
 _EPS = np.finfo(np.float64).eps
 
 
@@ -128,7 +124,9 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xm
     # cannot be told from rounding noise.
     floor = 16.0 * _EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
     keep = np.ones(xs.size - 1, dtype=bool)
-    if t.kind.name in _NONSMOOTH_AT_ZERO:
+    # A target with a jump or kink at 0: the cells that touch 0 are skipped,
+    # and the point itself is examined by _jump_candidates, not as a root.
+    if KINDS[t.kind.name].at_zero is not None:
         keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
     # An event counts when the larger neighbouring value clears the rounding
     # bound of both ends of its cell.
@@ -240,16 +238,18 @@ def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -
 def _jump_candidates(
     p: UafParams, t: TargetActivation, lo: float, hi: float
 ) -> list[tuple[float, float]]:
-    """Candidate extrema at target discontinuities/kinks in the interval.
+    """Candidate extrema at a target's jump or kink at 0, when the interval
+    holds 0.
 
-    The step target jumps at 0, so the one-sided error limits there
+    Where the target jumps (step, from 0 to 1), the one-sided error limits
     (f(0) - 1 from the right, f(0) - 0 from the left) are the approached
-    suprema on each side of 0 that the interval reaches; relu/leaky_relu are
-    continuous with a kink, so the error value at 0 itself is the candidate.
+    suprema on each side of 0 that the interval reaches; at a kink the
+    target is continuous, so the error value at 0 itself is the candidate.
     """
-    if t.kind.name not in _NONSMOOTH_AT_ZERO or not lo <= 0.0 <= hi:
+    at_zero = KINDS[t.kind.name].at_zero
+    if at_zero is None or not lo <= 0.0 <= hi:
         return []
-    if t.kind.name == "step":
+    if at_zero == "jump":
         f0 = eval_stable(p, 0.0)
         limits = []
         if hi > 0.0:

@@ -3,8 +3,8 @@ function (UAF)
 
     f(x) = ln(1 + e^{A(x+B) + Cx^2}) - ln(1 + e^{D(x-B)}) + E
 
-with its analytic first derivatives and the preset parameter table that makes
-the UAF reproduce eight classic activation functions.
+with its analytic first derivatives, and KINDS, the table of the eight
+classic activations it reproduces: each kind is defined once, as a KindRow.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import in_blocks
+from ._kernels import in_blocks, logistic, softplus
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_grad as _k_grad
 
@@ -28,6 +29,7 @@ __all__ = [
     "PresetKind",
     "UafOverflowError",
     "PARAM_NAMES",
+    "KINDS",
     "PRESET_NAMES",
     "A_STEP",
     "A_SIGMOID",
@@ -223,16 +225,66 @@ class UafGradient:
         return (self.d_x, self.d_A, self.d_B, self.d_C, self.d_D, self.d_E)
 
 
-PRESET_NAMES = (
-    "identity",
-    "step",
-    "sigmoid",
-    "tanh",
-    "relu",
-    "leaky_relu",
-    "softplus",
-    "gaussian",
-)
+class KindRow(NamedTuple):
+    """One activation kind: its UAF preset as a function of alpha (leaky_relu's
+    slope, None for the other kinds), its exact value and exact slope on a
+    1-d array x as functions of (x, alpha), and what it does at 0: "jump",
+    "kink", or None where it is smooth. At a kink the slope is the
+    right-hand one, at the jump 0."""
+
+    preset: Callable[[float | None], UafParams]
+    value: Callable[[np.ndarray, float | None], np.ndarray]
+    slope: Callable[[np.ndarray, float | None], np.ndarray]
+    at_zero: str | None = None
+
+
+KINDS: dict[str, KindRow] = {
+    "identity": KindRow(
+        lambda alpha: UafParams(1.0, 0.0, 0.0, -1.0, 0.0),
+        lambda x, alpha: x.copy(),
+        lambda x, alpha: np.ones_like(x),
+    ),
+    "step": KindRow(
+        lambda alpha: UafParams(A_STEP, 1.0 / (2.0 * A_STEP), 0.0, A_STEP, 0.0),
+        lambda x, alpha: np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5)),
+        lambda x, alpha: np.zeros_like(x),
+        "jump",
+    ),
+    "sigmoid": KindRow(
+        lambda alpha: UafParams(A_SIGMOID, 1.0 / (2.0 * A_SIGMOID), 0.0, A_SIGMOID, 0.0),
+        lambda x, alpha: logistic(x),
+        lambda x, alpha: (s := logistic(x)) * (1.0 - s),
+    ),
+    "tanh": KindRow(
+        lambda alpha: UafParams(A_TANH, 1.0 / A_TANH, 0.0, A_TANH, -1.0),
+        lambda x, alpha: np.tanh(x),
+        lambda x, alpha: 1.0 - (t := np.tanh(x)) * t,
+    ),
+    "relu": KindRow(
+        lambda alpha: UafParams(A_RELU, 0.0, 0.0, A_RELU - 1.0, 0.0),
+        lambda x, alpha: np.maximum(x, 0.0),
+        lambda x, alpha: np.where(x >= 0, 1.0, 0.0),
+        "kink",
+    ),
+    "leaky_relu": KindRow(
+        lambda alpha: UafParams(1.0, 0.0, 0.0, -alpha, 0.0),
+        lambda x, alpha: np.where(x >= 0, x, alpha * x),
+        lambda x, alpha: np.where(x >= 0, 1.0, alpha),
+        "kink",
+    ),
+    "softplus": KindRow(
+        lambda alpha: UafParams(1.0, 0.0, 0.0, 0.0, LN2),
+        lambda x, alpha: softplus(x),
+        lambda x, alpha: logistic(x),
+    ),
+    "gaussian": KindRow(
+        lambda alpha: UafParams(0.0, 0.0, C_GAUSSIAN, 0.0, LN2),
+        lambda x, alpha: LN2 * np.exp(-0.5 * x * x),
+        lambda x, alpha: -x * LN2 * np.exp(-0.5 * x * x),
+    ),
+}
+
+PRESET_NAMES = tuple(KINDS)
 
 
 @dataclass(frozen=True)
@@ -297,24 +349,7 @@ def preset(kind: PresetKind) -> UafParams:
     identity and softplus are exact; the rest are fixed best-approximation
     constants (step/relu use the large finite slope A = 70.9992).
     """
-    name = kind.name
-    if name == "identity":
-        return UafParams(1.0, 0.0, 0.0, -1.0, 0.0)
-    if name == "step":
-        return UafParams(A_STEP, 1.0 / (2.0 * A_STEP), 0.0, A_STEP, 0.0)
-    if name == "sigmoid":
-        return UafParams(A_SIGMOID, 1.0 / (2.0 * A_SIGMOID), 0.0, A_SIGMOID, 0.0)
-    if name == "tanh":
-        return UafParams(A_TANH, 1.0 / A_TANH, 0.0, A_TANH, -1.0)
-    if name == "relu":
-        return UafParams(A_RELU, 0.0, 0.0, A_RELU - 1.0, 0.0)
-    if name == "leaky_relu":
-        return UafParams(1.0, 0.0, 0.0, -kind.alpha, 0.0)
-    if name == "softplus":
-        return UafParams(1.0, 0.0, 0.0, 0.0, LN2)
-    if name == "gaussian":
-        return UafParams(0.0, 0.0, C_GAUSSIAN, 0.0, LN2)
-    raise ValueError(f"unknown preset kind {name!r}")
+    return KINDS[kind.name].preset(kind.alpha)
 
 
 def _exponents(p: UafParams, x: float) -> tuple[float, float]:

@@ -461,50 +461,34 @@ def fit_free(
     return fit(spec)
 
 
-def _sigmoid_family() -> FitSpec:
-    return FitSpec(
+_BUILTIN_SPECS = {
+    "sigmoid-family": FitSpec(
         target=TargetActivation(PresetKind("sigmoid")),
         free=("A",),
         ties=(Tie("B", "recip", "A", 0.5), Tie("D", "same", "A")),
         init=UafParams(1.0, 0.5, 0.0, 1.0, 0.0),
-    )
-
-
-def _tanh_family() -> FitSpec:
-    return FitSpec(
+    ),
+    "tanh-family": FitSpec(
         target=TargetActivation(PresetKind("tanh")),
         free=("A",),
         ties=(Tie("B", "recip", "A", 1.0), Tie("D", "same", "A")),
         init=UafParams(2.0, 0.5, 0.0, 2.0, -1.0),
-    )
-
-
-def _gaussian_family() -> FitSpec:
-    return FitSpec(
+    ),
+    "gaussian-family": FitSpec(
         target=TargetActivation(PresetKind("gaussian")),
         free=("C",),
         ties=(),
         init=UafParams(0.0, 0.0, -0.5, 0.0, LN2),
-    )
-
-
-def _relu_family() -> FitSpec:
+    ),
     # The relu RMSE decreases monotonically as A grows, so there is no finite
     # optimum; starting at the preset slope, A keeps growing until the RMSE
     # improvement per step drops below the tolerance.
-    return FitSpec(
+    "relu-family": FitSpec(
         target=TargetActivation(PresetKind("relu")),
         free=("A",),
         ties=(Tie("D", "offset", "A", -1.0),),
         init=UafParams(A_RELU, 0.0, 0.0, A_RELU - 1.0, 0.0),
-    )
-
-
-_BUILTIN_SPECS = {
-    "sigmoid-family": _sigmoid_family,
-    "tanh-family": _tanh_family,
-    "gaussian-family": _gaussian_family,
-    "relu-family": _relu_family,
+    ),
 }
 
 BUILTIN_SPEC_NAMES = tuple(sorted(_BUILTIN_SPECS))
@@ -515,9 +499,8 @@ def builtin_spec(name: str) -> FitSpec:
     relu-family (each fits the single slope/shape constant with the other
     parameters tied or frozen as in the corresponding preset)."""
     try:
-        factory = _BUILTIN_SPECS[name]
+        return _BUILTIN_SPECS[name]
     except KeyError:
         raise ValueError(
             f"unknown builtin fit spec {name!r}; available: {', '.join(BUILTIN_SPEC_NAMES)}"
         ) from None
-    return factory()

@@ -164,7 +164,7 @@ def _full_mask_scan(p, t, xs, first_cell, xmax):
     g, dt = uk.analysis._slope(p, t, xs, xmax)
     floor = 16.0 * uk.analysis._EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
     keep = np.ones(xs.size - 1, dtype=bool)
-    if t.kind.name in uk.analysis._NONSMOOTH_AT_ZERO:
+    if uk.core.KINDS[t.kind.name].at_zero:
         keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
     bound = np.maximum(floor[:-1], floor[1:])
     bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)

@@ -1,5 +1,6 @@
 """Unit tests for the constrained fitter, ties, and builtin fit specs."""
 
+import dataclasses
 import json
 import math
 
@@ -459,8 +460,44 @@ def test_builtin_names():
     assert uk.BUILTIN_SPEC_NAMES == (
         "gaussian-family", "relu-family", "sigmoid-family", "tanh-family",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown builtin fit spec 'swish-family'; available: "
+                       "gaussian-family, relu-family, sigmoid-family, tanh-family"):
         uk.builtin_spec("swish-family")
+
+
+# The four families with every value written out: each field of each
+# builtin_spec, and each bit of its fit, must stay the same.
+_FAMILY_SPECS = {
+    "sigmoid-family": FitSpec(
+        target=uk.TargetActivation(uk.SIGMOID), free=("A",),
+        ties=(Tie("B", "recip", "A", 0.5), Tie("D", "same", "A")),
+        init=uk.UafParams(1.0, 0.5, 0.0, 1.0, 0.0),
+    ),
+    "tanh-family": FitSpec(
+        target=uk.TargetActivation(uk.TANH), free=("A",),
+        ties=(Tie("B", "recip", "A", 1.0), Tie("D", "same", "A")),
+        init=uk.UafParams(2.0, 0.5, 0.0, 2.0, -1.0),
+    ),
+    "gaussian-family": FitSpec(
+        target=uk.TargetActivation(uk.GAUSSIAN), free=("C",), ties=(),
+        init=uk.UafParams(0.0, 0.0, -0.5, 0.0, 0.6931471805599453),
+    ),
+    "relu-family": FitSpec(
+        target=uk.TargetActivation(uk.RELU), free=("A",),
+        ties=(Tie("D", "offset", "A", -1.0),),
+        init=uk.UafParams(70.9992, 0.0, 0.0, 69.9992, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", uk.BUILTIN_SPEC_NAMES)
+def test_builtin_specs_are_the_families_as_written(name):
+    spec, want = uk.builtin_spec(name), _FAMILY_SPECS[name]
+    for field in dataclasses.fields(FitSpec):
+        assert getattr(spec, field.name) == getattr(want, field.name), field.name
+    # builtin_spec hands out one spec per name; a fit leaves it as it was
+    fits = [json.dumps(uk.fit(s).to_dict()) for s in (spec, uk.builtin_spec(name), want)]
+    assert fits[0] == fits[1] == fits[2]
 
 
 def test_result_serialization():

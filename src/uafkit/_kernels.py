@@ -2,7 +2,7 @@
 (``uaf_eval``), its six first derivatives (``uaf_grad``), the five parameter
 partials alone (``uaf_partials``), the x-derivative alone (``uaf_slope``),
 the terms they are built from (``uaf_terms``), and the overflow-safe
-``softplus`` and ``logistic``, which ``targets`` also uses.
+``softplus`` and ``logistic``, which ``core.KINDS`` also uses.
 
 ``uaf_partials(..., read=)`` fills only the partial columns its caller
 reads and leaves the others +0.0: the fitter's tie matrix multiplies most

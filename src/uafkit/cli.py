@@ -3,16 +3,19 @@ error reports, the RMSE summary table, and toy training runs.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, malformed JSON,
 unreadable input files), 1 on runtime failures (unwritable outputs, diverged
-training). Every command writes through one path, `_emit`, which streams text
-chunks to stdout or to a temp file that is renamed into place once complete;
-an output file gets the mode a plain open() would give it, 0o666 & ~umask.
-`eval` and `sweep` evaluate and write their grid in slices of BATCH_BLOCK
-points, so their memory does not grow with --n. The UAFKIT_SEED environment
-variable, when set, overrides the seeds in training configs and dataset specs.
+training). Input files are read by `_read`, and a library ValueError becomes
+a usage error in `_refused`. Every command writes through one path, `_emit`,
+which streams text chunks to stdout or to a temp file that is renamed into
+place once complete; an output file gets the mode a plain open() would give
+it, 0o666 & ~umask. `eval` and `sweep` evaluate and write their grid in
+slices of BATCH_BLOCK points, so their memory does not grow with --n. The
+UAFKIT_SEED environment variable, when set, overrides the seeds in training
+configs and dataset specs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -57,16 +60,41 @@ def _emit(chunks, output: str | None) -> None:
         raise click.ClickException(f"cannot write output file '{output}': {exc}") from exc
 
 
-def _load_json(path: str, what: str) -> dict:
+@contextlib.contextmanager
+def _refused(where: str | None):
+    """A ValueError raised inside becomes a usage error (exit 2) that reads
+    "{where}: {message}", or the bare message when where is None."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc) if where is None else f"{where}: {exc}") from exc
+
+
+def _read(path: str, flag: str, what: str, make):
+    """make(data) of the JSON data in the file at path; an unreadable file,
+    malformed JSON and a ValueError from make are usage errors naming it."""
     try:
         with open(path, "r") as handle:
             content = handle.read()
     except OSError as exc:
         raise click.UsageError(f"cannot read {what} file '{path}': {exc}") from exc
     try:
-        return json.loads(content)
+        data = json.loads(content)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"malformed JSON in {what} file '{path}': {exc}") from exc
+    with _refused(f"{flag} file '{path}'"):
+        return make(data)
+
+
+def _emit_json(result, output: str | None) -> None:
+    _emit([json.dumps(result.to_dict(), indent=2) + "\n"], output)
+
+
+def _params_from_json(data) -> UafParams:
+    # A fit result can be fed back directly: unwrap its params block.
+    if isinstance(data, dict) and "params" in data and "A" not in data:
+        data = data["params"]
+    return UafParams.from_dict(data)
 
 
 def _params_from_flags(params_file: str | None, preset_name: str | None, alpha: float | None) -> UafParams:
@@ -76,31 +104,20 @@ def _params_from_flags(params_file: str | None, preset_name: str | None, alpha: 
         return preset(_kind_from_flags(preset_name, alpha, "--preset"))
     if alpha is not None:
         raise click.UsageError("--alpha sets the slope of the leaky_relu preset; --params takes no alpha")
-    data = _load_json(params_file, "parameters")
-    # A fit result can be fed back directly: unwrap its params block.
-    if isinstance(data, dict) and "params" in data and "A" not in data:
-        data = data["params"]
-    try:
-        return UafParams.from_dict(data)
-    except ValueError as exc:
-        raise click.UsageError(f"--params file '{params_file}': {exc}") from exc
+    return _read(params_file, "--params", "parameters", _params_from_json)
 
 
 def _kind_from_flags(name: str, alpha: float | None, flag: str) -> PresetKind:
-    try:
+    with _refused(flag):
         return PresetKind.from_name(name, alpha)
-    except ValueError as exc:
-        raise click.UsageError(f"{flag}: {exc}") from exc
 
 
 def _grid_csv(header: str, from_, to, n: int, rows):
     """CSV text chunks over the uniform grid of n points on [from_, to]: the
     header, then rows(xs) for each slice xs of at most BATCH_BLOCK points.
     The interval is checked at once; each slice is made as it is written."""
-    try:
+    with _refused(None):
         lo, hi = coerce_interval("--from/--to", (from_, to))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     slices = (grid(lo, hi, n, i0, min(i0 + BATCH_BLOCK, n)) for i0 in range(0, n, BATCH_BLOCK))
     return itertools.chain([header], map(rows, slices))
 
@@ -140,11 +157,7 @@ def presets_group() -> None:
 @presets_group.command("list")
 def presets_list() -> None:
     """All preset kinds with their parameters (leaky_relu at alpha=0.1)."""
-    rows = []
-    for name in PRESET_NAMES:
-        kind = PresetKind.from_name(name)
-        p = preset(kind)
-        rows.append((kind.label(), p))
+    rows = [(kind.label(), preset(kind)) for kind in map(PresetKind.from_name, PRESET_NAMES)]
     width = max(len(label) for label, _ in rows)
     lines = []
     for label, p in rows:
@@ -159,7 +172,7 @@ def presets_list() -> None:
 def presets_show(kind, alpha) -> None:
     """Parameters of one preset as JSON."""
     p = preset(_kind_from_flags(kind, alpha, "KIND"))
-    _emit([json.dumps(p.to_dict(), indent=2) + "\n"], None)
+    _emit_json(p, None)
 
 
 @main.command("fit")
@@ -173,14 +186,11 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
     if builtin_name is not None:
         result = fitting.fit(fitting.builtin_spec(builtin_name))
     else:
-        data = _load_json(spec_file, "fit spec")
-        try:
-            # fit itself rejects an init that breaks the spec's ties or
-            # whose error is not finite.
-            result = fitting.fit(fitting.FitSpec.from_dict(data))
-        except ValueError as exc:
-            raise click.UsageError(f"--spec file '{spec_file}': {exc}") from exc
-    _emit([json.dumps(result.to_dict(), indent=2) + "\n"], output)
+        # fit itself rejects an init that breaks the spec's ties or whose
+        # error is not finite.
+        result = _read(spec_file, "--spec", "fit spec",
+                       lambda data: fitting.fit(fitting.FitSpec.from_dict(data)))
+    _emit_json(result, output)
 
 
 @main.command("report")
@@ -193,11 +203,9 @@ def fit_cmd(spec_file, builtin_name, output) -> None:
 def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
     """Error-extremum/RMSE report for a preset against its target."""
     kind = _kind_from_flags(preset_name, alpha, "--preset")
-    try:
+    with _refused("--lo/--hi"):
         rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
-    except ValueError as exc:
-        raise click.UsageError(f"--lo/--hi: {exc}") from exc
-    _emit([json.dumps(rep.to_dict(), indent=2) + "\n"], output)
+    _emit_json(rep, output)
 
 
 @main.command("table")
@@ -234,26 +242,11 @@ def _seed_override() -> int | None:
     return seed
 
 
-def _dataset_from_spec(path: str, seed_override: int | None) -> datasets.Dataset:
-    data = _load_json(path, "dataset spec")
-    if seed_override is not None and isinstance(data, dict):
-        data["seed"] = seed_override
-    makers = {"blobs": datasets.make_blobs, "gas_analogue": datasets.make_gas_analogue}
-    try:
-        return from_tagged_json(makers, data, "kind", "dataset spec")
-    except ValueError as exc:
-        raise click.UsageError(f"--dataset file '{path}': {exc}") from exc
-
-
 def _trajectory_csv(report: network.TrainReport):
     yield "epoch,loss,metric,A,B,C,D,E\n"
-    traj = {e: p for e, p in (report.uaf_trajectory or ())}
-    for i, (loss, metric) in enumerate(zip(report.loss_trace, report.metric_trace)):
-        epoch = i + 1
-        if epoch in traj:
-            tail = ",".join(repr(float(v)) for v in traj[epoch].as_tuple())
-        else:
-            tail = ",,,,"
+    traj = dict(report.uaf_trajectory or ())
+    for epoch, (loss, metric) in enumerate(zip(report.loss_trace, report.metric_trace), 1):
+        tail = ",".join(repr(float(v)) for v in traj[epoch].as_tuple()) if epoch in traj else ",,,,"
         yield f"{epoch},{float(loss)!r},{float(metric)!r},{tail}\n"
 
 
@@ -264,22 +257,24 @@ def _trajectory_csv(report: network.TrainReport):
 @click.option("--csv", "csv_file", type=str, default=None, help="Optional per-epoch CSV (epoch,loss,metric,A..E).")
 def train_cmd(config_file, dataset_file, output, csv_file) -> None:
     """Train the configured network on a generated dataset."""
-    seed_override = _seed_override()
-    config_data = _load_json(config_file, "network config")
-    if seed_override is not None and isinstance(config_data, dict):
-        config_data["seed"] = seed_override
-    try:
-        config = network.NetworkConfig.from_dict(config_data)
-    except ValueError as exc:
-        raise click.UsageError(f"--config file '{config_file}': {exc}") from exc
-    dataset = _dataset_from_spec(dataset_file, seed_override)
-    try:
+    seed = _seed_override()
+
+    def seeded(data):
+        if seed is not None and isinstance(data, dict):
+            data["seed"] = seed
+        return data
+
+    def make_dataset(data):
+        # The makers are looked up when the command runs, not at import.
+        makers = {"blobs": datasets.make_blobs, "gas_analogue": datasets.make_gas_analogue}
+        return from_tagged_json(makers, seeded(data), "kind", "dataset spec")
+
+    config = _read(config_file, "--config", "network config",
+                   lambda data: network.NetworkConfig.from_dict(seeded(data)))
+    dataset = _read(dataset_file, "--dataset", "dataset spec", make_dataset)
+    with _refused(f"--config file '{config_file}' does not fit --dataset file '{dataset_file}'"):
         report = network.train(config, dataset)
-    except ValueError as exc:
-        raise click.UsageError(
-            f"--config file '{config_file}' does not fit --dataset file '{dataset_file}': {exc}"
-        ) from exc
-    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], output)
+    _emit_json(report, output)
     if csv_file is not None:
         _emit(_trajectory_csv(report), csv_file)
     if report.diverged:

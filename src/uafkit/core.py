@@ -31,6 +31,14 @@ __all__ = [
     "PARAM_NAMES",
     "KINDS",
     "PRESET_NAMES",
+    "IDENTITY",
+    "STEP",
+    "SIGMOID",
+    "TANH",
+    "RELU",
+    "SOFTPLUS",
+    "GAUSSIAN",
+    "leaky_relu",
     "A_STEP",
     "A_SIGMOID",
     "A_TANH",
@@ -42,6 +50,7 @@ __all__ = [
     "grad",
     "preset",
     "eval_batch",
+    "grad_batch",
 ]
 
 PARAM_NAMES = ("A", "B", "C", "D", "E")

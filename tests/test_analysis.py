@@ -518,6 +518,11 @@ def test_scaled_residual_vanishes_at_extrema():
         for x in roots:
             r = uk.characteristic_residual_scaled(kind, p, x)
             assert abs(r) < 1e-4, (kind.label(), x, r)
+    # the gaussian's equation is 0 = 0 at x = 0: every term is 0, and the
+    # scaled residual is 0.0, not 0/0
+    p = uk.preset(uk.GAUSSIAN)
+    assert not any(uk.analysis._char_terms(uk.GAUSSIAN, p, 0.0))
+    assert uk.characteristic_residual_scaled(uk.GAUSSIAN, p, 0.0) == 0.0
 
 
 def test_scaled_residual_nonzero_off_root():

@@ -3,7 +3,8 @@
 The benchmark's worker exits 1 when a name it calls is gone, and the
 benchmark runs the same perfbench/ against the old and the new code, so a
 rename shows there only as a failed run. These tests call the names as
-perfbench's worker and timers do, on small inputs.
+perfbench's worker and timers do, on small inputs, and run the commands of
+a traced benchmark run under its spans.
 """
 
 import importlib
@@ -13,9 +14,11 @@ from pathlib import Path
 import click
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import uafkit as uk
 from uafkit import targets
+from uafkit.cli import main
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,6 +42,23 @@ def test_spanned_names_resolve(perfbench):
         for attr in path.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), (module_name, path)
+
+
+def test_traced_probe_jobs_record_every_span(perfbench, tmp_path):
+    # A name can resolve and still never be called through its module, for
+    # instance when the CLI binds it at import: a traced benchmark run then
+    # finds no span for it, and its worker exits 1.
+    timers, jobs = perfbench
+    for workload in ("fit", "train"):
+        jobs.write_inputs(workload, 1, str(tmp_path))
+    runner = CliRunner()
+    with timers.Tracer().installed() as tracer:
+        for op in jobs.probe_ops():
+            result = runner.invoke(main, [a.replace("{work}", str(tmp_path)) for a in op.args])
+            assert result.exit_code == 0, (op.job, result.output)
+    for module_name, path, _select in timers.SPANNED:
+        name = f"{module_name[len('uafkit.'):]}.{path}"
+        assert tracer.calls(name) > 0, name
 
 
 def test_worker_and_direct_layer_names_resolve(perfbench):

@@ -438,6 +438,43 @@ def test_train_writes_report_and_csv(runner, tmp_path):
     assert len(lines) == 3
 
 
+def test_train_csv_leaves_the_uaf_cells_empty_for_a_fixed_activation(runner, tmp_path):
+    cfg, ds = _write_train_inputs(tmp_path)
+    cfg.write_text(json.dumps({**_TRAIN_CONFIG, "activation": {"type": "fixed", "kind": "tanh"},
+                               "epochs": 2}))
+    csv_path = tmp_path / "trace.csv"
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds),
+                                  "--csv", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    rows = zip(report["loss_trace"], report["metric_trace"])
+    assert csv_path.read_text().splitlines() == [
+        "epoch,loss,metric,A,B,C,D,E",
+        *(f"{epoch},{loss!r},{metric!r},,,,," for epoch, (loss, metric) in enumerate(rows, 1)),
+    ]
+
+
+def test_a_diverging_train_prints_its_report_and_exits_1(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("UAFKIT_SEED", raising=False)
+    cfg = tmp_path / "config.json"
+    ds = tmp_path / "dataset.json"
+    cfg.write_text(json.dumps({
+        "layer_sizes": [16, 24, 4],
+        "activation": {"type": "trainable", "init": uk.preset(uk.IDENTITY).to_dict()},
+        "optimizer": {"kind": "sgd", "learning_rate": 1000.0},
+        "epochs": 3,
+    }))
+    ds.write_text(json.dumps({"kind": "blobs", "seed": 11, "n_classes": 4, "spread": 3.0}))
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    # the report on stdout, then the message on stderr
+    message = "Error: training diverged (non-finite loss, metric or UAF parameters) at epoch 1\n"
+    assert result.output.endswith(message)
+    report = json.loads(result.output[:-len(message)])
+    assert report["diverged"] is True and report["diverged_epoch"] == 1
+
+
 def test_train_seed_env_override(runner, tmp_path, monkeypatch):
     cfg, ds = _write_train_inputs(tmp_path)
 

@@ -37,6 +37,8 @@ def test_params_accept_real_numbers_only():
     for bad in ("1", True, np.bool_(True), None):
         with pytest.raises(ValueError):
             uk.UafParams(bad, 0, 0, -1, 0)
+    with pytest.raises(ValueError, match="^A is too large for a float$"):
+        uk.UafParams(10**400, 0, 0, -1, 0)
     p = uk.UafParams(np.int64(1), np.float32(0.5), 0, -1, 0)
     assert p.as_tuple() == (1.0, 0.5, 0.0, -1.0, 0.0)
     assert all(type(v) is float for v in p.as_tuple())
@@ -124,7 +126,13 @@ def test_preset_kind_validation():
             uk.leaky_relu(bad)
     with pytest.raises(ValueError):
         uk.PresetKind.from_name("swish")
+    with pytest.raises(ValueError, match=r"^leaky_relu requires an alpha in \(0, 0\.1\]$"):
+        uk.PresetKind("leaky_relu")
     assert uk.PresetKind.from_name("tanh") == uk.TANH
+    # TargetActivation.from_name reads the name and alpha as PresetKind does
+    assert uk.TargetActivation.from_name("leaky_relu", 0.05) == uk.target(uk.leaky_relu(0.05))
+    with pytest.raises(ValueError, match="^tanh takes no alpha$"):
+        uk.TargetActivation.from_name("tanh", 0.3)
     assert uk.PresetKind.from_dict("tanh") == uk.TANH
     assert uk.PresetKind.from_dict({"name": "leaky_relu"}) == uk.leaky_relu(0.1)
     # alpha must be a number, and only leaky_relu takes one

@@ -71,6 +71,10 @@ def test_generators_check_their_arguments():
         uk.make_gas_analogue(seed=0, n_samples=40, snr_db="30")
     with pytest.raises(ValueError):
         uk.make_blobs(seed=0, n_samples=40, spread=None)
+    # finite, but 10 ** (snr_db / 10) overflows (4000) or is 0.0 (-4000)
+    for snr_db in (4000.0, -4000.0):
+        with pytest.raises(ValueError, match=rf"^snr_db = {snr_db} puts the noise power out of float64 range$"):
+            uk.make_gas_analogue(0, snr_db=snr_db)
 
 
 def test_gas_deterministic():
@@ -135,6 +139,8 @@ def test_dataset_validation():
     y = np.zeros((4, 1))
     with pytest.raises(ValueError):
         Dataset(inputs=x * math.nan, targets=y, kind="regression")
+    with pytest.raises(ValueError, match="^inputs and targets must be 2-d arrays$"):
+        Dataset(inputs=np.zeros(4), targets=y, kind="regression")
     with pytest.raises(ValueError):
         Dataset(inputs=x, targets=np.zeros((3, 1)), kind="regression")
     with pytest.raises(ValueError):

@@ -42,6 +42,10 @@ def test_tie_validation_and_round_trip():
         Tie("D", "product", "A")
     with pytest.raises(ValueError):
         Tie("Q", "same", "A")
+    with pytest.raises(ValueError, match="^const tie takes no source parameter$"):
+        Tie("B", "const", "A")
+    with pytest.raises(ValueError, match=r"^tie cannot reference itself \(A\)$"):
+        Tie("A", "same", "A")
     t = Tie("B", "recip", "A", 0.5)
     assert Tie.from_dict(t.to_dict()) == t
     with pytest.raises(ValueError):
@@ -74,6 +78,8 @@ def test_spec_validation():
         _spec(ties=(Tie("A", "const", None, 1.0),))  # A is also free
     with pytest.raises(ValueError):
         _spec(ties=(Tie("B", "same", "C"),))  # source C is not free
+    with pytest.raises(ValueError, match=r"^parameter tied more than once: \['B', 'B'\]$"):
+        _spec(ties=(Tie("B", "recip", "A", 0.5), Tie("B", "same", "A")))
     with pytest.raises(ValueError):
         _spec(interval=(3.0, -3.0))
     with pytest.raises(ValueError):

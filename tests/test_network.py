@@ -430,6 +430,8 @@ def test_config_validation():
                 dict(activation=uk.TANH), dict(optimizer={"kind": "sgd"})):
         with pytest.raises(ValueError):
             NetworkConfig(**{"layer_sizes": (3, 4, 2), "activation": _identity_uaf(), **bad})
+    with pytest.raises(ValueError, match="^task must be regression or classification, got 'ranking'$"):
+        Network(NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf()), task="ranking")
     cfg = NetworkConfig(layer_sizes=(np.int64(3), 4, 2), activation=_identity_uaf(),
                         seed=np.int64(5), use_batch_norm=np.bool_(False))
     assert (cfg.layer_sizes, cfg.seed, cfg.use_batch_norm) == ((3, 4, 2), 5, False)
@@ -444,6 +446,9 @@ def test_activation_and_optimizer_validation():
                  lambda: TrainableUaf(uk.preset(uk.IDENTITY).to_dict())):
         with pytest.raises(ValueError):
             make()
+    # a tagged field must be an object that holds its tag
+    with pytest.raises(ValueError, match="^activation must be an object with a 'type' field$"):
+        NetworkConfig.from_dict({"layer_sizes": [3, 4, 2], "activation": "fixed"})
     assert AdamConfig(beta1=0.0).beta1 == 0.0
 
 

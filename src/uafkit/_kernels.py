@@ -4,6 +4,10 @@ partials alone (``uaf_partials``), the x-derivative alone (``uaf_slope``),
 the terms they are built from (``uaf_terms``), and the overflow-safe
 ``softplus`` and ``logistic``, which ``core.KINDS`` also uses.
 
+uaf_partials and uaf_slope are columns 1-5 and column 0 of uaf_grad by
+construction: each derivative is formed in one place, ``_partials_into`` or
+``_slope_into``.
+
 ``uaf_partials(..., read=)`` fills only the partial columns its caller
 reads and leaves the others +0.0: the fitter's tie matrix multiplies most
 of the five by zero rows.
@@ -178,11 +182,7 @@ def uaf_grad(
     del z, e  # frees them when the terms are this call's own
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
     s2d = _partials_into(out[:, 1:], xs, A, D, s1, s2, xpb, xmb)
-    col = out[:, 0]
-    np.multiply(2.0 * C, xs, out=col)
-    np.add(A, col, out=col)
-    np.multiply(s1, col, out=col)
-    col -= s2d
+    _slope_into(out[:, 0], xs, A, C, s1, s2d)
     return out
 
 
@@ -235,18 +235,27 @@ def uaf_slope(
     xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None,
     xmax: float | None = None,
 ) -> np.ndarray:
-    """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, bitwise equal to column 0 of
-    uaf_grad: the error scan and a fixed activation's backward need no
-    parameter partials. terms as in uaf_eval; xmax as in uaf_terms, which
-    also lets a C of 0.0 skip the two passes of A + 2Cx (module docstring)."""
+    """df/dx = s(z1)(A + 2Cx) - s(z2)D alone: the error scan and a fixed
+    activation's backward need no parameter partials. It is column 0 of
+    uaf_grad by construction: both are formed by _slope_into. terms as in
+    uaf_eval; xmax as in uaf_terms, which also lets a C of 0.0 skip the two
+    passes of A + 2Cx (module docstring)."""
     xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False, xmax=xmax) if terms is None else terms
     s1, s2 = logistic(z, e)
+    s2 *= D
+    return _slope_into(None, xs, A, C, s1, s2, xmax)
+
+
+def _slope_into(out, xs, A, C, s1, s2d, xmax=None) -> np.ndarray:
+    """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2d = s(z2)D,
+    written into out (a new array when None) and returned. With xmax given,
+    a C of 0.0 and a finite nonzero A take s(z1)A: for finite x, A + 2Cx is
+    A itself."""
     if xmax is not None and C == 0.0 and 0.0 < abs(A) < np.inf:
-        out = s1 * A  # for finite x, A + 2Cx is A itself
+        out = np.multiply(s1, A, out=out)
     else:
-        out = 2.0 * C * xs
+        out = np.multiply(2.0 * C, xs, out=out)
         np.add(A, out, out=out)
         np.multiply(s1, out, out=out)
-    s2 *= D
-    out -= s2
+    out -= s2d
     return out

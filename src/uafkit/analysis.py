@@ -287,16 +287,9 @@ def error_report(
 
 
 _TABLE_INTERVAL = (-10.0, 10.0)
-_TABLE_ORDER = (
-    PresetKind("identity"),
-    PresetKind("step"),
-    PresetKind("relu"),
-    PresetKind("leaky_relu", 0.1),
-    PresetKind("sigmoid"),
-    PresetKind("tanh"),
-    PresetKind("softplus"),
-    PresetKind("gaussian"),
-)
+_TABLE_ORDER = tuple(map(PresetKind.from_name, (
+    "identity", "step", "relu", "leaky_relu", "sigmoid", "tanh", "softplus", "gaussian",
+)))
 
 
 def rmse_table(n_samples: int = 2001) -> RmseTable:

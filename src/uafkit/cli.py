@@ -71,16 +71,21 @@ def _refused(where: str | None):
 
 
 def _read(path: str, flag: str, what: str, make):
-    """make(data) of the JSON data in the file at path; an unreadable file,
-    malformed JSON and a ValueError from make are usage errors naming it."""
+    """make(data) of the JSON data in the UTF-8 file at path; an unreadable
+    file, text that is not UTF-8, malformed JSON and a ValueError from make
+    are usage errors naming it."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             content = handle.read()
     except OSError as exc:
         raise click.UsageError(f"cannot read {what} file '{path}': {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{what} file '{path}' is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(content)
-    except json.JSONDecodeError as exc:
+    # Besides JSONDecodeError: a ValueError for an integer of too many digits,
+    # and a RecursionError for arrays or objects nested too deeply.
+    except (ValueError, RecursionError) as exc:
         raise click.UsageError(f"malformed JSON in {what} file '{path}': {exc}") from exc
     with _refused(f"{flag} file '{path}'"):
         return make(data)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,11 +64,7 @@ class FixedActivation:
         coerce_field(self, "exact", bool)
 
     def to_dict(self) -> dict:
-        return {
-            "type": "fixed",
-            "kind": {"name": self.kind.name, "alpha": self.kind.alpha},
-            "exact": self.exact,
-        }
+        return {"type": "fixed", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class TrainableUaf:
         coerce_field(self, "init", UafParams)
 
     def to_dict(self) -> dict:
-        return {"type": "trainable", "init": self.init.to_dict()}
+        return {"type": "trainable", **asdict(self)}
 
 
 def _activation_from_dict(data: dict):
@@ -114,7 +110,7 @@ class SgdConfig:
         _check_learning_rate(self)
 
     def to_dict(self) -> dict:
-        return {"kind": "sgd", "learning_rate": self.learning_rate}
+        return {"kind": "sgd", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -133,13 +129,7 @@ class AdamConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "adam",
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
+        return {"kind": "adam", **asdict(self)}
 
 
 def _optimizer_from_dict(data: dict):
@@ -184,15 +174,13 @@ class NetworkConfig:
                 raise ValueError(f"uaf_learning_rate must be > 0, got {self.uaf_learning_rate}")
 
     def to_dict(self) -> dict:
+        # The fields in their order, with layer_sizes as a list and the two
+        # members' tags, which asdict leaves out.
         return {
+            **asdict(self),
             "layer_sizes": list(self.layer_sizes),
             "activation": self.activation.to_dict(),
-            "use_batch_norm": self.use_batch_norm,
-            "seed": self.seed,
             "optimizer": self.optimizer.to_dict(),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "uaf_learning_rate": self.uaf_learning_rate,
         }
 
     @classmethod

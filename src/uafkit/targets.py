@@ -37,13 +37,15 @@ class TargetActivation:
         coerce_field(self, "kind", PresetKind)
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        out = KINDS[self.kind.name].value(np.atleast_1d(arr), self.kind.alpha)
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._apply(KINDS[self.kind.name].value, x)
 
     def derivative(self, x):
+        return self._apply(KINDS[self.kind.name].slope, x)
+
+    def _apply(self, fn, x):
+        """fn(x, alpha) over x as a 1-d array: a float for a scalar x."""
         arr = np.asarray(x, dtype=np.float64)
-        out = KINDS[self.kind.name].slope(np.atleast_1d(arr), self.kind.alpha)
+        out = fn(np.atleast_1d(arr), self.kind.alpha)
         return float(out[0]) if arr.ndim == 0 else out
 
     @classmethod

@@ -348,6 +348,38 @@ def test_malformed_json_values_exit_2(runner, tmp_path, command, data):
     assert "input.json" in result.output
 
 
+# Files that fail before any JSON value is read, each with the words of its
+# message: a UTF-16 BOM (not UTF-8), arrays nested past the parser's depth,
+# and an integer of more digits than Python converts.
+_UNREADABLE = {
+    "utf16_bom": (b"\xff\xfe{}", "is not UTF-8 text"),
+    "deep_nesting": (b"[" * 100_000, "malformed JSON"),
+    "long_integer": (b'{"A": ' + b"9" * 5000 + b"}", "malformed JSON"),
+}
+
+
+@pytest.mark.parametrize("content, words", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+@pytest.mark.parametrize("flag", ["eval --params", "sweep --params", "fit --spec",
+                                  "train --config", "train --dataset"])
+def test_input_files_that_are_not_json_text_exit_2(runner, tmp_path, flag, content, words):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    command, option = flag.split()
+    cfg, ds = _write_train_inputs(tmp_path)
+    args = {
+        "eval": ["eval", "--from", "0", "--to", "1"],
+        "sweep": ["sweep", "--target", "tanh", "--from", "0", "--to", "1"],
+        "fit": ["fit"],
+        "train": ["train", "--config", str(cfg), "--dataset", str(ds)],
+    }[command]
+    result = runner.invoke(main, [*args, option, str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"file '{path}'" in result.output
+    assert words in result.output
+
+
 # --- report / table -------------------------------------------------------------
 
 

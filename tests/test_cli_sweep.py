@@ -10,7 +10,8 @@ allocate memory or time (layer sizes, epochs, sample and iteration counts,
 the report interval) are drawn from small ranges; the sizes that allocate
 memory are also drawn above the count cap, where they fail at the check.
 Since few examples draw those, a parametrised test below sets each of them
-above the cap in turn.
+above the cap in turn. A last sweep writes each input file as bytes that are
+mostly not UTF-8 JSON at all.
 """
 
 import copy
@@ -334,4 +335,76 @@ def test_counts_above_the_cap_are_usage_errors(files):
         result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+# --- input files of any bytes --------------------------------------------------
+
+# Each input-file flag, with the command that reads it and a valid document
+# for it; a train command reads the other of its two files valid.
+_FILE_FLAGS = {
+    "eval --params": (["eval", "--from", "0", "--to", "1"], _IDENTITY),
+    "sweep --params": (["sweep", "--target", "relu", "--from", "0", "--to", "1"], _IDENTITY),
+    "fit --spec": (["fit"], _SIGMOID_FAMILY),
+    "train --config": (["train", "--dataset", "other.json"], _CONFIG),
+    "train --dataset": (["train", "--config", "other.json"], _GAS),
+}
+
+
+@st.composite
+def _file_bytes(draw, doc):
+    """Bytes that are mostly not UTF-8 JSON: arbitrary bytes, the valid
+    document behind a BOM or in UTF-16 or UTF-32, cut short inside a
+    multi-byte character or with a stray byte, nested past the parser's
+    depth, or holding an integer past Python's digit limit."""
+    text = json.dumps({"é€\U0001d11e": "é€\U0001d11e", **doc}, ensure_ascii=False)
+    how = draw(st.sampled_from(["bytes", "bom", "utf16", "truncated", "stray", "deep", "long_int"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=40))
+    if how == "bom":
+        return b"\xef\xbb\xbf" + json.dumps(doc).encode()
+    if how == "utf16":
+        return json.dumps(doc).encode(draw(st.sampled_from(
+            ["utf-16", "utf-16-le", "utf-16-be", "utf-32"])))
+    data = text.encode()
+    if how == "truncated":
+        return data[:draw(st.integers(1, 10))]
+    if how == "stray":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + bytes([draw(st.integers(0x80, 0xff))]) + data[at:]
+    if how == "deep":
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+        depth = draw(st.sampled_from([500, 1000, 100_000]))
+        closed = closer * depth if draw(st.booleans()) else ""
+        key = draw(st.sampled_from(sorted(doc)))
+        return json.dumps({**doc, key: "@"}).replace('"@"', opener * depth + "1" + closed).encode()
+    digits = "9" * draw(st.sampled_from([4300, 4301, 5000]))
+    key = draw(st.sampled_from(sorted(doc)))
+    return json.dumps({**doc, key: "@"}).replace('"@"', digits).encode()
+
+
+@st.composite
+def _file_invocations(draw):
+    flag = draw(st.sampled_from(sorted(_FILE_FLAGS)))
+    command, doc = _FILE_FLAGS[flag]
+    return flag, command, draw(_file_bytes(doc))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_file_invocations())
+def test_input_files_of_any_bytes_exit_0_1_or_2(invocation):
+    flag, command, content = invocation
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        with open(os.path.join(work, "other.json"), "w") as handle:
+            json.dump(_GAS if flag == "train --config" else _CONFIG, handle)
+        args = [os.path.join(work, a) if a == "other.json" else a for a in command]
+        result = CliRunner().invoke(main, [*args, flag.split()[1], path])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        f"{flag} {content[:80]!r} raised {result.exception!r}"
+    )
     assert "Traceback" not in result.output

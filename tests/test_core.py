@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uafkit as uk
 from uafkit.core import PARAM_NAMES, coerce
@@ -336,6 +338,56 @@ def test_slope_kernel_is_the_grad_column():
         for params in (p, tuple(v * (1.0 + d) for v, d in zip(p, rng.uniform(-0.1, 0.1, 5)))):
             want = uaf_grad(xs, *params)[:, 0]
             assert np.array_equal(uaf_slope(xs, *params[:4]).view(np.int64), want.view(np.int64))
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _uaf_oracle(x, A, B, C, D, E):
+    """f(x), df/dx and the scales of their rounding error, at 60 digits.
+
+    A float evaluation rounds z1 and z2 relative to Z1 = |A|(|x|+|B|) + |C|x^2
+    and Z2 = |D|(|x|+|B|), and f and df/dx carry those errors through
+    softplus' slope s and logistic's slope s(1-s). Each scale is the sum of
+    the magnitudes rounded along the way."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        x, A, B, C, D, E = map(mp.mpf, (x, A, B, C, D, E))
+        z1, z2 = A * (x + B) + C * x * x, D * (x - B)
+        Z1, Z2 = abs(A) * (abs(x) + abs(B)) + abs(C) * x * x, abs(D) * (abs(x) + abs(B))
+        sp1, sp2 = mp.log1p(mp.exp(z1)), mp.log1p(mp.exp(z2))
+        s1, s2 = 1 / (1 + mp.exp(-z1)), 1 / (1 + mp.exp(-z2))
+        value = sp1 - sp2 + E
+        slope = s1 * (A + 2 * C * x) - s2 * D
+        value_scale = abs(sp1) + abs(sp2) + abs(E) + s1 * Z1 + s2 * Z2
+        slope_scale = ((s1 * (1 - s1) * Z1 + s1) * (abs(A) + 2 * abs(C) * abs(x))
+                       + (s2 * (1 - s2) * Z2 + s2) * abs(D))
+        # Results below the normal range round to multiples of 5e-324.
+        floor = mp.mpf(5e-324) * (abs(A) + 2 * abs(C) * abs(x) + abs(D) + 1)
+        return value, slope, 4 * _EPS * value_scale + floor, 4 * _EPS * slope_scale + floor
+
+
+_ORACLE_PARAMS = st.floats(-200.0, 200.0)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(params=st.tuples(*[_ORACLE_PARAMS] * 5),
+       xs=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
+def test_kernels_match_a_60_digit_oracle(params, xs):
+    """uaf_eval and every df/dx (uaf_grad's column 0, uaf_slope with and
+    without its bound) lie within 4 ulp of the scale of their terms."""
+    from uafkit._kernels import uaf_eval, uaf_grad, uaf_slope
+
+    A, B, C, D, E = params
+    x = np.array(xs)
+    value = uaf_eval(x, *params)
+    slopes = (uaf_grad(x, *params)[:, 0], uaf_slope(x, A, B, C, D),
+              uaf_slope(x, A, B, C, D, xmax=100.0))
+    for i, xi in enumerate(xs):
+        want, want_slope, value_tol, slope_tol = _uaf_oracle(xi, *params)
+        assert abs(value[i] - want) <= value_tol, (xi, params)
+        for slope in slopes:
+            assert abs(slope[i] - want_slope) <= slope_tol, (xi, params)
 
 
 # The two-array kernels that the stacked (2, n) ones replaced, frozen as the

@@ -37,9 +37,6 @@ _BISECT_XTOL = 1e-10
 _SCAN_BLOCK = 4096
 # Halvings per bisection pass: 2**8 - 1 midpoints per bracket, one kernel call.
 _TREE_LEVELS = 8
-# Most grid points a scan may take: an interval of width 1e4, such as
-# [-5000, 5000]; wider intervals are refused.
-MAX_SCAN_POINTS = MAX_POINTS
 _EPS = np.finfo(np.float64).eps
 
 
@@ -181,7 +178,7 @@ def critical_points(
     The slope is scanned on a grid of step _SCAN_STEP, in blocks of
     _SCAN_BLOCK nodes so that memory does not grow with the interval, and
     all brackets are bisected together to 1e-10. Raises ValueError when the
-    grid would take more than MAX_SCAN_POINTS points. A grid node where the
+    grid would take more than core.MAX_POINTS points. A grid node where the
     slope is exactly 0 between neighbours of opposite sign (gaussian's x = 0)
     is a root as it stands. For targets that are non-smooth at 0 (step, relu,
     leaky_relu) the cells touching 0 are skipped; the point itself is treated
@@ -189,10 +186,10 @@ def critical_points(
     """
     lo, hi = coerce_interval("interval", interval)
     steps = (hi - lo) / _SCAN_STEP  # inf when the quotient overflows
-    if not steps <= MAX_SCAN_POINTS - 1:
+    if not steps <= MAX_POINTS - 1:
         raise ValueError(
             f"interval ({lo}, {hi}) needs {steps + 1:.6g} scan points at step {_SCAN_STEP}, "
-            f"above the cap of {MAX_SCAN_POINTS}"
+            f"above the cap of {MAX_POINTS}"
         )
     n = max(3, int(round(steps)) + 1)
     # Every scan node and bisection point lies in [lo, hi].

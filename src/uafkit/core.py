@@ -91,12 +91,12 @@ def coerce(name: str, value, kind, minimum=None, maximum=None):
     """
     if kind is bool:
         if not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
+            raise ValueError(f"{name} must be true or false, got {_shown(value)}")
         return bool(value)
     if kind is not int and kind is not float:
         if not isinstance(value, kind):
             names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
-            raise ValueError(f"{name} must be a {' or '.join(names)}, got {value!r}")
+            raise ValueError(f"{name} must be a {' or '.join(names)}, got {_shown(value)}")
         return value
     # float and int first: they are the common case, and the ABC check is slow.
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
@@ -113,10 +113,25 @@ def coerce(name: str, value, kind, minimum=None, maximum=None):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {_shown(minimum)}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {value}")
+        raise ValueError(f"{name} must be <= {_shown(maximum)}, got {_shown(value)}")
     return value
+
+
+def _shown(value) -> str:
+    """repr(value), which is str(value) for an int or a float; an int too
+    long for repr (over sys.get_int_max_str_digits() digits, 4300 by default)
+    reads "at least 10^k" or "at most -10^k", 10^k <= |value| < 10^(k+1)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    k = int(math.log10(abs(value))) - 1  # k or below: the loop counts up
+    while 10 ** (k + 1) <= abs(value):
+        k += 1
+    return f"at least 10^{k}" if value > 0 else f"at most -10^{k}"
 
 
 def check_size(what: str, *dims: int) -> None:
@@ -124,13 +139,13 @@ def check_size(what: str, *dims: int) -> None:
     would hold more than MAX_POINTS values."""
     size = math.prod(dims)
     if size > MAX_POINTS:
-        raise ValueError(f"{what} = {size} values, above the cap of {MAX_POINTS}")
+        raise ValueError(f"{what} = {_shown(size)} values, above the cap of {MAX_POINTS}")
 
 
 def coerce_list(name: str, value, kind, minimum=None) -> tuple:
     """A list (or tuple) field whose items are each read by coerce."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
+        raise ValueError(f"{name} must be a list, got {_shown(value)}")
     return tuple(coerce(name, item, kind, minimum) for item in value)
 
 
@@ -361,29 +376,20 @@ def preset(kind: PresetKind) -> UafParams:
     return KINDS[kind.name].preset(kind.alpha)
 
 
-def _exponents(p: UafParams, x: float) -> tuple[float, float]:
-    return (p.A * (x + p.B) + p.C * x * x, p.D * (x - p.B))
-
-
-def eval_naive(p: UafParams, x: float, *, on_overflow: str = "error") -> float:
+def eval_naive(p: UafParams, x: float) -> float:
     """Literal evaluation ln(1+e^{z1}) - ln(1+e^{z2}) + E; the reference oracle.
 
-    When an exponent argument exceeds the float64 exp range, raises
-    UafOverflowError (default) or returns the signed infinity the literal
-    formula would produce (on_overflow="inf").
+    Raises UafOverflowError when an exponent argument exceeds the float64
+    exp range.
     """
-    if on_overflow not in ("error", "inf"):
-        raise ValueError(f"on_overflow must be 'error' or 'inf', got {on_overflow!r}")
     x = coerce("x", x, float)
-    z1, z2 = _exponents(p, x)
+    z1, z2 = p.A * (x + p.B) + p.C * x * x, p.D * (x - p.B)
     if z1 > _EXP_MAX or z2 > _EXP_MAX:
-        if on_overflow == "error":
-            arm = "A(x+B)+Cx^2" if z1 > _EXP_MAX else "D(x-B)"
-            raise UafOverflowError(
-                f"exponent argument {arm} = {max(z1, z2):.6g} exceeds the "
-                f"float64 exp range ({_EXP_MAX:.6g}); use eval_stable"
-            )
-        return math.inf if z1 > _EXP_MAX else -math.inf
+        arm = "A(x+B)+Cx^2" if z1 > _EXP_MAX else "D(x-B)"
+        raise UafOverflowError(
+            f"exponent argument {arm} = {max(z1, z2):.6g} exceeds the "
+            f"float64 exp range ({_EXP_MAX:.6g}); use eval_stable"
+        )
     return math.log(1.0 + math.exp(z1)) - math.log(1.0 + math.exp(z2)) + p.E
 
 

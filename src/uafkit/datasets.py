@@ -10,19 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_size, coerce, coerce_list
+from .core import check_size, coerce
 
 __all__ = ["Dataset", "make_gas_analogue", "make_blobs"]
+
+# The train/validation/test fractions of every dataset.
+SPLIT = (0.7, 0.15, 0.15)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs/targets plus the train/validation/test split fractions."""
+    """Inputs and targets, split into train/validation/test rows by SPLIT."""
 
     inputs: np.ndarray  # (n_samples, n_features)
     targets: np.ndarray  # (n_samples, n_outputs)
-    split: tuple[float, float, float] = (0.7, 0.15, 0.15)
     kind: str = "regression"  # or "classification"
+    split = SPLIT  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -38,20 +41,16 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
         if self.kind not in ("regression", "classification"):
             raise ValueError(f"kind must be regression or classification, got {self.kind!r}")
-        split = coerce_list("split", self.split, float, minimum=0.0)
-        if len(split) != 3 or not math.isclose(sum(split), 1.0):
-            raise ValueError(f"split must be three fractions that sum to 1, got {split}")
         if self.kind == "classification":
             row_sums = targets.sum(axis=1)
             if not (np.allclose(row_sums, 1.0) and np.all((targets == 0) | (targets == 1))):
                 raise ValueError("classification targets must be one-hot rows")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "split", split)
         train, validation, _ = self.split_indices()
         if len(train) == 0 or len(validation) == 0:
             raise ValueError(
-                f"split {split} of {len(inputs)} samples leaves an empty train or validation set"
+                f"split {SPLIT} of {len(inputs)} samples leaves an empty train or validation set"
             )
 
     @property

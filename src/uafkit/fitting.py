@@ -194,14 +194,20 @@ class FitSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, their RMSE, why the fit stopped (see fit), and
-    the monotone per-step trace."""
+    """Best parameters found, why the fit stopped (see fit), and the
+    monotone RMSE trace: the start, then one entry per accepted step."""
 
     params: UafParams
-    rmse: float
-    iterations: int
     stop_reason: str
     rmse_trace: tuple[float, ...] = field(repr=False)
+
+    @property
+    def rmse(self) -> float:
+        return self.rmse_trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.rmse_trace) - 1
 
     @property
     def converged(self) -> bool:
@@ -436,8 +442,6 @@ def fit(spec: FitSpec) -> FitResult:
 
     return FitResult(
         params=UafParams(*values),
-        rmse=math.sqrt(cur_mse),
-        iterations=len(trace) - 1,
         stop_reason=stop_reason,
         rmse_trace=tuple(trace),
     )

@@ -196,14 +196,18 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Per-epoch traces plus the UAF parameter trajectory (trainable runs)."""
+    """Per-epoch traces, the UAF parameter trajectory (trainable runs), and
+    the epoch at which training diverged (None when it did not)."""
 
     loss_trace: tuple[float, ...]
     metric_trace: tuple[float, ...]
     uaf_trajectory: tuple[tuple[int, UafParams], ...] | None
     wall_time: float
-    diverged: bool = False
     diverged_epoch: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_epoch is not None
 
     def to_dict(self) -> dict:
         return {
@@ -501,7 +505,6 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
     trajectory: list[tuple[int, UafParams]] | None = None
     if net.uaf is not None:
         trajectory = [(0, net.uaf_params())]
-    diverged = False
     diverged_epoch: int | None = None
 
     for epoch in range(1, config.epochs + 1):
@@ -516,12 +519,11 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
                 hi = lo + config.batch_size
                 loss, grads = net.step(x_epoch[lo:hi], y_epoch[lo:hi])
                 if not math.isfinite(loss):
-                    diverged = True
                     diverged_epoch = epoch
                     break
                 net.apply_gradients(grads)
                 batch_losses.append(loss)
-            if diverged:
+            if diverged_epoch is not None:
                 break
             epoch_loss = float(np.mean(batch_losses))
             _, val_out, _ = net.forward(x_val, training=False)
@@ -530,7 +532,6 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
         # the validation metric, non-finite while every batch loss was finite.
         if not (math.isfinite(epoch_loss) and math.isfinite(metric)
                 and (net.uaf is None or np.isfinite(net.uaf).all())):
-            diverged = True
             diverged_epoch = epoch
             break
         loss_trace.append(epoch_loss)
@@ -543,6 +544,5 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
         metric_trace=tuple(metric_trace),
         uaf_trajectory=None if trajectory is None else tuple(trajectory),
         wall_time=time.perf_counter() - start,
-        diverged=diverged,
         diverged_epoch=diverged_epoch,
     )

@@ -406,7 +406,7 @@ def test_scan_above_the_point_cap_is_refused():
     p, t = uk.preset(uk.TANH), uk.target(uk.TANH)
     # (-1e308, 0): the width is finite, the point count overflows to inf
     for interval in ((-1e308, 0.0), (-5000.0, 5000.001)):
-        with pytest.raises(ValueError, match=f"cap of {uk.analysis.MAX_SCAN_POINTS}"):
+        with pytest.raises(ValueError, match=f"cap of {uk.core.MAX_POINTS}"):
             uk.critical_points(p, t, interval)
         with pytest.raises(ValueError, match="cap"):
             uk.error_report(p, t, interval)

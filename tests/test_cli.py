@@ -541,6 +541,18 @@ def test_train_rejects_bad_dataset_kind(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_train_refuses_a_dataset_too_large_to_print(runner, tmp_path):
+    # n_samples x n_features has 4,301 digits, more than str() converts.
+    cfg, ds = _write_train_inputs(tmp_path)
+    ds.write_text(json.dumps({**_BLOBS_DATASET, "n_samples": 10**4299}))
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds)])
+    assert result.exit_code == 2
+    assert result.output.endswith(
+        f"Error: --dataset file {str(ds)!r}: n_samples x n_features = at least 10^4300 "
+        "values, above the cap of 10000001\n"
+    )
+
+
 def test_train_dataset_spec_accepts_integral_floats(runner, tmp_path):
     # 200.0 reads as 200 here as it does in a NetworkConfig; the run is the
     # same as with the integer spec.

@@ -79,8 +79,6 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     (lambda: uk.make_blobs(0, n_samples=10**15), "n_samples"),
     (lambda: uk.make_gas_analogue(0, n_channels=2**63), "n_channels"),
     (lambda: uk.NetworkConfig((16, 10**15, 4), uk.TrainableUaf(_P)), "layer_sizes"),
-    (lambda: uk.Dataset(np.zeros((20, 2)), np.zeros((20, 1)), split=("0.7", "0.15", "0.15")),
-     "split"),
     (lambda: uk.TargetActivation("tanh"), "kind"),
     (lambda: uk.eval_stable(_P, np.float32(0.5)), None),
     (lambda: uk.grad(_P, np.int64(1)), None),
@@ -91,7 +89,7 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     "string_x", "string_naive_x", "bool_x", "string_bounds", "bool_bounds", "three_bounds",
     "fractional_n_samples", "fractional_table_n_samples", "infinite_width",
     "n_samples_above_cap", "fit_n_samples_above_cap", "blobs_above_cap", "gas_above_cap",
-    "layer_sizes_above_cap", "string_split", "string_target_kind",
+    "layer_sizes_above_cap", "string_target_kind",
     "numpy_float_x", "numpy_int_x", "numpy_array_interval", "numpy_scalars", "fit_numpy_interval",
 ])
 def test_numeric_api_reads_arguments_strictly(call, name):
@@ -100,6 +98,23 @@ def test_numeric_api_reads_arguments_strictly(call, name):
     else:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             call()
+
+
+# str() refuses an int of over 4,300 digits; such a value is described by
+# the power of ten it reaches, and the refusal still names the field and cap.
+@pytest.mark.parametrize("call, message", [
+    (lambda: uk.make_blobs(seed=1, n_samples=10**4400),
+     "n_samples x n_features = at least 10^4401 values, above the cap of 10000001"),
+    (lambda: uk.make_blobs(seed=-10**4400), "seed must be >= 0, got at most -10^4400"),
+    (lambda: uk.NetworkConfig(layer_sizes=(10**4400, 4, 2), activation=uk.TrainableUaf(_P)),
+     "the parameters of layer_sizes = at least 10^4400 values, above the cap of 10000001"),
+    (lambda: uk.interval_rmse(_P, _T, (-1, 1), 10**4400),
+     "n_samples must be <= 10000001, got at least 10^4400"),
+], ids=["blobs_n_samples", "blobs_seed", "layer_sizes", "rmse_n_samples"])
+def test_refusals_describe_integers_too_long_for_str(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_params_dict_round_trip():
@@ -244,9 +259,6 @@ def test_naive_overflow_modes():
     p = uk.UafParams(200.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(uk.UafOverflowError):
         uk.eval_naive(p, 100.0)
-    assert math.isinf(uk.eval_naive(p, 100.0, on_overflow="inf"))
-    with pytest.raises(ValueError):
-        uk.eval_naive(p, 100.0, on_overflow="clamp")
     assert issubclass(uk.UafOverflowError, OverflowError)
 
 
@@ -344,12 +356,15 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _uaf_oracle(x, A, B, C, D, E):
-    """f(x), df/dx and the scales of their rounding error, at 60 digits.
+    """f(x), df/dx and the five parameter partials (df/dA, ..., df/dE), with
+    the scales of their rounding error, at 60 digits.
 
     A float evaluation rounds z1 and z2 relative to Z1 = |A|(|x|+|B|) + |C|x^2
-    and Z2 = |D|(|x|+|B|), and f and df/dx carry those errors through
-    softplus' slope s and logistic's slope s(1-s). Each scale is the sum of
-    the magnitudes rounded along the way."""
+    and Z2 = |D|(|x|+|B|), and f and its derivatives carry those errors
+    through softplus' slope s and logistic's slope s(1-s). Each scale is the
+    sum of the magnitudes rounded along the way. Returns the seven exact
+    values and the seven tolerances, each 4 ulp of its scale plus a floor for
+    results below the normal range."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
         x, A, B, C, D, E = map(mp.mpf, (x, A, B, C, D, E))
@@ -357,14 +372,19 @@ def _uaf_oracle(x, A, B, C, D, E):
         Z1, Z2 = abs(A) * (abs(x) + abs(B)) + abs(C) * x * x, abs(D) * (abs(x) + abs(B))
         sp1, sp2 = mp.log1p(mp.exp(z1)), mp.log1p(mp.exp(z2))
         s1, s2 = 1 / (1 + mp.exp(-z1)), 1 / (1 + mp.exp(-z2))
-        value = sp1 - sp2 + E
-        slope = s1 * (A + 2 * C * x) - s2 * D
-        value_scale = abs(sp1) + abs(sp2) + abs(E) + s1 * Z1 + s2 * Z2
-        slope_scale = ((s1 * (1 - s1) * Z1 + s1) * (abs(A) + 2 * abs(C) * abs(x))
-                       + (s2 * (1 - s2) * Z2 + s2) * abs(D))
-        # Results below the normal range round to multiples of 5e-324.
-        floor = mp.mpf(5e-324) * (abs(A) + 2 * abs(C) * abs(x) + abs(D) + 1)
-        return value, slope, 4 * _EPS * value_scale + floor, 4 * _EPS * slope_scale + floor
+        # The error scale of s(z1) and s(z2): z's error through s(1-s), and s's own.
+        r1, r2 = s1 * (1 - s1) * Z1 + s1, s2 * (1 - s2) * Z2 + s2
+        xb, dx = abs(x) + abs(B), abs(A) + 2 * abs(C) * abs(x)
+        want = (sp1 - sp2 + E, s1 * (A + 2 * C * x) - s2 * D,
+                s1 * (x + B), s1 * A + s2 * D, s1 * x * x, -s2 * (x - B), mp.mpf(1))
+        scales = (abs(sp1) + abs(sp2) + abs(E) + s1 * Z1 + s2 * Z2, r1 * dx + r2 * abs(D),
+                  r1 * xb, r1 * abs(A) + r2 * abs(D), r1 * x * x, r2 * xb, 0)
+        # Results below the normal range round to multiples of 5e-324, times
+        # the factor that multiplies s(z1) or s(z2).
+        factors = (dx + abs(D), dx + abs(D), xb, abs(A) + abs(D), x * x, xb, 0)
+        tols = tuple(4 * _EPS * scale + mp.mpf(5e-324) * (factor + 1)
+                     for scale, factor in zip(scales, factors))
+        return want, tols
 
 
 _ORACLE_PARAMS = st.floats(-200.0, 200.0)
@@ -372,22 +392,34 @@ _ORACLE_PARAMS = st.floats(-200.0, 200.0)
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(params=st.tuples(*[_ORACLE_PARAMS] * 5),
-       xs=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
-def test_kernels_match_a_60_digit_oracle(params, xs):
-    """uaf_eval and every df/dx (uaf_grad's column 0, uaf_slope with and
-    without its bound) lie within 4 ulp of the scale of their terms."""
-    from uafkit._kernels import uaf_eval, uaf_grad, uaf_slope
+       xs=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8),
+       read=st.tuples(*[st.booleans()] * 5))
+def test_kernels_match_a_60_digit_oracle(params, xs, read):
+    """uaf_eval, every df/dx (uaf_grad's column 0, uaf_slope with and
+    without its bound) and every parameter partial (uaf_grad's columns 1-5,
+    uaf_partials with all columns and the columns that read marks) lie
+    within 4 ulp of the scale of their terms. The columns read leaves out
+    are +0.0."""
+    from uafkit._kernels import uaf_eval, uaf_grad, uaf_partials, uaf_slope
 
     A, B, C, D, E = params
     x = np.array(xs)
     value = uaf_eval(x, *params)
-    slopes = (uaf_grad(x, *params)[:, 0], uaf_slope(x, A, B, C, D),
-              uaf_slope(x, A, B, C, D, xmax=100.0))
+    grads = uaf_grad(x, *params)
+    slopes = (grads[:, 0], uaf_slope(x, A, B, C, D), uaf_slope(x, A, B, C, D, xmax=100.0))
+    masked = uaf_partials(x, A, B, C, D, read=read)
+    unread = masked[:, [not r for r in read]]
+    assert not unread.any() and not np.signbit(unread).any()
+    partials = ((grads[:, 1:], range(5)), (uaf_partials(x, A, B, C, D), range(5)),
+                (masked, [k for k in range(5) if read[k]]))
     for i, xi in enumerate(xs):
-        want, want_slope, value_tol, slope_tol = _uaf_oracle(xi, *params)
-        assert abs(value[i] - want) <= value_tol, (xi, params)
+        want, tol = _uaf_oracle(xi, *params)
+        assert abs(value[i] - want[0]) <= tol[0], (xi, params)
         for slope in slopes:
-            assert abs(slope[i] - want_slope) <= slope_tol, (xi, params)
+            assert abs(slope[i] - want[1]) <= tol[1], (xi, params)
+        for columns, read_columns in partials:
+            for k in read_columns:
+                assert abs(columns[i, k] - want[2 + k]) <= tol[2 + k], (xi, params, k)
 
 
 # The two-array kernels that the stacked (2, n) ones replaced, frozen as the
@@ -659,6 +691,16 @@ def test_batch_memory_stays_near_the_output(peak_growth_mb, call, output_mb):
     # kernels and by 138, 138 and 230 MB with the stacked ones
     made_xs, called = peak_growth_mb(["xs = np.linspace(-10.0, 10.0, 2_000_001)", "out = " + call])
     assert called - made_xs < output_mb + 16.0
+
+
+def test_package_exports_every_public_name_of_its_modules():
+    modules = (uk.core, uk.targets, uk.analysis, uk.fitting, uk.datasets, uk.network)
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(uk.__all__) == sorted(["__version__", "backend_name", *names])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(uk, name) is getattr(module, name), name
 
 
 def test_backend_name_is_known():

@@ -145,8 +145,6 @@ def test_dataset_validation():
         Dataset(inputs=x, targets=np.zeros((3, 1)), kind="regression")
     with pytest.raises(ValueError):
         Dataset(inputs=x, targets=y, kind="ranking")
-    with pytest.raises(ValueError):
-        Dataset(inputs=x, targets=y, split=(0.5, 0.2, 0.2), kind="regression")
     # 4 samples split 0.7/0.15/0.15 leave no validation sample
     with pytest.raises(ValueError, match="empty"):
         Dataset(inputs=x, targets=y, kind="regression")

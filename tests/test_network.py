@@ -1,10 +1,8 @@
 """Unit tests for the dense network: forward, backward, batch norm, the flat
 parameter buffer and its optimizers, and the training loop."""
 
-import importlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,21 +566,6 @@ def test_train_report_serializes():
     assert set(data) >= {"loss_trace", "metric_trace", "uaf_trajectory",
                          "wall_time", "diverged", "diverged_epoch"}
     assert len(data["uaf_trajectory"]) == 3
-
-
-# --- benchmark trace hooks -----------------------------------------------------------
-# perfbench/timers.py times the library by patching these names; a rename
-# would silently drop its per-layer metrics.
-
-
-def test_every_benchmark_span_resolves_to_a_callable(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    timers = importlib.import_module("timers")
-    for module_name, path, _select in timers.SPANNED:
-        owner = importlib.import_module(module_name)
-        for attr in path.split("."):
-            owner = getattr(owner, attr)
-        assert callable(owner), f"{module_name}.{path}"
 
 
 def test_train_calls_forward_and_apply_gradients_once_per_batch(monkeypatch):

@@ -21,16 +21,19 @@ fitter's accepted residual and its Jacobian, the network's activation forward
 and backward) computes the terms once.
 
 A caller that knows its points are finite and bounded in |x| passes the
-bound to uaf_terms as xmax. When the parameters let some |z| pass
--_EXP_ZERO, e is then taken with a masked exp that leaves 0.0 on the lanes
-where exp underflows, skipping NumPy's slow path for them (about 8x slower
-than a normal lane). Those lanes would have been 0.0 anyway. With xmax
-given and C = +-0.0, z1 also skips the Cx^2 pass: for finite x, (Cx)x is
-C's own signed zero, so z1 = A(x+B) + C, and uaf_slope takes s(z1)A for
-s(z1)(A + 2Cx) when A is also finite and nonzero: 2Cx is a signed zero,
-and adding it to such an A gives A. For finite points, then, xmax picks a
-path and never changes a bit; without it the unmasked exp, faster where
-nothing underflows, and the full z1 and A + 2Cx are always taken.
+bound to uaf_terms as xmax, the only kernel that takes it (uaf_slope hands
+it on). When the parameters let some |z| pass -_EXP_ZERO, e is then taken
+with a masked exp that leaves 0.0 on the lanes where exp underflows,
+skipping NumPy's slow path for them (about 8x slower than a normal lane).
+Those lanes would have been 0.0 anyway. With xmax given and C = +-0.0, z1
+also skips the Cx^2 pass: for finite x, (Cx)x is C's own signed zero, so
+z1 = A(x+B) + C. For finite points, then, xmax picks a path and never
+changes a bit; without it the unmasked exp, faster where nothing
+underflows, and the full z1 are always taken.
+
+df/dx takes s(z1)A for s(z1)(A + 2Cx) whenever C = +-0.0 and A is finite
+and nonzero: for finite x, 2Cx is a signed zero and A + 2Cx is A; at a
+non-finite x (xmax=None, so z1 in full), s(z1) is NaN in both forms.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
@@ -238,20 +241,18 @@ def uaf_slope(
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone: the error scan and a fixed
     activation's backward need no parameter partials. It is column 0 of
     uaf_grad by construction: both are formed by _slope_into. terms as in
-    uaf_eval; xmax as in uaf_terms, which also lets a C of 0.0 skip the two
-    passes of A + 2Cx (module docstring)."""
+    uaf_eval; xmax goes to uaf_terms when the terms are computed here."""
     xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False, xmax=xmax) if terms is None else terms
     s1, s2 = logistic(z, e)
     s2 *= D
-    return _slope_into(None, xs, A, C, s1, s2, xmax)
+    return _slope_into(None, xs, A, C, s1, s2)
 
 
-def _slope_into(out, xs, A, C, s1, s2d, xmax=None) -> np.ndarray:
+def _slope_into(out, xs, A, C, s1, s2d) -> np.ndarray:
     """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2d = s(z2)D,
-    written into out (a new array when None) and returned. With xmax given,
-    a C of 0.0 and a finite nonzero A take s(z1)A: for finite x, A + 2Cx is
-    A itself."""
-    if xmax is not None and C == 0.0 and 0.0 < abs(A) < np.inf:
+    written into out (a new array when None) and returned. A C of 0.0 and a
+    finite nonzero A take s(z1)A, bitwise the same (module docstring)."""
+    if C == 0.0 and 0.0 < abs(A) < np.inf:
         out = np.multiply(s1, A, out=out)
     else:
         out = np.multiply(2.0 * C, xs, out=out)

@@ -13,7 +13,7 @@ import numpy as np
 from ._kernels import logistic
 from ._kernels import uaf_slope as _k_slope
 from .core import KINDS, MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, grid, preset
-from .targets import TargetActivation, approx_error, approx_error_batch
+from .targets import approx_error, approx_error_batch
 
 __all__ = [
     "ErrorReport",
@@ -54,7 +54,7 @@ class ErrorReport:
 
     def to_dict(self) -> dict:
         return {
-            "target": {"name": self.target.name, "alpha": self.target.alpha},
+            "target": self.target.to_dict(),
             "params": self.params.to_dict(),
             "critical_points": [{"x": x, "error": e} for x, e in self.critical_points],
             "max_abs_error": self.max_abs_error,
@@ -80,7 +80,7 @@ class RmseTable:
         return {
             "rows": [
                 {
-                    "kind": {"name": r.kind.name, "alpha": r.kind.alpha},
+                    "kind": r.kind.to_dict(),
                     "rmse": r.rmse,
                     "max_error": r.max_error,
                     "locations": list(r.locations),
@@ -91,7 +91,7 @@ class RmseTable:
 
 
 def _slope(
-    p: UafParams, t: TargetActivation, xs: np.ndarray, xmax: float | None
+    p: UafParams, t: PresetKind, xs: np.ndarray, xmax: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x); every
     |x| <= xmax (see _kernels.uaf_terms)."""
@@ -99,7 +99,7 @@ def _slope(
     return _k_slope(xs, p.A, p.B, p.C, p.D, xmax=xmax) - dt, dt
 
 
-def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xmax: float):
+def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: float):
     """Brackets and exact-zero nodes of the slope on the grid nodes xs.
 
     Cells before first_cell and the two end nodes belong to the neighbouring
@@ -123,7 +123,7 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xm
     keep = np.ones(xs.size - 1, dtype=bool)
     # A target with a jump or kink at 0: the cells that touch 0 are skipped,
     # and the point itself is examined by _jump_candidates, not as a root.
-    if KINDS[t.kind.name].at_zero is not None:
+    if KINDS[t.name].at_zero is not None:
         keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
     # An event counts when the larger neighbouring value clears the rounding
     # bound of both ends of its cell.
@@ -136,7 +136,7 @@ def _scan(p: UafParams, t: TargetActivation, xs: np.ndarray, first_cell: int, xm
 
 
 def _bisect(
-    p: UafParams, t: TargetActivation, a, b, up, halvings: int, xmax: float | None = None
+    p: UafParams, t: PresetKind, a, b, up, halvings: int, xmax: float | None = None
 ) -> np.ndarray:
     """Midpoints of the brackets [a, b] after a fixed count of halvings; up
     says whether the slope is positive at a, and xmax bounds |a| and |b|.
@@ -170,7 +170,7 @@ def _bisect(
 
 
 def critical_points(
-    p: UafParams, t: TargetActivation, interval
+    p: UafParams, t: PresetKind, interval
 ) -> list[tuple[float, float]]:
     """All x in the interval where the exact error slope changes sign, each
     paired with the error value there.
@@ -209,7 +209,7 @@ def critical_points(
     return [(float(x), float(e)) for x, e in zip(roots, approx_error_batch(p, t, roots))]
 
 
-def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -> float:
+def interval_rmse(p: UafParams, t: PresetKind, interval, n_samples: int) -> float:
     """Root-mean-square error over n_samples uniform points incl. endpoints.
 
     The points are taken in blocks of at most _SCAN_BLOCK, so that memory
@@ -233,7 +233,7 @@ def interval_rmse(p: UafParams, t: TargetActivation, interval, n_samples: int) -
 
 
 def _jump_candidates(
-    p: UafParams, t: TargetActivation, lo: float, hi: float
+    p: UafParams, t: PresetKind, lo: float, hi: float
 ) -> list[tuple[float, float]]:
     """Candidate extrema at a target's jump or kink at 0, when the interval
     holds 0.
@@ -243,7 +243,7 @@ def _jump_candidates(
     suprema on each side of 0 that the interval reaches; at a kink the
     target is continuous, so the error value at 0 itself is the candidate.
     """
-    at_zero = KINDS[t.kind.name].at_zero
+    at_zero = KINDS[t.name].at_zero
     if at_zero is None or not lo <= 0.0 <= hi:
         return []
     if at_zero == "jump":
@@ -258,7 +258,7 @@ def _jump_candidates(
 
 
 def error_report(
-    p: UafParams, t: TargetActivation, interval, n_samples: int = 2001
+    p: UafParams, t: PresetKind, interval, n_samples: int = 2001
 ) -> ErrorReport:
     """Full extremum/RMSE report: critical points plus the interval endpoints
     and any discontinuity candidates, with the max taken over all of them."""
@@ -273,7 +273,7 @@ def error_report(
     tol = max(1e-12, 1e-9 * max_abs)
     locations = sorted({x for x, e in candidates if abs(e) >= max_abs - tol})
     return ErrorReport(
-        target=t.kind,
+        target=t,
         params=p,
         critical_points=tuple(cps),
         max_abs_error=max_abs,
@@ -296,7 +296,7 @@ def rmse_table(n_samples: int = 2001) -> RmseTable:
     """
     rows = []
     for kind in _TABLE_ORDER:
-        rep = error_report(preset(kind), TargetActivation(kind), _TABLE_INTERVAL, n_samples)
+        rep = error_report(preset(kind), kind, _TABLE_INTERVAL, n_samples)
         rows.append(
             RmseRow(
                 kind=kind,

@@ -29,7 +29,7 @@ from .core import (
     MAX_POINTS, PRESET_NAMES, PresetKind, UafParams, coerce_interval, eval_batch, from_tagged_json,
     grid, preset,
 )
-from .targets import TargetActivation, target_eval_batch
+from .targets import target_eval_batch
 
 
 def _emit(chunks, output: str | None) -> None:
@@ -209,7 +209,7 @@ def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
     """Error-extremum/RMSE report for a preset against its target."""
     kind = _kind_from_flags(preset_name, alpha, "--preset")
     with _refused("--lo/--hi"):
-        rep = analysis.error_report(preset(kind), TargetActivation(kind), (lo, hi), samples)
+        rep = analysis.error_report(preset(kind), kind, (lo, hi), samples)
     _emit_json(rep, output)
 
 
@@ -302,7 +302,7 @@ def train_cmd(config_file, dataset_file, output, csv_file) -> None:
 def sweep_cmd(params_file, preset_name, alpha, target_name, target_alpha, from_, to, n, output) -> None:
     """UAF vs target sweep; CSV columns x,f_uaf,f_target,error."""
     p = _params_from_flags(params_file, preset_name, alpha)
-    t = TargetActivation(_kind_from_flags(target_name, target_alpha, "--target"))
+    t = _kind_from_flags(target_name, target_alpha, "--target")
 
     def rows(xs):
         f_uaf, f_tgt = eval_batch(p, xs), target_eval_batch(t, xs)

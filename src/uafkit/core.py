@@ -5,6 +5,8 @@ function (UAF)
 
 with its analytic first derivatives, and KINDS, the table of the eight
 classic activations it reproduces: each kind is defined once, as a KindRow.
+A PresetKind names one of them, and is also the activation itself: calling
+it, or its derivative, gives the kind's exact value or slope.
 """
 
 from __future__ import annotations
@@ -122,10 +124,14 @@ def coerce(name: str, value, kind, minimum=None, maximum=None):
 def _shown(value) -> str:
     """repr(value), which is str(value) for an int or a float; an int too
     long for repr (over sys.get_int_max_str_digits() digits, 4300 by default)
-    reads "at least 10^k" or "at most -10^k", 10^k <= |value| < 10^(k+1)."""
+    reads "at least 10^k" or "at most -10^k", 10^k <= |value| < 10^(k+1),
+    also as an item of a tuple."""
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, tuple):
+            items = ", ".join(map(_shown, value))
+            return f"({items},)" if len(value) == 1 else f"({items})"
         if not isinstance(value, int):
             raise
     k = int(math.log10(abs(value))) - 1  # k or below: the loop counts up
@@ -313,7 +319,10 @@ PRESET_NAMES = tuple(KINDS)
 
 @dataclass(frozen=True)
 class PresetKind:
-    """One of the eight classic activations; leaky_relu carries its slope alpha."""
+    """One of the eight classic activations, and its exact closed form:
+    kind(x) and kind.derivative(x) apply its KINDS row's value and slope to
+    a scalar (giving a float) or an array, unchecked. leaky_relu carries its
+    slope alpha."""
 
     name: str
     alpha: float | None = None
@@ -346,6 +355,21 @@ class PresetKind:
         if isinstance(data, str):
             return cls.from_name(data)
         return from_json(cls.from_name, data, "preset kind")
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "alpha": self.alpha}
+
+    def __call__(self, x):
+        return self._apply(KINDS[self.name].value, x)
+
+    def derivative(self, x):
+        return self._apply(KINDS[self.name].slope, x)
+
+    def _apply(self, fn, x):
+        """fn(x, alpha) over x as a 1-d array: a float for a scalar x."""
+        arr = np.asarray(x, dtype=np.float64)
+        out = fn(np.atleast_1d(arr), self.alpha)
+        return float(out[0]) if arr.ndim == 0 else out
 
     def label(self) -> str:
         if self.name == "leaky_relu":

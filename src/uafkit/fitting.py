@@ -35,10 +35,10 @@ from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_terms as _k_terms
 from .core import (
-    LN2, MAX_POINTS, PARAM_NAMES, A_RELU, PresetKind, UafParams, coerce_field, coerce_interval,
-    coerce_list, from_json,
+    GAUSSIAN, LN2, MAX_POINTS, PARAM_NAMES, A_RELU, RELU, SIGMOID, TANH, PresetKind, UafParams,
+    coerce_field, coerce_interval, coerce_list, from_json,
 )
-from .targets import TargetActivation, target_eval_batch
+from .targets import target_eval_batch
 
 __all__ = [
     "Tie",
@@ -124,7 +124,7 @@ class FitSpec:
     """A constrained fitting problem: which parameters move, how the rest are
     pinned, and the sample grid / solver settings."""
 
-    target: TargetActivation
+    target: PresetKind
     free: tuple[str, ...]
     init: UafParams
     ties: tuple[Tie, ...] = ()
@@ -137,7 +137,7 @@ class FitSpec:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        coerce_field(self, "target", TargetActivation)
+        coerce_field(self, "target", PresetKind)
         coerce_field(self, "init", UafParams)
         names = coerce_list("free", self.free, str)
         for name in names:
@@ -169,7 +169,7 @@ class FitSpec:
 
     def to_dict(self) -> dict:
         return {
-            "target": {"name": self.target.kind.name, "alpha": self.target.kind.alpha},
+            "target": self.target.to_dict(),
             "free": list(self.free),
             "ties": [t.to_dict() for t in self.ties],
             "init": self.init.to_dict(),
@@ -186,7 +186,7 @@ class FitSpec:
             cls,
             data,
             "fit spec",
-            target=lambda kind: TargetActivation(PresetKind.from_dict(kind)),
+            target=PresetKind.from_dict,
             init=UafParams.from_dict,
             ties=lambda ties: tuple(map(Tie.from_dict, coerce_list("ties", ties, dict))),
         )
@@ -232,15 +232,12 @@ class _Objective:
     def __init__(self, spec: FitSpec):
         lo, hi = spec.interval
         self.grid = np.linspace(lo, hi, spec.n_samples)
-        # The bound on |x| that lets the kernel skip exp's underflow lanes.
-        self.xmax = max(abs(lo), abs(hi))
         # The rows of chain (see jacobian) that can be nonzero: the free
         # parameters and those tied to one. Only their partials are read.
         tied = {t.param for t in spec.ties if t.kind != "const"}
         self.read = tuple(name in spec.free or name in tied for name in PARAM_NAMES)
-        # The largest |x| on the grid, for jacobian's bounds on the unread
-        # partials. Those bounds decide bits, so they do not take self.xmax,
-        # which only picks a kernel path.
+        # The largest |x| on the grid: the bound that lets the kernel skip
+        # exp's underflow lanes, and jacobian's bounds on the unread partials.
         self.grid_max = float(np.abs(self.grid).max())
         self.tvals = target_eval_batch(spec.target, self.grid)
         # What assemble starts from: spec.init with the const ties applied.
@@ -286,7 +283,7 @@ class _Objective:
     def residual(self, values: tuple) -> tuple[np.ndarray, float, tuple]:
         """r = f - target on the grid, its mean square, and the kernel terms
         it was computed from (see _kernels), for the Jacobian at values."""
-        terms = _k_terms(self.grid, *values[:4], xmax=self.xmax)
+        terms = _k_terms(self.grid, *values[:4], xmax=self.grid_max)
         r = _k_eval(self.grid, *values, terms=terms)
         r -= self.tvals
         return r, float((r * r).sum() / r.size), terms
@@ -448,7 +445,7 @@ def fit(spec: FitSpec) -> FitResult:
 
 
 def fit_free(
-    target: TargetActivation,
+    target: PresetKind,
     init: UafParams,
     interval: tuple[float, float] = (-10.0, 10.0),
     **kwargs,
@@ -467,19 +464,19 @@ def fit_free(
 
 _BUILTIN_SPECS = {
     "sigmoid-family": FitSpec(
-        target=TargetActivation(PresetKind("sigmoid")),
+        target=SIGMOID,
         free=("A",),
         ties=(Tie("B", "recip", "A", 0.5), Tie("D", "same", "A")),
         init=UafParams(1.0, 0.5, 0.0, 1.0, 0.0),
     ),
     "tanh-family": FitSpec(
-        target=TargetActivation(PresetKind("tanh")),
+        target=TANH,
         free=("A",),
         ties=(Tie("B", "recip", "A", 1.0), Tie("D", "same", "A")),
         init=UafParams(2.0, 0.5, 0.0, 2.0, -1.0),
     ),
     "gaussian-family": FitSpec(
-        target=TargetActivation(PresetKind("gaussian")),
+        target=GAUSSIAN,
         free=("C",),
         ties=(),
         init=UafParams(0.0, 0.0, -0.5, 0.0, LN2),
@@ -488,7 +485,7 @@ _BUILTIN_SPECS = {
     # optimum; starting at the preset slope, A keeps growing until the RMSE
     # improvement per step drops below the tolerance.
     "relu-family": FitSpec(
-        target=TargetActivation(PresetKind("relu")),
+        target=RELU,
         free=("A",),
         ties=(Tie("D", "offset", "A", -1.0),),
         init=UafParams(A_RELU, 0.0, 0.0, A_RELU - 1.0, 0.0),

@@ -30,11 +30,10 @@ from ._kernels import uaf_grad as _k_grad
 from ._kernels import uaf_slope as _k_slope
 from ._kernels import uaf_terms as _k_terms
 from .core import (
-    PresetKind, UafParams, check_size, coerce_field, coerce_list, from_json, from_tagged_json,
-    preset,
+    PresetKind, UafParams, _shown, check_size, coerce_field, coerce_list, from_json,
+    from_tagged_json, preset,
 )
 from .datasets import Dataset
-from .targets import TargetActivation
 
 __all__ = [
     "FixedActivation",
@@ -157,9 +156,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         sizes = coerce_list("layer_sizes", self.layer_sizes, int, minimum=1)
         if len(sizes) < 3:
-            raise ValueError(
-                f"need at least one hidden layer (>= 3 sizes), got {sizes}"
-            )
+            raise ValueError(f"need at least one hidden layer (>= 3 sizes), got {_shown(sizes)}")
         object.__setattr__(self, "layer_sizes", sizes)
         coerce_field(self, "activation", (FixedActivation, TrainableUaf))
         check_size("the parameters of layer_sizes",
@@ -321,7 +318,7 @@ class Network:
         if trainable:
             self.uaf[...] = config.activation.init.as_tuple()
         elif config.activation.exact:
-            self._target = TargetActivation(config.activation.kind)
+            self._target = config.activation.kind
         else:
             self._params = np.array(preset(config.activation.kind).as_tuple())
         # Per-element step sizes: the optimizer's rate, and uaf_learning_rate

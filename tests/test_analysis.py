@@ -164,7 +164,7 @@ def _full_mask_scan(p, t, xs, first_cell, xmax):
     g, dt = uk.analysis._slope(p, t, xs, xmax)
     floor = 16.0 * uk.analysis._EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
     keep = np.ones(xs.size - 1, dtype=bool)
-    if uk.core.KINDS[t.kind.name].at_zero:
+    if uk.core.KINDS[t.name].at_zero:
         keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
     bound = np.maximum(floor[:-1], floor[1:])
     bracket = keep & (g[:-1] * g[1:] < 0) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > bound)
@@ -305,7 +305,7 @@ def _assert_slope_changes_sign_at_points(p, t, interval):
     for x, _ in uk.critical_points(p, t, interval):
         xs = np.array([x - 1e-9, x + 1e-9])
         left, right = uk.grad_batch(p, xs)[:, 0] - t.derivative(xs)
-        assert left * right < 0, (t.kind.label(), p, x, left, right)
+        assert left * right < 0, (t.label(), p, x, left, right)
 
 
 CERTIFIED_KINDS = (uk.SIGMOID, uk.TANH, uk.RELU, uk.leaky_relu(0.1), uk.GAUSSIAN)

@@ -2,6 +2,7 @@
 
 import array
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     (lambda: uk.make_blobs(0, n_samples=10**15), "n_samples"),
     (lambda: uk.make_gas_analogue(0, n_channels=2**63), "n_channels"),
     (lambda: uk.NetworkConfig((16, 10**15, 4), uk.TrainableUaf(_P)), "layer_sizes"),
-    (lambda: uk.TargetActivation("tanh"), "kind"),
+    (lambda: uk.target("tanh"), "kind"),
     (lambda: uk.eval_stable(_P, np.float32(0.5)), None),
     (lambda: uk.grad(_P, np.int64(1)), None),
     (lambda: uk.critical_points(_P, _T, np.array([-1.0, 1.0])), None),
@@ -108,9 +109,12 @@ def test_numeric_api_reads_arguments_strictly(call, name):
     (lambda: uk.make_blobs(seed=-10**4400), "seed must be >= 0, got at most -10^4400"),
     (lambda: uk.NetworkConfig(layer_sizes=(10**4400, 4, 2), activation=uk.TrainableUaf(_P)),
      "the parameters of layer_sizes = at least 10^4400 values, above the cap of 10000001"),
+    (lambda: uk.NetworkConfig(layer_sizes=(10**4400, 4), activation=uk.TrainableUaf(_P)),
+     "need at least one hidden layer (>= 3 sizes), got (at least 10^4400, 4)"),
     (lambda: uk.interval_rmse(_P, _T, (-1, 1), 10**4400),
      "n_samples must be <= 10000001, got at least 10^4400"),
-], ids=["blobs_n_samples", "blobs_seed", "layer_sizes", "rmse_n_samples"])
+], ids=["blobs_n_samples", "blobs_seed", "layer_sizes", "short_layer_sizes",
+        "rmse_n_samples"])
 def test_refusals_describe_integers_too_long_for_str(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -146,10 +150,9 @@ def test_preset_kind_validation():
     with pytest.raises(ValueError, match=r"^leaky_relu requires an alpha in \(0, 0\.1\]$"):
         uk.PresetKind("leaky_relu")
     assert uk.PresetKind.from_name("tanh") == uk.TANH
-    # TargetActivation.from_name reads the name and alpha as PresetKind does
-    assert uk.TargetActivation.from_name("leaky_relu", 0.05) == uk.target(uk.leaky_relu(0.05))
+    assert uk.PresetKind.from_name("leaky_relu", 0.05) == uk.leaky_relu(0.05)
     with pytest.raises(ValueError, match="^tanh takes no alpha$"):
-        uk.TargetActivation.from_name("tanh", 0.3)
+        uk.PresetKind.from_name("tanh", 0.3)
     assert uk.PresetKind.from_dict("tanh") == uk.TANH
     assert uk.PresetKind.from_dict({"name": "leaky_relu"}) == uk.leaky_relu(0.1)
     # alpha must be a number, and only leaky_relu takes one
@@ -667,18 +670,38 @@ def test_a_zero_c_with_the_bound_keeps_every_bit(A, B, C, D):
         assert _same_bits(k.uaf_slope(inf, A, B, C, D), want)
 
 
+def _check_batch_functions_match_one_kernel_call(k, n):
+    p, t = uk.preset(uk.GAUSSIAN), uk.target(uk.GAUSSIAN)
+    xs = np.linspace(-10.0, 10.0, n)
+    assert _same_bits(uk.eval_batch(p, xs), k.uaf_eval(xs, *p.as_tuple()))
+    assert _same_bits(uk.grad_batch(p, xs), k.uaf_grad(xs, *p.as_tuple()))
+    want = k.uaf_eval(xs, *p.as_tuple()) - t(xs)
+    assert _same_bits(uk.approx_error_batch(p, t, xs), want)
+    assert _same_bits(uk.target_eval_batch(t, xs), t(xs))
+    assert _same_bits(uk.target_derivative_batch(t, xs), t.derivative(xs))
+
+
+# The batch functions take their points in pieces of BATCH_BLOCK; any n and
+# any piece size must give bitwise what one kernel call gives. Here each n
+# sits at and around the pieces' edges.
 @pytest.mark.parametrize("block", [7, 1000])
 def test_batch_functions_in_blocks_match_one_kernel_call(monkeypatch, block):
     from uafkit import _kernels as k
 
     monkeypatch.setattr(k, "BATCH_BLOCK", block)
-    p, t = uk.preset(uk.GAUSSIAN), uk.target(uk.GAUSSIAN)
     for n in (1, 6, 7, 8, 999, 1000, 1001, 2001, 7001):
-        xs = np.linspace(-10.0, 10.0, n)
-        assert _same_bits(uk.eval_batch(p, xs), k.uaf_eval(xs, *p.as_tuple()))
-        assert _same_bits(uk.grad_batch(p, xs), k.uaf_grad(xs, *p.as_tuple()))
-        want = k.uaf_eval(xs, *p.as_tuple()) - t(xs)
-        assert _same_bits(uk.approx_error_batch(p, t, xs), want)
+        _check_batch_functions_match_one_kernel_call(k, n)
+
+
+# The same over drawn n and piece sizes. Hypothesis refuses the
+# function-scoped monkeypatch, so the block is patched here.
+@settings(derandomize=True, database=None, deadline=None)
+@given(n=st.integers(0, 300), block=st.integers(1, 64))
+def test_batch_functions_in_any_blocks_match_one_kernel_call(n, block):
+    from uafkit import _kernels as k
+
+    with mock.patch.object(k, "BATCH_BLOCK", block):
+        _check_batch_functions_match_one_kernel_call(k, n)
 
 
 @pytest.mark.parametrize("call, output_mb", [

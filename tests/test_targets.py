@@ -11,6 +11,16 @@ from uafkit import targets
 from uafkit._kernels import BATCH_BLOCK
 
 
+def test_a_target_is_its_kind():
+    for kind in _KINDS:
+        assert uk.target(kind) is kind
+    with pytest.raises(ValueError) as info:
+        uk.target("tanh")
+    assert str(info.value) == "kind must be a PresetKind, got 'tanh'"
+    assert uk.leaky_relu(0.05).to_dict() == {"name": "leaky_relu", "alpha": 0.05}
+    assert uk.TANH.to_dict() == {"name": "tanh", "alpha": None}
+
+
 def test_identity_and_relu_values():
     ident = uk.target(uk.IDENTITY)
     relu = uk.target(uk.RELU)

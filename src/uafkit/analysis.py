@@ -17,8 +17,6 @@ from .targets import approx_error, approx_error_batch
 
 __all__ = [
     "ErrorReport",
-    "RmseRow",
-    "RmseTable",
     "critical_points",
     "interval_rmse",
     "rmse_table",
@@ -61,32 +59,6 @@ class ErrorReport:
             "max_error_locations": list(self.max_error_locations),
             "rmse": self.rmse,
             "interval": list(self.interval),
-        }
-
-
-@dataclass(frozen=True)
-class RmseRow:
-    kind: PresetKind
-    rmse: float
-    max_error: float
-    locations: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class RmseTable:
-    rows: tuple[RmseRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "kind": r.kind.to_dict(),
-                    "rmse": r.rmse,
-                    "max_error": r.max_error,
-                    "locations": list(r.locations),
-                }
-                for r in self.rows
-            ]
         }
 
 
@@ -184,6 +156,7 @@ def critical_points(
     leaky_relu) the cells touching 0 are skipped; the point itself is treated
     as a candidate extremum by error_report, not returned here.
     """
+    t = coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     steps = (hi - lo) / _SCAN_STEP  # inf when the quotient overflows
     if not steps <= MAX_POINTS - 1:
@@ -218,6 +191,7 @@ def interval_rmse(p: UafParams, t: PresetKind, interval, n_samples: int) -> floa
     the range, rounded down to a multiple of 8), so the result is bitwise
     that of summing them at once.
     """
+    t = coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     n = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
 
@@ -262,6 +236,7 @@ def error_report(
 ) -> ErrorReport:
     """Full extremum/RMSE report: critical points plus the interval endpoints
     and any discontinuity candidates, with the max taken over all of them."""
+    t = coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     # read before the scan, so that a bad count fails at once
     n_samples = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
@@ -289,23 +264,13 @@ _TABLE_ORDER = tuple(map(PresetKind.from_name, (
 )))
 
 
-def rmse_table(n_samples: int = 2001) -> RmseTable:
-    """One row per preset on [-10, 10]: RMSE, max |error|, and its locations.
-
-    leaky_relu uses alpha = 0.1.
+def rmse_table(n_samples: int = 2001) -> tuple[ErrorReport, ...]:
+    """The eight presets' ErrorReports on [-10, 10], in table order: each
+    preset against its own target. leaky_relu uses alpha = 0.1.
     """
-    rows = []
-    for kind in _TABLE_ORDER:
-        rep = error_report(preset(kind), kind, _TABLE_INTERVAL, n_samples)
-        rows.append(
-            RmseRow(
-                kind=kind,
-                rmse=rep.rmse,
-                max_error=rep.max_abs_error,
-                locations=rep.max_error_locations,
-            )
-        )
-    return RmseTable(rows=tuple(rows))
+    return tuple(
+        error_report(preset(kind), kind, _TABLE_INTERVAL, n_samples) for kind in _TABLE_ORDER
+    )
 
 
 def _char_terms(kind: PresetKind, p: UafParams, x: float) -> list[float]:

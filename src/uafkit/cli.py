@@ -219,18 +219,18 @@ def report_cmd(preset_name, alpha, lo, hi, samples, output) -> None:
 @click.option("--output", type=str, default=None, help="Output path (default stdout).")
 def table_cmd(samples, fmt, output) -> None:
     """RMSE summary table: one row per preset on [-10, 10]."""
-    table = analysis.rmse_table(samples)
+    reports = analysis.rmse_table(samples)
     if fmt == "csv":
         lines = ["kind,rmse,max_error,locations\n"]
-        for row in table.rows:
-            locs = ";".join(f"{x:.6g}" for x in row.locations)
-            lines.append(f"{row.kind.label()},{row.rmse:.5f},{row.max_error:.5f},{locs}\n")
+        for rep in reports:
+            locs = ";".join(f"{x:.6g}" for x in rep.max_error_locations)
+            lines.append(f"{rep.target.label()},{rep.rmse:.5f},{rep.max_abs_error:.5f},{locs}\n")
     else:
         header = f"{'kind':<16}{'rmse':>10}{'max_error':>12}  locations"
         lines = [header + "\n", "-" * len(header) + "\n"]
-        for row in table.rows:
-            locs = ", ".join(f"{x:.4g}" for x in row.locations)
-            lines.append(f"{row.kind.label():<16}{row.rmse:>10.5f}{row.max_error:>12.5f}  {locs}\n")
+        for rep in reports:
+            locs = ", ".join(f"{x:.4g}" for x in rep.max_error_locations)
+            lines.append(f"{rep.target.label():<16}{rep.rmse:>10.5f}{rep.max_abs_error:>12.5f}  {locs}\n")
     _emit(lines, output)
 
 

@@ -4,8 +4,9 @@ E(x) = f_uaf(x) - f_target(x).
 A target is its core.PresetKind: calling the kind gives its exact value and
 kind.derivative its slope, both from its row in core.KINDS, where each kind
 is defined once. The kind takes scalars or arrays unchecked, as the
-network's activation; the *_batch functions read their points through
-core.coerce_points and evaluate them through in_blocks.
+network's activation; the functions here read the kind t through core.coerce,
+and the *_batch functions read their points through core.coerce_points and
+evaluate them through in_blocks.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ def target(kind: PresetKind) -> PresetKind:
 
 def target_eval(t: PresetKind, x: float) -> float:
     """Exact closed-form value of the target at a scalar x."""
-    return float(t(coerce("x", x, float)))
+    return float(coerce("t", t, PresetKind)(coerce("x", x, float)))
 
 
 def target_eval_batch(t: PresetKind, xs) -> np.ndarray:
     """Exact closed-form values over a 1-d array of finite numbers."""
-    return in_blocks(t, coerce_points("xs", xs))
+    return in_blocks(coerce("t", t, PresetKind), coerce_points("xs", xs))
 
 
 def target_derivative_batch(t: PresetKind, xs) -> np.ndarray:
     """Pointwise target derivative over a 1-d array (right-hand slope at kinks)."""
-    return in_blocks(t.derivative, coerce_points("xs", xs))
+    return in_blocks(coerce("t", t, PresetKind).derivative, coerce_points("xs", xs))
 
 
 def approx_error(p: UafParams, t: PresetKind, x: float) -> float:
@@ -53,5 +54,5 @@ def approx_error(p: UafParams, t: PresetKind, x: float) -> float:
 
 def approx_error_batch(p: UafParams, t: PresetKind, xs) -> np.ndarray:
     """Elementwise approx_error over a 1-d array of finite numbers."""
-    params = p.as_tuple()
+    params, t = p.as_tuple(), coerce("t", t, PresetKind)
     return in_blocks(lambda b: uaf_eval(b, *params) - t(b), coerce_points("xs", xs))

@@ -55,7 +55,7 @@ def test_acceptance_2_rmse_table(capsys):
         uk.leaky_relu(0.1): (0.41316, 0.10),
         uk.STEP: (0.01664, 0.50),
     }
-    table = {row.kind: row.rmse for row in uk.rmse_table(2001).rows}
+    table = {rep.target: rep.rmse for rep in uk.rmse_table(2001)}
     failures = []
     parts = []
     for kind, (center, tol) in bands.items():

@@ -487,17 +487,20 @@ def test_report_serializes_to_json():
 
 def test_rmse_table_rows_and_order():
     table = uk.rmse_table(2001)
-    labels = [row.kind.label() for row in table.rows]
+    labels = [rep.target.label() for rep in table]
     assert labels == [
         "identity", "step", "relu", "leaky_relu(0.1)",
         "sigmoid", "tanh", "softplus", "gaussian",
     ]
-    by_label = {row.kind.label(): row for row in table.rows}
+    # each row is the preset's own report on the table interval
+    for rep in table:
+        assert rep == uk.error_report(uk.preset(rep.target), rep.target, (-10.0, 10.0), 2001)
+    by_label = {rep.target.label(): rep for rep in table}
     assert by_label["identity"].rmse < 1e-12
     assert by_label["softplus"].rmse < 1e-12
     assert by_label["leaky_relu(0.1)"].rmse == pytest.approx(0.413120, abs=5e-6)
-    assert by_label["tanh"].max_error == pytest.approx(0.004719, abs=1e-6)
-    json.dumps(table.to_dict())
+    assert by_label["tanh"].max_abs_error == pytest.approx(0.004719, abs=1e-6)
+    json.dumps([rep.to_dict() for rep in table])
 
 
 # --- characteristic equations -------------------------------------------------------

@@ -81,6 +81,15 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     (lambda: uk.make_gas_analogue(0, n_channels=2**63), "n_channels"),
     (lambda: uk.NetworkConfig((16, 10**15, 4), uk.TrainableUaf(_P)), "layer_sizes"),
     (lambda: uk.target("tanh"), "kind"),
+    # a target given by name used to fail with AttributeError or TypeError
+    (lambda: uk.error_report(_P, "tanh", (-1, 1)), "t"),
+    (lambda: uk.critical_points(_P, "tanh", (-1, 1)), "t"),
+    (lambda: uk.interval_rmse(_P, "tanh", (-1, 1), 11), "t"),
+    (lambda: uk.approx_error(_P, "tanh", 0.5), "t"),
+    (lambda: uk.approx_error_batch(_P, "tanh", [0.5]), "t"),
+    (lambda: uk.target_eval("tanh", 0.5), "t"),
+    (lambda: uk.target_eval_batch("tanh", [0.5]), "t"),
+    (lambda: uk.target_derivative_batch("tanh", [0.5]), "t"),
     (lambda: uk.eval_stable(_P, np.float32(0.5)), None),
     (lambda: uk.grad(_P, np.int64(1)), None),
     (lambda: uk.critical_points(_P, _T, np.array([-1.0, 1.0])), None),
@@ -91,6 +100,9 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     "fractional_n_samples", "fractional_table_n_samples", "infinite_width",
     "n_samples_above_cap", "fit_n_samples_above_cap", "blobs_above_cap", "gas_above_cap",
     "layer_sizes_above_cap", "string_target_kind",
+    "report_string_target", "critical_points_string_target", "rmse_string_target",
+    "error_string_target", "error_batch_string_target", "target_eval_string_target",
+    "target_eval_batch_string_target", "target_derivative_string_target",
     "numpy_float_x", "numpy_int_x", "numpy_array_interval", "numpy_scalars", "fit_numpy_interval",
 ])
 def test_numeric_api_reads_arguments_strictly(call, name):

@@ -464,6 +464,15 @@ def test_config_json_round_trip():
     assert again == cfg
     with pytest.raises(ValueError):
         NetworkConfig.from_dict({**cfg.to_dict(), "momentum": 0.9})
+    # SGD with a fixed activation, exact and frozen, through JSON text too
+    for exact in (True, False):
+        cfg = NetworkConfig(
+            layer_sizes=(4, 8, 2),
+            activation=FixedActivation(uk.leaky_relu(0.05), exact=exact),
+            optimizer=SgdConfig(learning_rate=0.05),
+        )
+        assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
+        assert NetworkConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 # --- training ----------------------------------------------------------------------

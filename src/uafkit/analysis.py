@@ -156,7 +156,7 @@ def critical_points(
     leaky_relu) the cells touching 0 are skipped; the point itself is treated
     as a candidate extremum by error_report, not returned here.
     """
-    t = coerce("t", t, PresetKind)
+    p, t = coerce("p", p, UafParams), coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     steps = (hi - lo) / _SCAN_STEP  # inf when the quotient overflows
     if not steps <= MAX_POINTS - 1:
@@ -191,7 +191,7 @@ def interval_rmse(p: UafParams, t: PresetKind, interval, n_samples: int) -> floa
     the range, rounded down to a multiple of 8), so the result is bitwise
     that of summing them at once.
     """
-    t = coerce("t", t, PresetKind)
+    p, t = coerce("p", p, UafParams), coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     n = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
 
@@ -236,7 +236,7 @@ def error_report(
 ) -> ErrorReport:
     """Full extremum/RMSE report: critical points plus the interval endpoints
     and any discontinuity candidates, with the max taken over all of them."""
-    t = coerce("t", t, PresetKind)
+    p, t = coerce("p", p, UafParams), coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     # read before the scan, so that a bad count fails at once
     n_samples = coerce("n_samples", n_samples, int, minimum=2, maximum=MAX_POINTS)
@@ -280,7 +280,8 @@ def _char_terms(kind: PresetKind, p: UafParams, x: float) -> list[float]:
     of dE/dx = 0 for that family. relu and leaky_relu have distinct positive-
     and negative-branch equations; x >= 0 selects the positive branch.
     """
-    x = float(x)
+    kind, p = coerce("kind", kind, PresetKind), coerce("p", p, UafParams)
+    x = coerce("x", x, float)
     with np.errstate(over="ignore"):
         if kind.name == "sigmoid":
             A = p.A

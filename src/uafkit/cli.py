@@ -26,8 +26,8 @@ import click
 from . import analysis, datasets, fitting, network
 from ._kernels import BATCH_BLOCK
 from .core import (
-    MAX_POINTS, PRESET_NAMES, PresetKind, UafParams, coerce_interval, eval_batch, from_tagged_json,
-    grid, preset,
+    MAX_POINTS, PARAM_NAMES, PRESET_NAMES, PresetKind, UafParams, coerce_interval, eval_batch,
+    from_tagged_json, grid, preset,
 )
 from .targets import target_eval_batch
 
@@ -166,7 +166,7 @@ def presets_list() -> None:
     width = max(len(label) for label, _ in rows)
     lines = []
     for label, p in rows:
-        values = "  ".join(f"{n}={getattr(p, n):.8g}" for n in ("A", "B", "C", "D", "E"))
+        values = "  ".join(f"{n}={getattr(p, n):.8g}" for n in PARAM_NAMES)
         lines.append(f"{label:<{width}}  {values}\n")
     _emit(lines, None)
 
@@ -248,7 +248,7 @@ def _seed_override() -> int | None:
 
 
 def _trajectory_csv(report: network.TrainReport):
-    yield "epoch,loss,metric,A,B,C,D,E\n"
+    yield f"epoch,loss,metric,{','.join(PARAM_NAMES)}\n"
     traj = dict(report.uaf_trajectory or ())
     for epoch, (loss, metric) in enumerate(zip(report.loss_trace, report.metric_trace), 1):
         tail = ",".join(repr(float(v)) for v in traj[epoch].as_tuple()) if epoch in traj else ",,,,"

@@ -397,6 +397,7 @@ def preset(kind: PresetKind) -> UafParams:
     identity and softplus are exact; the rest are fixed best-approximation
     constants (step/relu use the large finite slope A = 70.9992).
     """
+    kind = coerce("kind", kind, PresetKind)
     return KINDS[kind.name].preset(kind.alpha)
 
 
@@ -406,7 +407,7 @@ def eval_naive(p: UafParams, x: float) -> float:
     Raises UafOverflowError when an exponent argument exceeds the float64
     exp range.
     """
-    x = coerce("x", x, float)
+    p, x = coerce("p", p, UafParams), coerce("x", x, float)
     z1, z2 = p.A * (x + p.B) + p.C * x * x, p.D * (x - p.B)
     if z1 > _EXP_MAX or z2 > _EXP_MAX:
         arm = "A(x+B)+Cx^2" if z1 > _EXP_MAX else "D(x-B)"
@@ -423,13 +424,13 @@ def eval_stable(p: UafParams, x: float) -> float:
     Agrees with eval_naive wherever the naive form is representable and stays
     finite for all finite inputs.
     """
-    x = coerce("x", x, float)
+    p, x = coerce("p", p, UafParams), coerce("x", x, float)
     return float(_k_eval(np.array([x]), *p.as_tuple())[0])
 
 
 def grad(p: UafParams, x: float) -> UafGradient:
     """Analytic first derivatives of f at x (d_x and the parameter partials)."""
-    x = coerce("x", x, float)
+    p, x = coerce("p", p, UafParams), coerce("x", x, float)
     row = _k_grad(np.array([x]), *p.as_tuple())[0]
     return UafGradient(*(float(v) for v in row))
 
@@ -474,10 +475,10 @@ def grid(lo: float, hi: float, n: int, i0: int, i1: int) -> np.ndarray:
 
 def eval_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise eval_stable over a sequence; returns a float64 array."""
-    return in_blocks(_k_eval, coerce_points("xs", xs), *p.as_tuple())
+    return in_blocks(_k_eval, coerce_points("xs", xs), *coerce("p", p, UafParams).as_tuple())
 
 
 def grad_batch(p: UafParams, xs) -> np.ndarray:
     """Elementwise grad over a sequence; returns an (n, 6) float64 array
     with columns (d_x, d_A, d_B, d_C, d_D, d_E)."""
-    return in_blocks(_k_grad, coerce_points("xs", xs), *p.as_tuple())
+    return in_blocks(_k_grad, coerce_points("xs", xs), *coerce("p", p, UafParams).as_tuple())

@@ -25,7 +25,6 @@ class Dataset:
     inputs: np.ndarray  # (n_samples, n_features)
     targets: np.ndarray  # (n_samples, n_outputs)
     kind: str = "regression"  # or "classification"
-    split = SPLIT  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -61,8 +60,8 @@ class Dataset:
         """Contiguous train/validation/test index ranges (rows are already
         i.i.d.-shuffled by the generators, so contiguous slices are unbiased)."""
         n = self.n_samples
-        n_train = int(self.split[0] * n)
-        n_val = int(self.split[1] * n)
+        n_train = int(SPLIT[0] * n)
+        n_val = int(SPLIT[1] * n)
         idx = np.arange(n)
         return idx[:n_train], idx[n_train : n_train + n_val], idx[n_train + n_val :]
 

@@ -45,7 +45,6 @@ __all__ = [
     "FitSpec",
     "FitResult",
     "fit",
-    "fit_free",
     "builtin_spec",
     "BUILTIN_SPEC_NAMES",
 ]
@@ -442,24 +441,6 @@ def fit(spec: FitSpec) -> FitResult:
         stop_reason=stop_reason,
         rmse_trace=tuple(trace),
     )
-
-
-def fit_free(
-    target: PresetKind,
-    init: UafParams,
-    interval: tuple[float, float] = (-10.0, 10.0),
-    **kwargs,
-) -> FitResult:
-    """Unconstrained fit: all five parameters free; same contract as fit."""
-    spec = FitSpec(
-        target=target,
-        free=PARAM_NAMES,
-        ties=(),
-        init=init,
-        interval=interval,
-        **kwargs,
-    )
-    return fit(spec)
 
 
 _BUILTIN_SPECS = {

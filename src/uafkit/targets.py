@@ -18,7 +18,6 @@ from .core import PresetKind, UafParams, coerce, coerce_points, eval_stable
 
 __all__ = [
     "target",
-    "target_eval",
     "target_eval_batch",
     "target_derivative_batch",
     "approx_error",
@@ -30,11 +29,6 @@ def target(kind: PresetKind) -> PresetKind:
     """The target activation of the given kind: the kind itself, once
     checked to be a PresetKind."""
     return coerce("kind", kind, PresetKind)
-
-
-def target_eval(t: PresetKind, x: float) -> float:
-    """Exact closed-form value of the target at a scalar x."""
-    return float(coerce("t", t, PresetKind)(coerce("x", x, float)))
 
 
 def target_eval_batch(t: PresetKind, xs) -> np.ndarray:
@@ -49,10 +43,11 @@ def target_derivative_batch(t: PresetKind, xs) -> np.ndarray:
 
 def approx_error(p: UafParams, t: PresetKind, x: float) -> float:
     """E(x) = f_uaf(x) - f_target(x) (UAF minus target, in that order)."""
-    return eval_stable(p, x) - target_eval(t, x)
+    x = coerce("x", x, float)
+    return eval_stable(p, x) - coerce("t", t, PresetKind)(x)
 
 
 def approx_error_batch(p: UafParams, t: PresetKind, xs) -> np.ndarray:
     """Elementwise approx_error over a 1-d array of finite numbers."""
-    params, t = p.as_tuple(), coerce("t", t, PresetKind)
+    params, t = coerce("p", p, UafParams).as_tuple(), coerce("t", t, PresetKind)
     return in_blocks(lambda b: uaf_eval(b, *params) - t(b), coerce_points("xs", xs))

@@ -87,9 +87,26 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     (lambda: uk.interval_rmse(_P, "tanh", (-1, 1), 11), "t"),
     (lambda: uk.approx_error(_P, "tanh", 0.5), "t"),
     (lambda: uk.approx_error_batch(_P, "tanh", [0.5]), "t"),
-    (lambda: uk.target_eval("tanh", 0.5), "t"),
     (lambda: uk.target_eval_batch("tanh", [0.5]), "t"),
     (lambda: uk.target_derivative_batch("tanh", [0.5]), "t"),
+    # parameters given as a tuple or dict, and a kind given by name, used to
+    # fail with AttributeError; a characteristic x was cast with float()
+    (lambda: uk.eval_stable(_P.as_tuple(), 0.5), "p"),
+    (lambda: uk.eval_naive(_P.as_tuple(), 0.5), "p"),
+    (lambda: uk.grad(_P.as_tuple(), 0.5), "p"),
+    (lambda: uk.eval_batch(_P.as_tuple(), [0.5]), "p"),
+    (lambda: uk.grad_batch(_P.to_dict(), [0.5]), "p"),
+    (lambda: uk.approx_error(_P.as_tuple(), _T, 0.5), "p"),
+    (lambda: uk.approx_error_batch(_P.as_tuple(), _T, [0.5]), "p"),
+    (lambda: uk.critical_points(_P.as_tuple(), _T, (-1, 1)), "p"),
+    (lambda: uk.interval_rmse(_P.as_tuple(), _T, (-1, 1), 11), "p"),
+    (lambda: uk.error_report(_P.as_tuple(), _T, (-1, 1)), "p"),
+    (lambda: uk.characteristic_residual(_T, _P.as_tuple(), 1.0), "p"),
+    (lambda: uk.preset("tanh"), "kind"),
+    (lambda: uk.characteristic_residual("tanh", _P, 1.0), "kind"),
+    (lambda: uk.characteristic_residual(_T, _P, "1.0"), "x"),
+    (lambda: uk.characteristic_residual_scaled(_T, _P, True), "x"),
+    (lambda: uk.characteristic_residual(_T, _P, math.nan), "x"),
     (lambda: uk.eval_stable(_P, np.float32(0.5)), None),
     (lambda: uk.grad(_P, np.int64(1)), None),
     (lambda: uk.critical_points(_P, _T, np.array([-1.0, 1.0])), None),
@@ -101,8 +118,13 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     "n_samples_above_cap", "fit_n_samples_above_cap", "blobs_above_cap", "gas_above_cap",
     "layer_sizes_above_cap", "string_target_kind",
     "report_string_target", "critical_points_string_target", "rmse_string_target",
-    "error_string_target", "error_batch_string_target", "target_eval_string_target",
+    "error_string_target", "error_batch_string_target",
     "target_eval_batch_string_target", "target_derivative_string_target",
+    "tuple_p", "tuple_naive_p", "tuple_grad_p", "tuple_batch_p", "dict_grad_batch_p",
+    "tuple_error_p", "tuple_error_batch_p", "tuple_critical_points_p", "tuple_rmse_p",
+    "tuple_report_p", "tuple_characteristic_p", "string_preset_kind",
+    "string_characteristic_kind", "string_characteristic_x", "bool_characteristic_scaled_x",
+    "nan_characteristic_x",
     "numpy_float_x", "numpy_int_x", "numpy_array_interval", "numpy_scalars", "fit_numpy_interval",
 ])
 def test_numeric_api_reads_arguments_strictly(call, name):

@@ -17,7 +17,7 @@ def test_gas_shapes_and_kind():
     assert ds.inputs.shape == (500, 16)
     assert ds.targets.shape == (500, 4)
     assert ds.kind == "regression"
-    assert ds.split == (0.7, 0.15, 0.15)
+    assert uk.datasets.SPLIT == (0.7, 0.15, 0.15)
 
 
 def test_gas_concentrations_in_unit_interval():

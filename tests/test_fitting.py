@@ -113,7 +113,7 @@ def test_spec_json_round_trip():
 
 
 def test_fit_identity_converges_immediately():
-    res = uk.fit_free(uk.IDENTITY, uk.preset(uk.IDENTITY))
+    res = uk.fit(FitSpec(uk.IDENTITY, uk.PARAM_NAMES, uk.preset(uk.IDENTITY)))
     assert res.iterations == 0
     assert res.converged
     assert res.stop_reason == "tolerance"
@@ -123,7 +123,7 @@ def test_fit_identity_converges_immediately():
 
 def test_fit_free_softplus_from_identity():
     # softplus is an exact preset, so the fit can drive the error to rounding.
-    res = uk.fit_free(uk.SOFTPLUS, uk.preset(uk.IDENTITY))
+    res = uk.fit(FitSpec(uk.SOFTPLUS, uk.PARAM_NAMES, uk.preset(uk.IDENTITY)))
     assert res.rmse < 1e-12
 
 
@@ -422,14 +422,12 @@ def test_relu_family_runs_out_the_flat_direction():
 
 def test_free_fit_dominates_constrained():
     constrained = uk.fit(uk.builtin_spec("sigmoid-family"))
-    free = uk.fit_free(
-        uk.SIGMOID, constrained.params, max_iters=1500
-    )
+    free = uk.fit(FitSpec(uk.SIGMOID, uk.PARAM_NAMES, constrained.params, max_iters=1500))
     assert free.rmse <= constrained.rmse
 
 
 def test_fit_free_sigmoid_from_identity():
-    res = uk.fit_free(uk.SIGMOID, uk.preset(uk.IDENTITY))
+    res = uk.fit(FitSpec(uk.SIGMOID, uk.PARAM_NAMES, uk.preset(uk.IDENTITY)))
     preset_rmse = uk.interval_rmse(
         uk.preset(uk.SIGMOID), uk.SIGMOID, (-10.0, 10.0), 2001
     )
@@ -440,7 +438,7 @@ def test_fit_free_sigmoid_from_identity():
 def test_fit_stop_reasons():
     sigmoid = uk.SIGMOID
     # out of iterations: the only stop that is not converged
-    res = uk.fit_free(sigmoid, uk.preset(uk.IDENTITY), max_iters=3)
+    res = uk.fit(FitSpec(sigmoid, uk.PARAM_NAMES, uk.preset(uk.IDENTITY), max_iters=3))
     assert (res.stop_reason, res.iterations, res.converged) == ("max_iters", 3, False)
     # with A = D = 0 the residual does not depend on B at all
     res = uk.fit(FitSpec(target=sigmoid, free=("B",), ties=(),
@@ -454,7 +452,7 @@ def test_fit_stop_reasons():
     assert res.rmse_trace == (res.rmse,)
     # an error that overflows float64 at the start has no step to measure
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-        uk.fit_free(sigmoid, uk.UafParams(1e306, 0.0, 0.0, -1.0, 0.0))
+        uk.fit(FitSpec(sigmoid, uk.PARAM_NAMES, uk.UafParams(1e306, 0.0, 0.0, -1.0, 0.0)))
 
 
 def test_builtin_names():

@@ -71,7 +71,6 @@ def test_scalar_and_batch_agree():
         for x, v in zip(xs, batch):
             assert t(float(x)) == v
         assert np.array_equal(uk.targets.target_eval_batch(t, xs), batch)
-        assert uk.target_eval(t, 0.5) == t(0.5)
 
 
 def test_derivatives():

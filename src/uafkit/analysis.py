@@ -83,9 +83,12 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: fl
     # Cell i is [xs[i], xs[i+1]]: the cells where the slope changes sign, and
     # the interior nodes where it is exactly 0 between neighbours of opposite
     # sign. A block with neither has nothing for the bounds below to accept.
-    cells = g[:-1] * g[1:] < 0
+    # The signs are compared, not multiplied: the product of two slopes can
+    # underflow to 0 or overflow.
+    pos, neg = g > 0.0, g < 0.0
+    cells = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
     cells[:first_cell] = False
-    zeros = (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
+    zeros = (g[1:-1] == 0.0) & ((pos[:-2] & neg[2:]) | (neg[:-2] & pos[2:]))
     if not (cells.any() or zeros.any()):
         return xs[:0], xs[:0], cells[:0], xs[:0]
     # f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded
@@ -104,7 +107,7 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: fl
     node = keep[:-1] & keep[1:] & zeros
     node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
     i = np.flatnonzero(bracket)
-    return xs[i], xs[i + 1], g[i] > 0, xs[1:-1][node]
+    return xs[i], xs[i + 1], pos[i], xs[1:-1][node]
 
 
 def _bisect(
@@ -307,11 +310,8 @@ def _char_terms(kind: PresetKind, p: UafParams, x: float) -> list[float]:
         if kind.name == "relu":
             A = p.A
             if x >= 0:
-                return [
-                    float((A - 1.0) * np.exp(A * x)),
-                    float(-A * np.exp((A - 1.0) * x)),
-                    -1.0,
-                ]
+                # divided by e^{Ax}, so that no term overflows
+                return [A - 1.0, float(-A * np.exp(-x)), float(-np.exp(-A * x))]
             return [
                 float(A * np.exp(x)),
                 float(np.exp(A * x)),
@@ -351,8 +351,9 @@ def characteristic_residual(kind: PresetKind, p: UafParams, x: float) -> float:
     A root certifies a critical point of the approximation error. Only
     sigmoid, tanh, relu, leaky_relu, and gaussian have such equations; other
     kinds are rejected. Terms grow exponentially with |x|, so the raw value
-    can overflow to +/-inf far from the roots of interest; see
-    characteristic_residual_scaled for a bounded variant.
+    can overflow to +/-inf far from the roots of interest (at the presets:
+    sigmoid x >= 234.5, tanh x >= 113.5, leaky_relu x >= 789; relu's terms
+    stay finite); see characteristic_residual_scaled for a bounded variant.
     """
     return float(sum(_char_terms(kind, p, x)))
 
@@ -362,6 +363,11 @@ def characteristic_residual_scaled(kind: PresetKind, p: UafParams, x: float) -> 
 
     Near a root the raw terms cancel; scaling by the dominant magnitude gives
     a dimensionless residual comparable across x (0 when all terms vanish).
+    At the presets it is finite on [-10, 10] for all five families. Beyond,
+    it is NaN where a term overflows (sigmoid x >= 234.5, tanh x >= 113.5,
+    leaky_relu x >= 789), and an exact 0.0 that is not a root where every
+    term underflows (sigmoid x <= -745.5, tanh x <= -373, gaussian
+    |x| >= 39).
     """
     terms = _char_terms(kind, p, x)
     top = max(abs(v) for v in terms)

@@ -16,7 +16,7 @@ import inspect
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -201,6 +201,17 @@ def from_json(make, data, what: str, **readers):
     if missing:
         raise ValueError(f"{what} requires field(s): {', '.join(missing)}")
     return make(**{k: readers[k](v) if k in readers else v for k, v in data.items()})
+
+
+class JsonConfig:
+    """Base of the config dataclasses that from_json reads: to_dict writes
+    every field, a nested dataclass as its dict and a tuple as it is (a JSON
+    array). A tagged config's tag is its first field, which takes no
+    constructor argument: from_tagged_json reads it, and from_json, which
+    reads the signature, never sees it."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def from_tagged_json(choices: dict, data, tag: str, what: str, **readers):
@@ -421,8 +432,9 @@ def eval_naive(p: UafParams, x: float) -> float:
 def eval_stable(p: UafParams, x: float) -> float:
     """Overflow-safe evaluation via softplus(z) = max(z,0) + log1p(e^{-|z|}).
 
-    Agrees with eval_naive wherever the naive form is representable and stays
-    finite for all finite inputs.
+    Agrees with eval_naive wherever the naive form is representable, and is
+    finite for |x| <= 100 with |params| <= 200. Far outside that range,
+    z1 = A(x+B) + Cx^2 can be inf - inf, and the result NaN.
     """
     p, x = coerce("p", p, UafParams), coerce("x", x, float)
     return float(_k_eval(np.array([x]), *p.as_tuple())[0])

@@ -35,8 +35,8 @@ from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_terms as _k_terms
 from .core import (
-    GAUSSIAN, LN2, MAX_POINTS, PARAM_NAMES, A_RELU, RELU, SIGMOID, TANH, PresetKind, UafParams,
-    coerce_field, coerce_interval, coerce_list, from_json,
+    GAUSSIAN, LN2, MAX_POINTS, PARAM_NAMES, A_RELU, RELU, SIGMOID, TANH, JsonConfig, PresetKind,
+    UafParams, coerce, coerce_field, coerce_interval, coerce_list, from_json,
 )
 from .targets import target_eval_batch
 
@@ -53,7 +53,7 @@ _TIE_KINDS = ("const", "same", "recip", "offset")
 
 
 @dataclass(frozen=True)
-class Tie:
+class Tie(JsonConfig):
     """Closed-form constraint pinning one parameter.
 
     kinds: const  -> param = value       (no source)
@@ -105,21 +105,13 @@ class Tie:
             return -math.copysign(math.inf, self.value) if self.value else 0.0
         return -self.value / square
 
-    def to_dict(self) -> dict:
-        out: dict = {"param": self.param, "kind": self.kind}
-        if self.source is not None:
-            out["source"] = self.source
-        if self.kind != "same":
-            out["value"] = self.value
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "Tie":
         return from_json(cls, data, "tie")
 
 
 @dataclass(frozen=True)
-class FitSpec:
+class FitSpec(JsonConfig):
     """A constrained fitting problem: which parameters move, how the rest are
     pinned, and the sample grid / solver settings."""
 
@@ -165,19 +157,6 @@ class FitSpec:
         if coerce_field(self, "learning_rate", float) <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         coerce_field(self, "tolerance", float, minimum=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target.to_dict(),
-            "free": list(self.free),
-            "ties": [t.to_dict() for t in self.ties],
-            "init": self.init.to_dict(),
-            "interval": list(self.interval),
-            "n_samples": self.n_samples,
-            "max_iters": self.max_iters,
-            "learning_rate": self.learning_rate,
-            "tolerance": self.tolerance,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitSpec":
@@ -380,6 +359,7 @@ def fit(spec: FitSpec) -> FitResult:
     Raises ValueError when spec.init breaks the ties or gives a non-finite
     error, since no step can be measured from there.
     """
+    spec = coerce("spec", spec, FitSpec)
     obj = _Objective(spec)
     theta = np.array([getattr(spec.init, name) for name in spec.free], dtype=np.float64)
     values = obj.assemble(theta)
@@ -482,7 +462,7 @@ def builtin_spec(name: str) -> FitSpec:
     parameters tied or frozen as in the corresponding preset)."""
     try:
         return _BUILTIN_SPECS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown builtin fit spec {name!r}; available: {', '.join(BUILTIN_SPEC_NAMES)}"
         ) from None

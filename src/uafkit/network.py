@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from ._kernels import uaf_grad as _k_grad
 from ._kernels import uaf_slope as _k_slope
 from ._kernels import uaf_terms as _k_terms
 from .core import (
-    PresetKind, UafParams, _shown, check_size, coerce_field, coerce_list, from_json,
-    from_tagged_json, preset,
+    JsonConfig, PresetKind, UafParams, _shown, check_size, coerce, coerce_field, coerce_list,
+    from_json, from_tagged_json, preset,
 )
 from .datasets import Dataset
 
@@ -51,10 +51,11 @@ _BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
-class FixedActivation:
+class FixedActivation(JsonConfig):
     """Non-trainable activation: the frozen UAF preset for the kind, or the
     exact closed-form target when exact=True."""
 
+    type: str = field(default="fixed", init=False, repr=False)
     kind: PresetKind
     exact: bool = False
 
@@ -62,27 +63,22 @@ class FixedActivation:
         coerce_field(self, "kind", PresetKind)
         coerce_field(self, "exact", bool)
 
-    def to_dict(self) -> dict:
-        return {"type": "fixed", **asdict(self)}
-
 
 @dataclass(frozen=True)
-class TrainableUaf:
+class TrainableUaf(JsonConfig):
     """Trainable activation: one shared UAF parameter vector for the whole
     network, initialized from init."""
 
+    type: str = field(default="trainable", init=False, repr=False)
     init: UafParams
 
     def __post_init__(self) -> None:
         coerce_field(self, "init", UafParams)
 
-    def to_dict(self) -> dict:
-        return {"type": "trainable", **asdict(self)}
-
 
 def _activation_from_dict(data: dict):
     return from_tagged_json(
-        {"fixed": FixedActivation, "trainable": TrainableUaf},
+        {c.type: c for c in (FixedActivation, TrainableUaf)},
         data,
         "type",
         "activation",
@@ -102,18 +98,17 @@ def _check_learning_rate(config) -> None:
 
 
 @dataclass(frozen=True)
-class SgdConfig:
+class SgdConfig(JsonConfig):
+    kind: str = field(default="sgd", init=False, repr=False)
     learning_rate: float = 0.01
 
     def __post_init__(self) -> None:
         _check_learning_rate(self)
 
-    def to_dict(self) -> dict:
-        return {"kind": "sgd", **asdict(self)}
-
 
 @dataclass(frozen=True)
-class AdamConfig:
+class AdamConfig(JsonConfig):
+    kind: str = field(default="adam", init=False, repr=False)
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -127,16 +122,13 @@ class AdamConfig:
         if coerce_field(self, "epsilon", float) <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
-    def to_dict(self) -> dict:
-        return {"kind": "adam", **asdict(self)}
-
 
 def _optimizer_from_dict(data: dict):
-    return from_tagged_json({"sgd": SgdConfig, "adam": AdamConfig}, data, "kind", "optimizer")
+    return from_tagged_json({c.kind: c for c in (SgdConfig, AdamConfig)}, data, "kind", "optimizer")
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(JsonConfig):
     """Layer sizes (input, hidden..., output), activation choice, batch-norm
     flag for the hidden layers, optimizer, and the training-loop settings."""
 
@@ -169,16 +161,6 @@ class NetworkConfig:
         if self.uaf_learning_rate is not None:
             if coerce_field(self, "uaf_learning_rate", float) <= 0:
                 raise ValueError(f"uaf_learning_rate must be > 0, got {self.uaf_learning_rate}")
-
-    def to_dict(self) -> dict:
-        # The fields in their order, with layer_sizes as a list and the two
-        # members' tags, which asdict leaves out.
-        return {
-            **asdict(self),
-            "layer_sizes": list(self.layer_sizes),
-            "activation": self.activation.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
@@ -294,6 +276,7 @@ class Network:
     """
 
     def __init__(self, config: NetworkConfig, task: str = "regression"):
+        config = coerce("config", config, NetworkConfig)
         if task not in ("regression", "classification"):
             raise ValueError(f"task must be regression or classification, got {task!r}")
         self.config = config
@@ -479,6 +462,8 @@ def train(config: NetworkConfig, dataset: Dataset) -> TrainReport:
     a layer's activations for the validation set or a batch would hold more
     than core.MAX_POINTS values."""
     start = time.perf_counter()
+    config = coerce("config", config, NetworkConfig)
+    dataset = coerce("dataset", dataset, Dataset)
     shape = (dataset.inputs.shape[1], dataset.targets.shape[1])
     if (config.layer_sizes[0], config.layer_sizes[-1]) != shape:
         raise ValueError(

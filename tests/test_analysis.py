@@ -109,6 +109,22 @@ def test_bisection_ends_where_floats_are_coarser_than_its_tolerance():
     assert abs(pts[0][0] - r) <= 4 * np.spacing(r)
 
 
+@pytest.mark.parametrize("C", [-1e-100, -1e-150, -1e-160, -1e-170, -1e-300])
+def test_a_tiny_slope_keeps_its_root(C):
+    # f'(x) = s(z1) * 2C(x + 5), and relu's slope is 0 on x < 0: the one root
+    # is -5. From C = -1e-160 on, two neighbouring slopes multiply to 0, so
+    # the scan must compare their signs, not their product.
+    p = uk.UafParams(10.0 * C, 0.0, C, 0.0, 0.0)
+    assert [x for x, _ in uk.critical_points(p, uk.RELU, (-10.0, -1.0))] == [-5.0]
+
+
+def test_a_huge_slope_does_not_overflow_the_sign_test():
+    # f'(x) = 1e160 * s(1e160 x) is 1e160 on (0.5, 1.5): no sign change, and
+    # no product of two slopes to overflow (filterwarnings makes one fail).
+    assert uk.critical_points(uk.UafParams(1e160, 0.0, 0.0, 0.0, 0.0), uk.IDENTITY,
+                              (0.5, 1.5)) == []
+
+
 # --- block scan -------------------------------------------------------------------
 
 
@@ -542,6 +558,16 @@ def test_every_scanned_extremum_satisfies_its_equation():
             if kind.name == "gaussian" and x == 0.0:
                 continue  # the equation is trivially 0 = 0 at x = 0
             assert abs(uk.characteristic_residual_scaled(kind, p, x)) < 1e-4
+
+
+def test_scaled_residual_is_finite_on_the_default_grid():
+    # At relu's A = 70.9992, e^{Ax} overflows from x = 9.938, so its positive
+    # branch must hold no such term.
+    xs = np.linspace(*INTERVAL, 20001)
+    for kind, _ in CERTIFIED_ROOTS.values():
+        p = uk.preset(kind)
+        assert all(math.isfinite(uk.characteristic_residual_scaled(kind, p, float(x)))
+                   for x in xs), kind.label()
 
 
 def test_residual_rejects_families_without_equations():

@@ -59,6 +59,8 @@ def test_coerce_numpy_scalars():
 
 
 _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
+_SPEC = uk.builtin_spec("sigmoid-family")
+_CFG = uk.NetworkConfig((2, 4, 4), uk.TrainableUaf(_P))
 
 
 # Each call used to cast its argument with float() or int() and return a
@@ -107,6 +109,14 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     (lambda: uk.characteristic_residual(_T, _P, "1.0"), "x"),
     (lambda: uk.characteristic_residual_scaled(_T, _P, True), "x"),
     (lambda: uk.characteristic_residual(_T, _P, math.nan), "x"),
+    # a spec, config or dataset given as its name or dict used to fail with
+    # AttributeError, and a list name with TypeError
+    (lambda: uk.fit("sigmoid-family"), "spec"),
+    (lambda: uk.fit(_SPEC.to_dict()), "spec"),
+    (lambda: uk.train(_CFG.to_dict(), uk.make_blobs(0, n_samples=20, n_features=2)), "config"),
+    (lambda: uk.train(_CFG, {"kind": "blobs", "seed": 0}), "dataset"),
+    (lambda: uk.Network(_CFG.to_dict()), "config"),
+    (lambda: uk.builtin_spec(["x"]), "builtin fit spec"),
     (lambda: uk.eval_stable(_P, np.float32(0.5)), None),
     (lambda: uk.grad(_P, np.int64(1)), None),
     (lambda: uk.critical_points(_P, _T, np.array([-1.0, 1.0])), None),
@@ -125,6 +135,8 @@ _P, _T = uk.preset(uk.TANH), uk.target(uk.TANH)
     "tuple_report_p", "tuple_characteristic_p", "string_preset_kind",
     "string_characteristic_kind", "string_characteristic_x", "bool_characteristic_scaled_x",
     "nan_characteristic_x",
+    "string_fit_spec", "dict_fit_spec", "dict_train_config", "dict_train_dataset",
+    "dict_network_config", "list_builtin_name",
     "numpy_float_x", "numpy_int_x", "numpy_array_interval", "numpy_scalars", "fit_numpy_interval",
 ])
 def test_numeric_api_reads_arguments_strictly(call, name):

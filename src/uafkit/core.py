@@ -16,8 +16,9 @@ import inspect
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from types import UnionType
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -176,24 +177,45 @@ def coerce_field(obj, name: str, kind, minimum=None, maximum=None):
     return value
 
 
-# Reading a signature costs ~15 us; the readers ask for the same few makers.
+# Reading a signature and its type hints costs 0.1-0.3 ms a class; the
+# readers ask for the same few makers.
 @functools.cache
 def _parameters(make):
-    return inspect.signature(make).parameters
+    """make's parameters, and the readers of those a dataclass reads by type."""
+    params = inspect.signature(make).parameters
+    hints = get_type_hints(make) if is_dataclass(make) else {}
+    return params, {n: r for n, t in hints.items() if n in params and (r := _reader(n, t))}
 
 
-def from_json(make, data, what: str, **readers):
+def _reader(name: str, kind):
+    """How from_json reads the field name of type kind: a function, or None."""
+    members = get_args(kind)
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict
+    if get_origin(kind) is tuple and members[1:] == (...,) and hasattr(members[0], "from_dict"):
+        return lambda value: tuple(map(members[0].from_dict, coerce_list(name, value, dict)))
+    if isinstance(kind, UnionType) and all(map(is_dataclass, members)):
+        tag = fields(members[0])[0].name
+        choices = {fields(m)[0].default: m for m in members}
+        return lambda value: from_tagged_json(choices, value, tag, name)
+    return None
+
+
+def from_json(make, data, what: str):
     """make(**data) for a JSON object data, after the structure checks that
     every JSON reader shares.
 
     data must be an object whose keys are parameters of make (a dataclass or
-    a function), holding every parameter that has no default. A key named in
-    readers is read by its reader first; every other value goes to make as
-    it is, so make's own checks convert it. Raises ValueError naming what.
+    a function), holding every parameter that has no default. A dataclass
+    reads each field by its type: with the type's from_dict, with X.from_dict
+    on each item of a list for a tuple[X, ...], and with from_tagged_json for
+    a union of tagged configs, whose tag is the first field (what is the
+    field's name). Every other value goes to make as it is, so make's own
+    checks convert it. Raises ValueError naming what.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be an object, got {type(data).__name__}")
-    params = _parameters(make)
+    params, readers = _parameters(make)
     unknown = sorted(str(key) for key in data if key not in params)
     if unknown:
         raise ValueError(f"{what} contains unknown field(s): {', '.join(unknown)}")
@@ -204,26 +226,26 @@ def from_json(make, data, what: str, **readers):
 
 
 class JsonConfig:
-    """Base of the config dataclasses that from_json reads: to_dict writes
-    every field, a nested dataclass as its dict and a tuple as it is (a JSON
-    array). A tagged config's tag is its first field, which takes no
-    constructor argument: from_tagged_json reads it, and from_json, which
-    reads the signature, never sees it."""
+    """Base of the config dataclasses that from_json reads, each field by
+    its type: to_dict writes every field, a nested dataclass as its dict and
+    a tuple as it is (a JSON array). A tagged config's tag is its first
+    field, whose default is its value and which takes no constructor
+    argument: from_tagged_json reads it, and from_json never sees it."""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def from_tagged_json(choices: dict, data, tag: str, what: str, **readers):
+def from_tagged_json(choices: dict, data, tag: str, what: str):
     """from_json for the one of choices that data's tag field names; the tag
     itself is not passed on."""
     if not isinstance(data, dict) or tag not in data:
         raise ValueError(f"{what} must be an object with a {tag!r} field")
-    fields = dict(data)
-    choice = fields.pop(tag)
+    rest = dict(data)
+    choice = rest.pop(tag)
     if not (isinstance(choice, str) and choice in choices):
         raise ValueError(f"{what} {tag} must be one of {', '.join(choices)}, got {choice!r}")
-    return from_json(choices[choice], fields, what, **readers)
+    return from_json(choices[choice], rest, what)
 
 
 @dataclass(frozen=True)
@@ -447,12 +469,11 @@ def grad(p: UafParams, x: float) -> UafGradient:
     return UafGradient(*(float(v) for v in row))
 
 
-def coerce_points(name: str, value) -> np.ndarray:
-    """A point array: value as a contiguous 1-d float64 array of finite
-    values. Like coerce, it takes numbers only: an input of string, bool,
-    object or complex dtype is refused before the cast, and so is a bool
-    among the numbers of a list or tuple, which NumPy would cast. Raises
-    ValueError naming the field."""
+def coerce_reals(name: str, value) -> np.ndarray:
+    """value as a float64 array of any shape, of numbers only, like coerce:
+    string, bool, object and complex dtypes are refused before the cast, and
+    so is a bool among the numbers of a list or tuple, which NumPy would cast.
+    An array is only tested for its dtype. Raises ValueError naming the field."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
@@ -460,7 +481,13 @@ def coerce_points(name: str, value) -> np.ndarray:
         isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
     ):
         raise ValueError(f"{name} must hold real numbers, got a bool")
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return np.asarray(arr, dtype=np.float64)
+
+
+def coerce_points(name: str, value) -> np.ndarray:
+    """A point array: value read by coerce_reals as a contiguous 1-d float64
+    array of finite values. Raises ValueError naming the field."""
+    arr = np.ascontiguousarray(coerce_reals(name, value))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_size, coerce
+from .core import check_size, coerce, coerce_reals
 
 __all__ = ["Dataset", "make_gas_analogue", "make_blobs"]
 
@@ -27,8 +27,8 @@ class Dataset:
     kind: str = "regression"  # or "classification"
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+        inputs = coerce_reals("inputs", self.inputs)
+        targets = coerce_reals("targets", self.targets)
         if inputs.ndim != 2 or targets.ndim != 2:
             raise ValueError("inputs and targets must be 2-d arrays")
         if inputs.shape[0] != targets.shape[0]:

@@ -57,7 +57,7 @@ class Tie(JsonConfig):
     """Closed-form constraint pinning one parameter.
 
     kinds: const  -> param = value       (no source)
-           same   -> param = source
+           same   -> param = source      (value 0)
            recip  -> param = value / source
            offset -> param = source + value
     """
@@ -82,7 +82,8 @@ class Tie(JsonConfig):
                 )
             if self.source == self.param:
                 raise ValueError(f"tie cannot reference itself ({self.param})")
-        coerce_field(self, "value", float)
+        if coerce_field(self, "value", float) and self.kind == "same":
+            raise ValueError(f"same tie takes no value, got {self.value}; use an offset tie")
 
     def resolve(self, source_value: float) -> float:
         if self.kind == "const":
@@ -160,14 +161,7 @@ class FitSpec(JsonConfig):
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitSpec":
-        return from_json(
-            cls,
-            data,
-            "fit spec",
-            target=PresetKind.from_dict,
-            init=UafParams.from_dict,
-            ties=lambda ties: tuple(map(Tie.from_dict, coerce_list("ties", ties, dict))),
-        )
+        return from_json(cls, data, "fit spec")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from ._kernels import uaf_slope as _k_slope
 from ._kernels import uaf_terms as _k_terms
 from .core import (
     JsonConfig, PresetKind, UafParams, _shown, check_size, coerce, coerce_field, coerce_list,
-    from_json, from_tagged_json, preset,
+    coerce_reals, from_json, preset,
 )
 from .datasets import Dataset
 
@@ -76,17 +76,6 @@ class TrainableUaf(JsonConfig):
         coerce_field(self, "init", UafParams)
 
 
-def _activation_from_dict(data: dict):
-    return from_tagged_json(
-        {c.type: c for c in (FixedActivation, TrainableUaf)},
-        data,
-        "type",
-        "activation",
-        kind=PresetKind.from_dict,
-        init=UafParams.from_dict,
-    )
-
-
 def _n_params(sizes: tuple[int, ...], trainable: bool) -> int:
     """Length of the flat parameter vector: weights, biases and the UAF."""
     return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) + 5 * trainable
@@ -121,10 +110,6 @@ class AdamConfig(JsonConfig):
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if coerce_field(self, "epsilon", float) <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-
-
-def _optimizer_from_dict(data: dict):
-    return from_tagged_json({c.kind: c for c in (SgdConfig, AdamConfig)}, data, "kind", "optimizer")
 
 
 @dataclass(frozen=True)
@@ -164,13 +149,7 @@ class NetworkConfig(JsonConfig):
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
-        return from_json(
-            cls,
-            data,
-            "network config",
-            activation=_activation_from_dict,
-            optimizer=_optimizer_from_dict,
-        )
+        return from_json(cls, data, "network config")
 
 
 @dataclass(frozen=True)
@@ -347,7 +326,7 @@ class Network:
         layer's activation output, the output, and per hidden layer the
         (activation cache, batch-norm cache) that step reads. Training mode
         moves the running statistics, and refuses a batch with no rows."""
-        batch = np.asarray(batch, dtype=np.float64)
+        batch = coerce_reals("batch", batch)
         if batch.ndim != 2 or batch.shape[1] != self.config.layer_sizes[0]:
             raise ValueError(
                 f"batch must have shape (n, {self.config.layer_sizes[0]}), got {batch.shape}"
@@ -373,7 +352,7 @@ class Network:
         configured loss over the batch: (loss, gradients). The parameters are
         left as they are; apply_gradients updates them. Mismatched targets
         are refused before the forward pass moves any running statistic."""
-        targets = np.asarray(targets, dtype=np.float64)
+        targets = coerce_reals("targets", targets)
         shape = np.shape(batch)[:1] + self.config.layer_sizes[-1:]
         if targets.shape != shape:
             raise ValueError(f"targets must have shape {shape}, got {targets.shape}")

@@ -250,6 +250,17 @@ def test_fit_rejects_invalid_spec_fields(runner, tmp_path):
     assert runner.invoke(main, ["fit", "--spec", str(path)]).exit_code == 2
 
 
+def test_fit_refuses_a_same_tie_with_a_value(runner, tmp_path):
+    spec = uk.builtin_spec("sigmoid-family").to_dict()
+    assert spec["ties"][1] == {"param": "D", "kind": "same", "source": "A", "value": 0.0}
+    spec["ties"][1]["value"] = 5
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["fit", "--spec", str(path)])
+    assert result.exit_code == 2
+    assert "same tie takes no value, got 5.0; use an offset tie" in result.output
+
+
 def _family_spec(**overrides):
     return {**uk.builtin_spec("sigmoid-family").to_dict(), **overrides}
 

@@ -1,10 +1,13 @@
 """The seven config types (Tie, FitSpec, FixedActivation, TrainableUaf,
-SgdConfig, AdamConfig, NetworkConfig) write every field with to_dict, and
-read back through JSON text to an equal config."""
+SgdConfig, AdamConfig, NetworkConfig) write every field with to_dict, read
+back through JSON text to an equal config, and refuse a malformed nested
+value naming the level it sits at."""
 
 import dataclasses
 import json
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +25,10 @@ _KINDS = st.one_of(
 
 def _tie(draw, param, sources):
     """A tie on param of any kind, from one of sources (const when there is
-    none)."""
+    none); a same tie's value is 0."""
     kind = draw(st.sampled_from(("const", "same", "recip", "offset") if sources else ("const",)))
     source = None if kind == "const" else draw(st.sampled_from(sources))
-    return uk.Tie(param, kind, source, draw(_FLOATS))
+    return uk.Tie(param, kind, source, 0.0 if kind == "same" else draw(_FLOATS))
 
 
 @st.composite
@@ -96,3 +99,42 @@ def test_each_tag_is_the_first_field_and_no_argument():
         "param": "B", "kind": "const", "source": None, "value": 2.0}
     assert uk.Tie("D", "same", "A").to_dict() == {
         "param": "D", "kind": "same", "source": "A", "value": 0.0}
+
+
+_INIT = {"A": 1.0, "B": 0.0, "C": 0.0, "D": -1.0, "E": 0.0}
+_SPEC = {"target": "sigmoid", "free": ["A"], "init": _INIT}
+_TIE = {"param": "B", "kind": "const", "value": 0.0}
+_TRAINABLE = {"type": "trainable", "init": _INIT}
+_FIXED = {"type": "fixed", "kind": "relu"}
+_CONFIG = {"layer_sizes": [2, 3, 1], "activation": _TRAINABLE}
+
+
+@pytest.mark.parametrize("reader, data, message", [
+    (uk.FitSpec, {**_SPEC, "z": 1}, "fit spec contains unknown field(s): z"),
+    (uk.FitSpec, {**_SPEC, "target": {"name": "relu", "z": 1}},
+     "preset kind contains unknown field(s): z"),
+    (uk.FitSpec, {**_SPEC, "init": {**_INIT, "z": 1}}, "parameters contains unknown field(s): z"),
+    (uk.FitSpec, {**_SPEC, "ties": [{**_TIE, "z": 1}]}, "tie contains unknown field(s): z"),
+    (uk.FitSpec, {**_SPEC, "ties": {}}, "ties must be a list, got {}"),
+    (uk.FitSpec, {**_SPEC, "ties": [1]}, "ties must be a dict, got 1"),
+    (uk.NetworkConfig, {**_CONFIG, "z": 1}, "network config contains unknown field(s): z"),
+    (uk.NetworkConfig, {**_CONFIG, "optimizer": {"kind": "sgd", "z": 1}},
+     "optimizer contains unknown field(s): z"),
+    (uk.NetworkConfig, {**_CONFIG, "optimizer": {"kind": "adam", "learning_rate": "1"}},
+     "learning_rate must be a number, got '1'"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": {**_TRAINABLE, "z": 1}},
+     "activation contains unknown field(s): z"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": {**_FIXED, "kind": {"name": "relu", "z": 1}}},
+     "preset kind contains unknown field(s): z"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": {**_TRAINABLE, "init": {**_INIT, "z": 1}}},
+     "parameters contains unknown field(s): z"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": {"type": "x"}},
+     "activation type must be one of fixed, trainable, got 'x'"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": {"kind": "relu"}},
+     "activation must be an object with a 'type' field"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": {"type": "fixed"}},
+     "activation requires field(s): kind"),
+])
+def test_nested_refusals_name_their_level(reader, data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reader.from_dict(json.loads(json.dumps(data)))

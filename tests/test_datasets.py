@@ -1,6 +1,7 @@
 """Unit tests for the synthetic dataset generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,15 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         # classification targets must be one-hot
         Dataset(inputs=x, targets=np.full((4, 2), 0.5), kind="classification")
+    # numbers only, as in the numeric API: nothing is cast to float64 unasked
+    x, y = np.ones((20, 2)), np.ones((20, 1))
+    for inputs, targets, message in (
+        (x * (1 + 2j), y, "inputs must hold real numbers, got dtype complex128"),
+        (np.array([["1", "2"]] * 20), y, "inputs must hold real numbers, got dtype <U1"),
+        (x, y.astype(bool), "targets must hold real numbers, got dtype bool"),
+        (x, y.astype(object), "targets must hold real numbers, got dtype object"),
+        ([[1.0, True]] * 20, y, "inputs must hold real numbers, got a bool"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(inputs=inputs, targets=targets)
+    assert Dataset(inputs=x.astype(np.int64), targets=y.astype(np.float32)).inputs.dtype == np.float64

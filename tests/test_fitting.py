@@ -46,6 +46,11 @@ def test_tie_validation_and_round_trip():
         Tie("B", "const", "A")
     with pytest.raises(ValueError, match=r"^tie cannot reference itself \(A\)$"):
         Tie("A", "same", "A")
+    # a same tie's value would be ignored: B = A + 5 is an offset tie
+    with pytest.raises(ValueError, match="^same tie takes no value, got 5.0; use an offset tie$"):
+        Tie.from_dict({"param": "B", "kind": "same", "source": "A", "value": 5})
+    for zero in (0, 0.0, -0.0):
+        assert Tie.from_dict(Tie("B", "same", "A", zero).to_dict()).resolve(2.0) == 2.0
     t = Tie("B", "recip", "A", 0.5)
     assert Tie.from_dict(t.to_dict()) == t
     with pytest.raises(ValueError):

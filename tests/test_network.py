@@ -3,6 +3,7 @@ parameter buffer and its optimizers, and the training loop."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ def test_forward_rejects_bad_batch_width():
     net = Network(cfg)
     with pytest.raises(ValueError):
         net.forward(np.ones((5, 4)))
+
+
+def test_forward_and_step_refuse_arrays_of_no_real_numbers():
+    net = Network(NetworkConfig(layer_sizes=(2, 3, 1), activation=_identity_uaf()))
+    x, y = np.ones((1, 2)), np.ones((1, 1))
+    for call, message in (
+        (lambda: net.forward(x * (1 + 1j)), "batch must hold real numbers, got dtype complex128"),
+        (lambda: net.forward([["1", "2"]]), "batch must hold real numbers, got dtype <U1"),
+        (lambda: net.forward([[1.0, True]]), "batch must hold real numbers, got a bool"),
+        (lambda: net.step(x, [["1"]]), "targets must hold real numbers, got dtype <U1"),
+        (lambda: net.step(x, y.astype(bool)), "targets must hold real numbers, got dtype bool"),
+        (lambda: net.step(x.astype(object), y), "batch must hold real numbers, got dtype object"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    # integers are numbers: the same loss as their floats
+    assert net.step(x.astype(int), y.astype(int))[0] == net.step(x, y)[0]
 
 
 def test_batch_norm_normalizes_small_batch():

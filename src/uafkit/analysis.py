@@ -97,7 +97,7 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: fl
     floor = 16.0 * _EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
     keep = np.ones(xs.size - 1, dtype=bool)
     # A target with a jump or kink at 0: the cells that touch 0 are skipped,
-    # and the point itself is examined by _jump_candidates, not as a root.
+    # and the point itself is a candidate of error_report, not a root.
     if KINDS[t.name].at_zero is not None:
         keep = (xs[1:] < 0.0) | (xs[:-1] > 0.0)
     # An event counts when the larger neighbouring value clears the rounding
@@ -209,36 +209,16 @@ def interval_rmse(p: UafParams, t: PresetKind, interval, n_samples: int) -> floa
     return float(np.sqrt(total(0, n) / n))
 
 
-def _jump_candidates(
-    p: UafParams, t: PresetKind, lo: float, hi: float
-) -> list[tuple[float, float]]:
-    """Candidate extrema at a target's jump or kink at 0, when the interval
-    holds 0.
-
-    Where the target jumps (step, from 0 to 1), the one-sided error limits
-    (f(0) - 1 from the right, f(0) - 0 from the left) are the approached
-    suprema on each side of 0 that the interval reaches; at a kink the
-    target is continuous, so the error value at 0 itself is the candidate.
-    """
-    at_zero = KINDS[t.name].at_zero
-    if at_zero is None or not lo <= 0.0 <= hi:
-        return []
-    if at_zero == "jump":
-        f0 = eval_stable(p, 0.0)
-        limits = []
-        if hi > 0.0:
-            limits.append((0.0, f0 - 1.0))
-        if lo < 0.0:
-            limits.append((0.0, f0 - 0.0))
-        return limits
-    return [(0.0, approx_error(p, t, 0.0))]
-
-
 def error_report(
     p: UafParams, t: PresetKind, interval, n_samples: int = 2001
 ) -> ErrorReport:
-    """Full extremum/RMSE report: critical points plus the interval endpoints
-    and any discontinuity candidates, with the max taken over all of them."""
+    """Full extremum/RMSE report: the max error over the candidates, with the
+    interval RMSE.
+
+    The candidates are the roots of the error slope, the two ends and, when
+    the interval holds 0, the error at a kink (relu, leaky_relu) or the
+    one-sided limits of a jump (step) that the interval reaches.
+    """
     p, t = coerce("p", p, UafParams), coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
     # read before the scan, so that a bad count fails at once
@@ -246,7 +226,19 @@ def error_report(
     cps = critical_points(p, t, (lo, hi))
     e_lo, e_hi = approx_error_batch(p, t, [lo, hi])
     candidates = [*cps, (lo, float(e_lo)), (hi, float(e_hi))]
-    candidates.extend(_jump_candidates(p, t, lo, hi))
+    if lo <= 0.0 <= hi:
+        at_zero = KINDS[t.name].at_zero
+        if at_zero == "kink":
+            # the target is continuous there: the error at 0 itself
+            candidates.append((0.0, approx_error(p, t, 0.0)))
+        elif at_zero == "jump":
+            # step jumps from 0 to 1: the error's limits from the right and
+            # from the left are suprema that no point attains
+            f0 = eval_stable(p, 0.0)
+            if hi > 0.0:
+                candidates.append((0.0, f0 - 1.0))
+            if lo < 0.0:
+                candidates.append((0.0, f0 - 0.0))
     max_abs = max(abs(e) for _, e in candidates)
     tol = max(1e-12, 1e-9 * max_abs)
     locations = sorted({x for x, e in candidates if abs(e) >= max_abs - tol})

@@ -124,10 +124,10 @@ class NetworkConfig(JsonConfig):
     optimizer: SgdConfig | AdamConfig = field(default_factory=SgdConfig)
     batch_size: int = 32
     epochs: int = 10
-    # Step size for the shared activation parameters; None means the same
-    # rate the optimizer uses for weights. The shared parameters accumulate
-    # gradients from every activation site, so a damped rate is often needed
-    # to keep them from outrunning the weights.
+    # Step size for the shared activation parameters, so only with a
+    # TrainableUaf; None means the same rate the optimizer uses for weights.
+    # The shared parameters accumulate gradients from every activation site,
+    # so a damped rate is often needed to keep them from outrunning the weights.
     uaf_learning_rate: float | None = None
 
     def __post_init__(self) -> None:
@@ -144,6 +144,8 @@ class NetworkConfig(JsonConfig):
         coerce_field(self, "batch_size", int, minimum=1)
         coerce_field(self, "epochs", int, minimum=1)
         if self.uaf_learning_rate is not None:
+            if not isinstance(self.activation, TrainableUaf):
+                raise ValueError("uaf_learning_rate needs a trainable activation, got a fixed one")
             if coerce_field(self, "uaf_learning_rate", float) <= 0:
                 raise ValueError(f"uaf_learning_rate must be > 0, got {self.uaf_learning_rate}")
 

@@ -458,6 +458,33 @@ def test_step_report_jump_supremum_at_interval_end():
         assert rep.max_error_locations == (0.0,)
 
 
+def test_step_report_is_the_larger_reached_limit():
+    # The limits f(0) - 1 from the right and f(0) - 0 from the left count
+    # only on the sides of 0 that the interval reaches.
+    p = uk.preset(uk.STEP)
+    f0 = uk.eval_stable(p, 0.0)
+    for interval, limits in (((-1.0, 1.0), (f0 - 1.0, f0)), ((0.0, 1.0), (f0 - 1.0,)),
+                             ((-1.0, 0.0), (f0,))):
+        rep = uk.error_report(p, uk.STEP, interval)
+        assert rep.max_abs_error == max(abs(e) for e in limits)
+
+
+def test_relu_kink_is_the_maximum_where_the_slope_has_no_root():
+    # softplus against relu: the error log(1 + e^{-|x|}) falls on both sides
+    # of the kink, so its maximum is ln 2 at 0, a candidate only when the
+    # interval holds 0; else it is the end nearer 0.
+    p = uk.UafParams(1.0, 0.0, 0.0, 0.0, uk.LN2)
+    for interval in ((-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)):
+        rep = uk.error_report(p, uk.RELU, interval)
+        assert rep.critical_points == ()
+        assert rep.max_error_locations == (0.0,)
+        assert rep.max_abs_error == abs(uk.approx_error(p, uk.RELU, 0.0))
+    for interval, nearer in (((0.5, 1.0), 0.5), ((-1.0, -0.5), -0.5)):
+        rep = uk.error_report(p, uk.RELU, interval)
+        assert rep.max_error_locations == (nearer,)
+        assert rep.max_abs_error == abs(uk.approx_error(p, uk.RELU, nearer))
+
+
 def test_report_max_dominates_critical_points():
     for kind in (uk.SIGMOID, uk.GAUSSIAN, uk.RELU, uk.leaky_relu(0.1)):
         rep = uk.error_report(uk.preset(kind), uk.target(kind), INTERVAL)

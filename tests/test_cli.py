@@ -544,6 +544,16 @@ def test_train_seed_env_override(runner, tmp_path, monkeypatch):
         assert "UAFKIT_SEED" in result.output and "--dataset" not in result.output
 
 
+def test_train_refuses_a_uaf_learning_rate_with_a_fixed_activation(runner, tmp_path):
+    cfg, ds = _write_train_inputs(tmp_path)
+    cfg.write_text(json.dumps({**_TRAIN_CONFIG, "activation": {"type": "fixed", "kind": "relu"},
+                               "uaf_learning_rate": 0.5}))
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(ds)])
+    assert result.exit_code == 2
+    assert (f"--config file '{cfg}': uaf_learning_rate needs a trainable activation, "
+            "got a fixed one") in result.output
+
+
 def test_train_rejects_bad_dataset_kind(runner, tmp_path):
     cfg, ds = _write_train_inputs(tmp_path)
     ds.write_text(json.dumps({"kind": "cifar10", "seed": 0}))

@@ -64,17 +64,19 @@ _OPTIMIZERS = st.one_of(
     st.builds(uk.SgdConfig, _POSITIVE),
     st.builds(uk.AdamConfig, _POSITIVE, *[st.floats(0.0, 1.0, exclude_max=True)] * 2, _POSITIVE),
 )
-_CONFIGS = st.builds(
+# a uaf_learning_rate only with a trainable activation, the one it steps
+_CONFIGS = _ACTIVATIONS.flatmap(lambda activation: st.builds(
     uk.NetworkConfig,
     layer_sizes=st.lists(st.integers(1, 64), min_size=3, max_size=5).map(tuple),
-    activation=_ACTIVATIONS,
+    activation=st.just(activation),
     use_batch_norm=st.booleans(),
     seed=st.integers(0, 2**70),
     optimizer=_OPTIMIZERS,
     batch_size=st.integers(1, 10**6),
     epochs=st.integers(1, 10**6),
-    uaf_learning_rate=st.none() | _POSITIVE,
-)
+    uaf_learning_rate=(st.none() | _POSITIVE) if isinstance(activation, uk.TrainableUaf)
+    else st.none(),
+))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -134,6 +136,8 @@ _CONFIG = {"layer_sizes": [2, 3, 1], "activation": _TRAINABLE}
      "activation must be an object with a 'type' field"),
     (uk.NetworkConfig, {**_CONFIG, "activation": {"type": "fixed"}},
      "activation requires field(s): kind"),
+    (uk.NetworkConfig, {**_CONFIG, "activation": _FIXED, "uaf_learning_rate": 0.5},
+     "uaf_learning_rate needs a trainable activation, got a fixed one"),
 ])
 def test_nested_refusals_name_their_level(reader, data, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -440,6 +440,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(layer_sizes=(3, 4, 2), activation=_identity_uaf(),
                       uaf_learning_rate=-1.0)
+    with pytest.raises(ValueError, match="^uaf_learning_rate needs a trainable activation"):
+        NetworkConfig(layer_sizes=(3, 4, 2), activation=FixedActivation(uk.RELU),
+                      uaf_learning_rate=0.5)
     # the first four used to be cast: 32.7 to 32, 2.9 to 2, 1.5 to 1, "no" to batch norm on
     for bad in (dict(layer_sizes=(64, 32.7, 9)), dict(batch_size=2.9), dict(epochs=1.5),
                 dict(use_batch_norm="no"), dict(seed=-1), dict(seed=True),

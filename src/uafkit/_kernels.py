@@ -104,14 +104,11 @@ def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def uaf_terms(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, shifts: bool = True,
-    xmax: float | None = None,
+    xs: np.ndarray, A: float, B: float, C: float, D: float, xmax: float | None = None
 ) -> tuple:
     """(xs, z, e, x+B, x-B) as laid out in the module docstring: what
     uaf_eval, uaf_grad, uaf_partials and uaf_slope share, so that a caller
     needing more than one of them at the same points computes the terms once.
-    With shifts=False, x+B and x-B are formed in the rows of z and the last
-    two entries are None: only uaf_grad and uaf_partials read them.
 
     xmax is the caller's promise that every x is finite and |x| <= xmax.
     From it and the parameters alone, |z1| <= |A|(xmax + |B|) + |C|xmax^2
@@ -123,7 +120,7 @@ def uaf_terms(
     non-finite x needs xmax=None."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     z = np.empty((2,) + xs.shape)
-    xpb = np.add(xs, B, out=None if shifts else z[0])
+    xpb = xs + B
     np.multiply(A, xpb, out=z[0])
     if xmax is not None and C == 0.0:
         z[0] += C  # for finite x, (Cx)x is C's own signed zero
@@ -131,7 +128,7 @@ def uaf_terms(
         np.multiply(C, xs, out=z[1])  # Cx^2, in the row z2 fills next
         z[1] *= xs
         z[0] += z[1]
-    xmb = np.subtract(xs, B, out=None if shifts else z[1])
+    xmb = xs - B
     np.multiply(D, xmb, out=z[1])
     a = np.abs(z)
     np.negative(a, out=a)
@@ -145,7 +142,7 @@ def uaf_terms(
         np.exp(a, out=e, where=lanes)
     else:
         e = np.exp(a, out=a)
-    return (xs, z, e, xpb, xmb) if shifts else (xs, z, e, None, None)
+    return xs, z, e, xpb, xmb
 
 
 def uaf_eval(
@@ -155,7 +152,7 @@ def uaf_eval(
     terms, from uaf_terms on the same xs and parameters, saves computing them."""
     if terms is None:
         # The terms are this call's own: softplus in place, into z and e.
-        _, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False)
+        _, z, e, _, _ = uaf_terms(xs, A, B, C, D)
         sp = np.maximum(z, 0.0, out=z)
         sp += np.log1p(e, out=e)
     else:
@@ -242,7 +239,7 @@ def uaf_slope(
     activation's backward need no parameter partials. It is column 0 of
     uaf_grad by construction: both are formed by _slope_into. terms as in
     uaf_eval; xmax goes to uaf_terms when the terms are computed here."""
-    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, shifts=False, xmax=xmax) if terms is None else terms
+    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, xmax=xmax) if terms is None else terms
     s1, s2 = logistic(z, e)
     s2 *= D
     return _slope_into(None, xs, A, C, s1, s2)

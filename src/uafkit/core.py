@@ -507,7 +507,7 @@ def grid(lo: float, hi: float, n: int, i0: int, i1: int) -> np.ndarray:
     else:
         xs *= step
     xs += lo
-    if i1 == n:
+    if i0 < i1 == n:  # a block that holds the last node
         xs[-1] = hi
     return xs
 

@@ -36,7 +36,7 @@ from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_terms as _k_terms
 from .core import (
     GAUSSIAN, LN2, MAX_POINTS, PARAM_NAMES, A_RELU, RELU, SIGMOID, TANH, JsonConfig, PresetKind,
-    UafParams, coerce, coerce_field, coerce_interval, coerce_list, from_json,
+    UafParams, check_size, coerce, coerce_field, coerce_interval, coerce_list, from_json, grid,
 )
 from .targets import target_eval_batch
 
@@ -154,6 +154,7 @@ class FitSpec(JsonConfig):
         object.__setattr__(self, "ties", ties)
         object.__setattr__(self, "interval", coerce_interval("interval", self.interval))
         coerce_field(self, "n_samples", int, minimum=2, maximum=MAX_POINTS)
+        check_size("n_samples x the five parameter partials", self.n_samples, 5)
         coerce_field(self, "max_iters", int, minimum=0)
         if coerce_field(self, "learning_rate", float) <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
@@ -203,14 +204,16 @@ class _Objective:
 
     def __init__(self, spec: FitSpec):
         lo, hi = spec.interval
-        self.grid = np.linspace(lo, hi, spec.n_samples)
+        self.grid = grid(lo, hi, spec.n_samples, 0, spec.n_samples)
         # The rows of chain (see jacobian) that can be nonzero: the free
         # parameters and those tied to one. Only their partials are read.
         tied = {t.param for t in spec.ties if t.kind != "const"}
         self.read = tuple(name in spec.free or name in tied for name in PARAM_NAMES)
-        # The largest |x| on the grid: the bound that lets the kernel skip
-        # exp's underflow lanes, and jacobian's bounds on the unread partials.
-        self.grid_max = float(np.abs(self.grid).max())
+        # The largest |x| on the grid, at an end (bar a subnormal step, where a
+        # node can pass hi by a few 5e-324, which changes no bit): the bound that
+        # lets the kernel skip exp's underflow lanes, and jacobian's bounds on
+        # the unread partials.
+        self.grid_max = max(abs(lo), abs(hi))
         self.tvals = target_eval_batch(spec.target, self.grid)
         # What assemble starts from: spec.init with the const ties applied.
         # theta[i] goes to row self.free_rows[i]; every other tie sets its row

@@ -3,6 +3,7 @@ characteristic-equation residuals."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,36 @@ def test_block_grid_is_the_linspace_grid(lo, hi, n):
     whole = np.linspace(lo, hi, n)
     for i0, i1 in ((0, n), (0, 2), (1, n - 1), (n // 3, n // 2 + 1), (n - 2, n)):
         assert np.array_equal(_bits(uk.core.grid(lo, hi, n, i0, i1)), _bits(whole[i0:i1]))
+
+
+# Subnormal ends give widths whose step underflows to 0 (see above).
+_ENDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-320, 1e-320))
+
+
+@st.composite
+def _grid_blocks(draw):
+    """Any finite lo < hi of finite width, n in [2, 3000] and i0 <= i1 <= n."""
+    lo, hi = sorted(draw(st.tuples(_ENDS, _ENDS).filter(
+        lambda b: b[0] != b[1] and math.isfinite(b[1] - b[0]))))
+    n = draw(st.integers(2, 3000))
+    i0, i1 = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    return lo, hi, n, i0, i1
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_grid_blocks())
+def test_any_block_grid_is_the_linspace_grid(block):
+    lo, hi, n, i0, i1 = block
+    # Near the float64 range, (n - 1) * step can overflow in both before the
+    # last node is set to hi.
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_bits(uk.core.grid(lo, hi, n, i0, i1)),
+                              _bits(np.linspace(lo, hi, n)[i0:i1]))
+        # The fitter's |x| bound is the larger end. A nonzero subnormal step
+        # is rounded by up to half its size, and a node can pass hi by a few
+        # 5e-324; the bound then only picks the kernel's path (uaf_terms).
+        if not 0.0 < (hi - lo) / (n - 1) < sys.float_info.min:
+            assert np.abs(uk.core.grid(lo, hi, n, 0, n)).max() == max(abs(lo), abs(hi))
 
 
 def _scan_bits(monkeypatch, block, kind, interval):

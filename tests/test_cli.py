@@ -271,6 +271,15 @@ def _tie_spec(value):
     return spec
 
 
+def test_fit_refuses_a_spec_whose_jacobian_passes_the_cap(runner, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_family_spec(n_samples=2_000_001)))
+    result = runner.invoke(main, ["fit", "--spec", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"--spec file {str(path)!r}: n_samples x the five parameter partials" in result.output
+
+
 _TRAIN_CONFIG = {
     "layer_sizes": [16, 8, 4],
     "activation": {"type": "trainable", "init": uk.preset(uk.IDENTITY).to_dict()},

@@ -49,7 +49,7 @@ def _specs(draw):
         init=draw(_PARAMS),
         ties=ties,
         interval=(lo, hi),
-        n_samples=draw(st.integers(2, uk.core.MAX_POINTS)),
+        n_samples=draw(st.integers(2, uk.core.MAX_POINTS // 5)),
         max_iters=draw(st.integers(0, 10**6)),
         learning_rate=draw(_POSITIVE),
         tolerance=draw(st.floats(0.0, 1e300)),

@@ -103,6 +103,14 @@ def test_spec_validation():
             _spec(interval=interval)
 
 
+def test_spec_refuses_a_jacobian_above_the_point_cap():
+    # The fit builds an (n_samples, 5) array of parameter partials; only the
+    # spec is built here, never the fit.
+    with pytest.raises(ValueError, match=r"^n_samples x the five parameter partials = 10000005 "):
+        _spec(n_samples=2_000_001)
+    assert _spec(n_samples=2_000_000).n_samples == 2_000_000
+
+
 def test_spec_json_round_trip():
     spec = _spec()
     again = FitSpec.from_dict(spec.to_dict())

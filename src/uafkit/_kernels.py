@@ -20,20 +20,20 @@ caller that needs both the value and the derivatives at the same points (the
 fitter's accepted residual and its Jacobian, the network's activation forward
 and backward) computes the terms once.
 
-A caller that knows its points are finite and bounded in |x| passes the
-bound to uaf_terms as xmax, the only kernel that takes it (uaf_slope hands
-it on). When the parameters let some |z| pass -_EXP_ZERO, e is then taken
-with a masked exp that leaves 0.0 on the lanes where exp underflows,
-skipping NumPy's slow path for them (about 8x slower than a normal lane).
-Those lanes would have been 0.0 anyway. With xmax given and C = +-0.0, z1
-also skips the Cx^2 pass: for finite x, (Cx)x is C's own signed zero, so
-z1 = A(x+B) + C. For finite points, then, xmax picks a path and never
-changes a bit; without it the unmasked exp, faster where nothing
-underflows, and the full z1 are always taken.
+A caller that knows its points are finite and bounded in |x| passes that
+bound to uaf_terms, the only kernel that takes it. When the parameters let
+some |z| pass -_EXP_ZERO, e is then taken with a masked exp that leaves 0.0
+on the lanes where exp underflows, skipping NumPy's slow path for them
+(about 8x slower than a normal lane). Those lanes would have been 0.0
+anyway. With the bound given and C = +-0.0, z1 also skips the Cx^2 pass:
+for finite x, (Cx)x is C's own signed zero, so z1 = A(x+B) + C. For finite
+points, then, the bound picks a path and never changes a bit; without it
+the unmasked exp, faster where nothing underflows, and the full z1 are
+always taken.
 
 df/dx takes s(z1)A for s(z1)(A + 2Cx) whenever C = +-0.0 and A is finite
 and nonzero: for finite x, 2Cx is a signed zero and A + 2Cx is A; at a
-non-finite x (xmax=None, so z1 in full), s(z1) is NaN in both forms.
+non-finite x (no bound, so z1 in full), s(z1) is NaN in both forms.
 
 Everything here operates on contiguous float64 arrays and returns freshly
 allocated arrays. Results are written in place where the arithmetic allows:
@@ -232,14 +232,13 @@ def _partials_into(out, xs, A, D, s1, s2, xpb, xmb, read=ALL_PARTIALS) -> np.nda
 
 
 def uaf_slope(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None,
-    xmax: float | None = None,
+    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None
 ) -> np.ndarray:
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone: the error scan and a fixed
     activation's backward need no parameter partials. It is column 0 of
     uaf_grad by construction: both are formed by _slope_into. terms as in
-    uaf_eval; xmax goes to uaf_terms when the terms are computed here."""
-    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D, xmax=xmax) if terms is None else terms
+    uaf_eval."""
+    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D) if terms is None else terms
     s1, s2 = logistic(z, e)
     s2 *= D
     return _slope_into(None, xs, A, C, s1, s2)

@@ -12,6 +12,7 @@ import numpy as np
 
 from ._kernels import logistic
 from ._kernels import uaf_slope as _k_slope
+from ._kernels import uaf_terms as _k_terms
 from .core import KINDS, MAX_POINTS, PresetKind, UafParams, coerce, coerce_interval, eval_stable, grid, preset
 from .targets import approx_error, approx_error_batch
 
@@ -21,7 +22,6 @@ __all__ = [
     "interval_rmse",
     "rmse_table",
     "error_report",
-    "characteristic_residual",
     "characteristic_residual_scaled",
 ]
 
@@ -68,7 +68,8 @@ def _slope(
     """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x); every
     |x| <= xmax (see _kernels.uaf_terms)."""
     dt = t.derivative(xs)
-    return _k_slope(xs, p.A, p.B, p.C, p.D, xmax=xmax) - dt, dt
+    terms = _k_terms(xs, p.A, p.B, p.C, p.D, xmax=xmax)
+    return _k_slope(xs, p.A, p.B, p.C, p.D, terms=terms) - dt, dt
 
 
 def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: float):
@@ -337,24 +338,15 @@ def _char_terms(kind: PresetKind, p: UafParams, x: float) -> list[float]:
     )
 
 
-def characteristic_residual(kind: PresetKind, p: UafParams, x: float) -> float:
-    """Left-hand side of the family's characteristic equation at (p, x).
+def characteristic_residual_scaled(kind: PresetKind, p: UafParams, x: float) -> float:
+    """Left-hand side of the family's characteristic equation at (p, x),
+    divided by its largest additive term.
 
     A root certifies a critical point of the approximation error. Only
     sigmoid, tanh, relu, leaky_relu, and gaussian have such equations; other
-    kinds are rejected. Terms grow exponentially with |x|, so the raw value
-    can overflow to +/-inf far from the roots of interest (at the presets:
-    sigmoid x >= 234.5, tanh x >= 113.5, leaky_relu x >= 789; relu's terms
-    stay finite); see characteristic_residual_scaled for a bounded variant.
-    """
-    return float(sum(_char_terms(kind, p, x)))
-
-
-def characteristic_residual_scaled(kind: PresetKind, p: UafParams, x: float) -> float:
-    """Characteristic residual divided by its largest additive term.
-
-    Near a root the raw terms cancel; scaling by the dominant magnitude gives
-    a dimensionless residual comparable across x (0 when all terms vanish).
+    kinds are rejected. Near a root the terms cancel; scaling by the dominant
+    magnitude gives a dimensionless residual comparable across x (0 when all
+    terms vanish).
     At the presets it is finite on [-10, 10] for all five families. Beyond,
     it is NaN where a term overflows (sigmoid x >= 234.5, tanh x >= 113.5,
     leaky_relu x >= 789), and an exact 0.0 that is not a root where every

@@ -263,12 +263,10 @@ class _Objective:
         r -= self.tvals
         return r, float((r * r).sum() / r.size), terms
 
-    def jacobian(
-        self, values: tuple, theta: np.ndarray, terms: tuple | None = None
-    ) -> np.ndarray:
+    def jacobian(self, values: tuple, theta: np.ndarray, terms: tuple) -> np.ndarray:
         """(n, k) matrix d r / d theta: the kernel's parameter partials times
         the tie matrix self.chain, whose recip slopes are taken at theta.
-        terms, from residual(values), saves computing them again.
+        terms are the kernel terms that residual(values) returned.
 
         Only the partials of self.read are computed; the others are +0.0, so
         that 0.0 times their zero row of chain adds nothing, as a finite

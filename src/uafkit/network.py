@@ -327,7 +327,9 @@ class Network:
         """Returns (activations, output, caches): the input and each hidden
         layer's activation output, the output, and per hidden layer the
         (activation cache, batch-norm cache) that step reads. Training mode
-        moves the running statistics, and refuses a batch with no rows."""
+        moves the running statistics, and refuses a batch with no rows. A
+        batch whose rows x the widest of layer_sizes pass core.MAX_POINTS is
+        refused before any layer is computed."""
         batch = coerce_reals("batch", batch)
         if batch.ndim != 2 or batch.shape[1] != self.config.layer_sizes[0]:
             raise ValueError(
@@ -335,6 +337,8 @@ class Network:
             )
         if training and len(batch) == 0:
             raise ValueError("a training batch needs at least one row, got 0")
+        check_size("batch rows x the widest of layer_sizes", len(batch),
+                   max(self.config.layer_sizes))
         activations, caches = [batch], []
         a = batch
         for i in range(self.n_hidden):

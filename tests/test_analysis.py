@@ -281,24 +281,24 @@ def test_perturbed_blocks_without_events_change_nothing(kind, interval, scales):
 
 
 def test_the_bound_on_x_changes_no_report(monkeypatch):
-    from uafkit import _kernels
+    from uafkit import analysis
+    from uafkit._kernels import _EXP_ZERO
 
     underflows = []
-    terms = _kernels.uaf_terms
+    terms = analysis._k_terms
 
     def spy(*args, **kwargs):
         out = terms(*args, **kwargs)
-        underflows.append(bool(np.any(-np.abs(out[1]) < _kernels._EXP_ZERO)))
+        underflows.append(bool(np.any(-np.abs(out[1]) < _EXP_ZERO)))
         return out
 
-    monkeypatch.setattr(_kernels, "uaf_terms", spy)
+    monkeypatch.setattr(analysis, "_k_terms", spy)
     kinds = (uk.STEP, uk.RELU, uk.TANH)
     wide = (-1000.0, 1000.0)
     bounded = [uk.error_report(uk.preset(k), uk.target(k), wide).to_dict() for k in kinds]
     assert any(underflows)  # the masked exp was taken
-    slope = uk.analysis._k_slope
-    monkeypatch.setattr(uk.analysis, "_k_slope",
-                        lambda xs, A, B, C, D, xmax=None: slope(xs, A, B, C, D))
+    monkeypatch.setattr(analysis, "_k_terms",
+                        lambda *args, xmax=None, **kwargs: terms(*args, **kwargs))
     unbounded = [uk.error_report(uk.preset(k), uk.target(k), wide).to_dict() for k in kinds]
     assert json.dumps(unbounded) == json.dumps(bounded)
 
@@ -631,19 +631,7 @@ def test_scaled_residual_is_finite_on_the_default_grid():
 def test_residual_rejects_families_without_equations():
     for kind in (uk.IDENTITY, uk.STEP, uk.SOFTPLUS):
         with pytest.raises(ValueError):
-            uk.characteristic_residual(kind, uk.preset(kind), 1.0)
-        with pytest.raises(ValueError):
             uk.characteristic_residual_scaled(kind, uk.preset(kind), 1.0)
-
-
-def test_raw_and_scaled_residuals_share_sign():
-    kind = uk.TANH
-    p = uk.preset(kind)
-    for x in (0.2, 0.44, 1.0, 2.0):
-        raw = uk.characteristic_residual(kind, p, x)
-        scaled = uk.characteristic_residual_scaled(kind, p, x)
-        assert math.copysign(1.0, raw) == math.copysign(1.0, scaled) or raw == scaled == 0.0
-        assert abs(scaled) <= abs(raw) + 1e-15
 
 
 # --- tail behaviour -----------------------------------------------------------------

@@ -103,12 +103,12 @@ _CFG = uk.NetworkConfig((2, 4, 4), uk.TrainableUaf(_P))
     (lambda: uk.critical_points(_P.as_tuple(), _T, (-1, 1)), "p"),
     (lambda: uk.interval_rmse(_P.as_tuple(), _T, (-1, 1), 11), "p"),
     (lambda: uk.error_report(_P.as_tuple(), _T, (-1, 1)), "p"),
-    (lambda: uk.characteristic_residual(_T, _P.as_tuple(), 1.0), "p"),
+    (lambda: uk.characteristic_residual_scaled(_T, _P.as_tuple(), 1.0), "p"),
     (lambda: uk.preset("tanh"), "kind"),
-    (lambda: uk.characteristic_residual("tanh", _P, 1.0), "kind"),
-    (lambda: uk.characteristic_residual(_T, _P, "1.0"), "x"),
+    (lambda: uk.characteristic_residual_scaled("tanh", _P, 1.0), "kind"),
+    (lambda: uk.characteristic_residual_scaled(_T, _P, "1.0"), "x"),
     (lambda: uk.characteristic_residual_scaled(_T, _P, True), "x"),
-    (lambda: uk.characteristic_residual(_T, _P, math.nan), "x"),
+    (lambda: uk.characteristic_residual_scaled(_T, _P, math.nan), "x"),
     # a spec, config or dataset given as its name or dict used to fail with
     # AttributeError, and a list name with TypeError
     (lambda: uk.fit("sigmoid-family"), "spec"),
@@ -445,17 +445,18 @@ _ORACLE_PARAMS = st.floats(-200.0, 200.0)
        read=st.tuples(*[st.booleans()] * 5))
 def test_kernels_match_a_60_digit_oracle(params, xs, read):
     """uaf_eval, every df/dx (uaf_grad's column 0, uaf_slope with and
-    without its bound) and every parameter partial (uaf_grad's columns 1-5,
-    uaf_partials with all columns and the columns that read marks) lie
+    without bounded terms) and every parameter partial (uaf_grad's columns
+    1-5, uaf_partials with all columns and the columns that read marks) lie
     within 4 ulp of the scale of their terms. The columns read leaves out
     are +0.0."""
-    from uafkit._kernels import uaf_eval, uaf_grad, uaf_partials, uaf_slope
+    from uafkit._kernels import uaf_eval, uaf_grad, uaf_partials, uaf_slope, uaf_terms
 
     A, B, C, D, E = params
     x = np.array(xs)
     value = uaf_eval(x, *params)
     grads = uaf_grad(x, *params)
-    slopes = (grads[:, 0], uaf_slope(x, A, B, C, D), uaf_slope(x, A, B, C, D, xmax=100.0))
+    bounded = uaf_terms(x, A, B, C, D, xmax=100.0)
+    slopes = (grads[:, 0], uaf_slope(x, A, B, C, D), uaf_slope(x, A, B, C, D, terms=bounded))
     masked = uaf_partials(x, A, B, C, D, read=read)
     unread = masked[:, [not r for r in read]]
     assert not unread.any() and not np.signbit(unread).any()
@@ -662,7 +663,7 @@ def test_terms_are_bitwise_the_same_for_any_bound(params, sort):
         assert all(_same_bits(got, want) for got, want in zip(terms, plain))
         # masked lanes are +0.0, not -0.0 and not the argument left behind
         assert np.all(terms[2].view(np.int64)[below] == 0)
-        assert _same_bits(k.uaf_slope(xs, *params, xmax=xmax), k.uaf_slope(xs, *params))
+        assert _same_bits(k.uaf_slope(xs, *params, terms=terms), k.uaf_slope(xs, *params))
 
 
 def test_a_nan_lane_goes_through_exp_with_the_bound():
@@ -676,7 +677,7 @@ def test_a_nan_lane_goes_through_exp_with_the_bound():
         assert np.isnan(plain[1]).any()
         bounded = k.uaf_terms(xs, *params, xmax=10.0)
         assert all(_same_bits(got, want) for got, want in zip(bounded, plain))
-        assert _same_bits(k.uaf_slope(xs, *params, xmax=10.0), k.uaf_slope(xs, *params))
+        assert _same_bits(k.uaf_slope(xs, *params, terms=bounded), k.uaf_slope(xs, *params))
 
 
 @pytest.mark.parametrize("C", [0.0, -0.0])
@@ -699,10 +700,10 @@ def test_a_zero_c_with_the_bound_keeps_every_bit(A, B, C, D):
         for xmax in (1e300, 10.0):
             bounded = k.uaf_terms(xs, A, B, C, D, xmax=xmax)
             assert all(_same_bits(got, want) for got, want in zip(bounded, plain))
-        assert _same_bits(k.uaf_slope(xs, A, B, C, D, xmax=1e300), k.uaf_slope(xs, A, B, C, D))
+        slope = k.uaf_slope(xs, A, B, C, D, terms=k.uaf_terms(xs, A, B, C, D, xmax=1e300))
+        assert _same_bits(slope, k.uaf_slope(xs, A, B, C, D))
         # with the bound, a nonzero finite A takes s(z1)A for s(z1)(A + 2Cx)
-        assert _same_bits(k.uaf_slope(xs, A, B, C, D, xmax=1e300),
-                          k.uaf_grad(xs, A, B, C, D, 0.0)[:, 0])
+        assert _same_bits(slope, k.uaf_grad(xs, A, B, C, D, 0.0)[:, 0])
         # without it, 2Cx at x = +-inf is 0 * inf = NaN, and stays in the slope
         inf = np.array([np.inf, -np.inf])
         want = k.uaf_grad(inf, A, B, C, D, 0.0)[:, 0]

@@ -4,6 +4,7 @@ parameter buffer and its optimizers, and the training loop."""
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,29 @@ def test_an_empty_batch_trains_nothing_and_infers_an_empty_output(activation):
     assert out.shape == (0, 2) and acts[1].shape == (0, 4) and len(caches) == 1
     _, out, _ = net.forward(np.ones((2, 3)))
     assert np.isfinite(out).all()
+
+
+def test_forward_and_step_refuse_activations_above_the_cap():
+    # 101 rows x 100,000 units = 10,100,000 activation values, above
+    # core.MAX_POINTS: refused before a layer is computed (each would be an
+    # 81 MB array) and before a running statistic moves.
+    cfg = NetworkConfig(layer_sizes=(1, 100000, 1), activation=_identity_uaf(), seed=1)
+    net = Network(cfg)
+    before = _state(net)
+    batch, targets = np.ones((101, 1)), np.ones((101, 1))
+    message = ("batch rows x the widest of layer_sizes = 10100000 values, "
+               f"above the cap of {uk.core.MAX_POINTS}")
+    tracemalloc.start()
+    try:
+        for call in (lambda: net.forward(batch), lambda: net.forward(batch, training=True),
+                     lambda: net.step(batch, targets)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert _state(net) == before
 
 
 # --- flat parameter buffer and optimizers ------------------------------------------

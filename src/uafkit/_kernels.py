@@ -12,13 +12,15 @@ construction: each derivative is formed in one place, ``_partials_into`` or
 reads and leaves the others +0.0: the fitter's tie matrix multiplies most
 of the five by zero rows.
 
-The terms of n points are the tuple (xs, z, e, x+B, x-B): xs as contiguous
-float64, z one stacked (2, n) buffer holding z1 = A(x+B)+Cx^2 in row 0 and
-z2 = D(x-B) in row 1, e = e^{-|z|} stacked alike, and the two shifted grids.
-Each pass takes exp, softplus and logistic once over all 2n elements, and a
-caller that needs both the value and the derivatives at the same points (the
-fitter's accepted residual and its Jacobian, the network's activation forward
-and backward) computes the terms once.
+The terms of n points are the pair (z, e): z one stacked (2, n) buffer
+holding z1 = A(x+B)+Cx^2 in row 0 and z2 = D(x-B) in row 1, and
+e = e^{-|z|} stacked alike. They hold only what the exponentials need; the
+points themselves always come from the caller, and the partials that read
+x+B or x-B form it again, one add each. Each pass takes exp, softplus and
+logistic once over all 2n elements, and a caller that needs both the value
+and the derivatives at the same points (the fitter's accepted residual and
+its Jacobian, the network's activation forward and backward) computes the
+terms once.
 
 A caller that knows its points are finite and bounded in |x| passes that
 bound to uaf_terms, the only kernel that takes it. When the parameters let
@@ -35,13 +37,13 @@ df/dx takes s(z1)A for s(z1)(A + 2Cx) whenever C = +-0.0 and A is finite
 and nonzero: for finite x, 2Cx is a signed zero and A + 2Cx is A; at a
 non-finite x (no bound, so z1 in full), s(z1) is NaN in both forms.
 
-Everything here operates on contiguous float64 arrays and returns freshly
-allocated arrays. Results are written in place where the arithmetic allows:
-at n ~ 1e4 each live temporary array costs page faults on every call, so
-uaf_eval and uaf_grad also drop the terms they computed themselves once
-those are used. The in-place steps keep the operand order of the formulas
-(s(z1) * (A + 2Cx), not (A + 2Cx) * s(z1)): where both operands are NaN,
-the first one's sign bit is the result's.
+Everything here takes its points as a contiguous 1-d float64 array, which
+every caller already holds, and returns freshly allocated arrays. Results
+are written in place where the arithmetic allows: at n ~ 1e4 each live
+temporary array costs page faults on every call, so a kernel also drops the
+terms it computed itself once those are used. The in-place steps keep the
+operand order of the formulas (s(z1) * (A + 2Cx), not (A + 2Cx) * s(z1)):
+where both operands are NaN, the first one's sign bit is the result's.
 
 The public batch functions take up to core.MAX_POINTS points and go through
 ``in_blocks`` (core's eval_batch and grad_batch, and targets'
@@ -106,9 +108,9 @@ def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 def uaf_terms(
     xs: np.ndarray, A: float, B: float, C: float, D: float, xmax: float | None = None
 ) -> tuple:
-    """(xs, z, e, x+B, x-B) as laid out in the module docstring: what
-    uaf_eval, uaf_grad, uaf_partials and uaf_slope share, so that a caller
-    needing more than one of them at the same points computes the terms once.
+    """(z, e) as laid out in the module docstring: what uaf_eval, uaf_grad,
+    uaf_partials and uaf_slope share, so that a caller needing more than one
+    of them at the same points computes the terms once. xs is not kept.
 
     xmax is the caller's promise that every x is finite and |x| <= xmax.
     From it and the parameters alone, |z1| <= |A|(xmax + |B|) + |C|xmax^2
@@ -118,18 +120,17 @@ def uaf_terms(
     same signed zero. For finite xs the result is bitwise the same for any
     xmax, None included: a wrong bound only picks the slower path. A
     non-finite x needs xmax=None."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
     z = np.empty((2,) + xs.shape)
-    xpb = xs + B
-    np.multiply(A, xpb, out=z[0])
+    np.add(xs, B, out=z[0])
+    np.multiply(A, z[0], out=z[0])
     if xmax is not None and C == 0.0:
         z[0] += C  # for finite x, (Cx)x is C's own signed zero
     else:
         np.multiply(C, xs, out=z[1])  # Cx^2, in the row z2 fills next
         z[1] *= xs
         z[0] += z[1]
-    xmb = xs - B
-    np.multiply(D, xmb, out=z[1])
+    np.subtract(xs, B, out=z[1])
+    np.multiply(D, z[1], out=z[1])
     a = np.abs(z)
     np.negative(a, out=a)
     if xmax is not None and max(
@@ -142,7 +143,7 @@ def uaf_terms(
         np.exp(a, out=e, where=lanes)
     else:
         e = np.exp(a, out=a)
-    return xs, z, e, xpb, xmb
+    return z, e
 
 
 def uaf_eval(
@@ -152,11 +153,11 @@ def uaf_eval(
     terms, from uaf_terms on the same xs and parameters, saves computing them."""
     if terms is None:
         # The terms are this call's own: softplus in place, into z and e.
-        _, z, e, _, _ = uaf_terms(xs, A, B, C, D)
+        z, e = uaf_terms(xs, A, B, C, D)
         sp = np.maximum(z, 0.0, out=z)
         sp += np.log1p(e, out=e)
     else:
-        sp = softplus(terms[1], terms[2])
+        sp = softplus(*terms)
     out = sp[0] - sp[1]
     out += E
     return out
@@ -177,11 +178,9 @@ def uaf_grad(
         df/dD = -s(z2)(x - B)
         df/dE = 1
     """
-    xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
-    s1, s2 = logistic(z, e)
-    del z, e  # frees them when the terms are this call's own
+    s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
-    s2d = _partials_into(out[:, 1:], xs, A, D, s1, s2, xpb, xmb)
+    s2d = _partials_into(out[:, 1:], xs, A, B, D, s1, s2)
     _slope_into(out[:, 0], xs, A, C, s1, s2d)
     return out
 
@@ -197,22 +196,20 @@ def uaf_partials(
     read marks, in that order, the columns the caller reads. Those are
     bitwise the columns of uaf_grad; every other column is +0.0, even where
     the partial itself would be inf or NaN."""
-    xs, z, e, xpb, xmb = uaf_terms(xs, A, B, C, D) if terms is None else terms
-    s1, s2 = logistic(z, e)
-    del z, e
+    s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     out = (np.empty if all(read) else np.zeros)((xs.shape[0], 5), dtype=np.float64)
-    _partials_into(out, xs, A, D, s1, s2, xpb, xmb, read)
+    _partials_into(out, xs, A, B, D, s1, s2, read)
     return out
 
 
-def _partials_into(out, xs, A, D, s1, s2, xpb, xmb, read=ALL_PARTIALS) -> np.ndarray | None:
+def _partials_into(out, xs, A, B, D, s1, s2, read=ALL_PARTIALS) -> np.ndarray | None:
     """Writes the parameter partials of uaf_grad's docstring into the columns
     of out that read marks, from s1 = s(z1) and s2 = s(z2); returns s(z2)D,
     which df/dx also takes, when the df/dB column is read (else None)."""
     read_a, read_b, read_c, read_d, read_e = read
     s2d = None
     if read_a:
-        np.multiply(s1, xpb, out=out[:, 0])
+        np.multiply(s1, xs + B, out=out[:, 0])
     if read_b:
         s2d = s2 * D
         col = out[:, 1]
@@ -225,7 +222,7 @@ def _partials_into(out, xs, A, D, s1, s2, xpb, xmb, read=ALL_PARTIALS) -> np.nda
     if read_d:
         col = out[:, 3]
         np.negative(s2, out=col)
-        col *= xmb
+        col *= xs - B
     if read_e:
         out[:, 4] = 1.0
     return s2d
@@ -238,8 +235,7 @@ def uaf_slope(
     activation's backward need no parameter partials. It is column 0 of
     uaf_grad by construction: both are formed by _slope_into. terms as in
     uaf_eval."""
-    xs, z, e, _, _ = uaf_terms(xs, A, B, C, D) if terms is None else terms
-    s1, s2 = logistic(z, e)
+    s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     s2 *= D
     return _slope_into(None, xs, A, C, s1, s2)
 

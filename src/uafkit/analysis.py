@@ -63,7 +63,7 @@ class ErrorReport:
 
 
 def _slope(
-    p: UafParams, t: PresetKind, xs: np.ndarray, xmax: float | None
+    p: UafParams, t: PresetKind, xs: np.ndarray, xmax: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x); every
     |x| <= xmax (see _kernels.uaf_terms)."""
@@ -111,9 +111,7 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: fl
     return xs[i], xs[i + 1], pos[i], xs[1:-1][node]
 
 
-def _bisect(
-    p: UafParams, t: PresetKind, a, b, up, halvings: int, xmax: float | None = None
-) -> np.ndarray:
+def _bisect(p: UafParams, t: PresetKind, a, b, up, halvings: int, xmax: float) -> np.ndarray:
     """Midpoints of the brackets [a, b] after a fixed count of halvings; up
     says whether the slope is positive at a, and xmax bounds |a| and |b|.
 

@@ -307,17 +307,19 @@ class Network:
         """Returns (activation, cache for _act_backward)."""
         if self._target is not None:
             return self._target(y), y
-        terms = _k_terms(y.ravel(), *self._params[:4])
-        return _k_eval(terms[0], *self._params, terms=terms).reshape(y.shape), terms
+        xs = y.ravel()
+        terms = _k_terms(xs, *self._params[:4])
+        return _k_eval(xs, *self._params, terms=terms).reshape(y.shape), (xs, terms)
 
     def _act_backward(self, cache, upstream: np.ndarray):
         """Returns (d loss/d y, d loss/d uaf-params or None)."""
         if self._target is not None:
             return upstream * self._target.derivative(cache), None
+        xs, terms = cache
         if self.uaf is None:
-            slope = _k_slope(cache[0], *self._params[:4], terms=cache)
+            slope = _k_slope(xs, *self._params[:4], terms=terms)
             return (upstream.ravel() * slope).reshape(upstream.shape), None
-        g6 = _k_grad(cache[0], *self._params, terms=cache)
+        g6 = _k_grad(xs, *self._params, terms=terms)
         d_y = (upstream.ravel() * g6[:, 0]).reshape(upstream.shape)
         return d_y, g6[:, 1:].T @ upstream.ravel()
 

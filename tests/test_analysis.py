@@ -289,7 +289,7 @@ def test_the_bound_on_x_changes_no_report(monkeypatch):
 
     def spy(*args, **kwargs):
         out = terms(*args, **kwargs)
-        underflows.append(bool(np.any(-np.abs(out[1]) < _EXP_ZERO)))
+        underflows.append(bool(np.any(-np.abs(out[0]) < _EXP_ZERO)))
         return out
 
     monkeypatch.setattr(analysis, "_k_terms", spy)
@@ -325,7 +325,7 @@ def test_tree_bisection_matches_sequential_halving(monkeypatch, halvings):
         a = np.concatenate([xs[:-1], rng.uniform(-4.0, 0.0, 5)])
         b = np.concatenate([xs[1:], rng.uniform(0.0, 4.0, 5)])
         up = np.concatenate([g[:-1] > 0, rng.random(5) < 0.5])
-        got = uk.analysis._bisect(p, t, a, b, up, halvings)
+        got = uk.analysis._bisect(p, t, a, b, up, halvings, max(abs(a).max(), abs(b).max()))
         assert np.array_equal(_bits(got), _bits(_sequential_bisect(p, t, a, b, up, halvings)))
 
 

@@ -245,7 +245,7 @@ def test_the_bound_on_x_changes_no_fit_result(monkeypatch):
 
     def spy(*args, **kwargs):
         out = terms(*args, **kwargs)
-        underflows.append(bool(np.any(-np.abs(out[1]) < _EXP_ZERO)))
+        underflows.append(bool(np.any(-np.abs(out[0]) < _EXP_ZERO)))
         return out
 
     monkeypatch.setattr(fitting, "_k_terms", spy)

@@ -389,6 +389,25 @@ def test_forward_and_step_refuse_activations_above_the_cap():
     assert _state(net) == before
 
 
+@pytest.mark.parametrize("activation, most", [
+    ("uk.FixedActivation(uk.TANH)", 101.0), ("uk.TrainableUaf(uk.preset(uk.IDENTITY))", 148.0),
+], ids=["frozen", "trainable"])
+def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, activation, most):
+    # One step of a (4, 20000, 1) net on 50 rows, 1,000,000 hidden values:
+    # its peak grew by 109.0 (frozen) and 156.3 (trainable) bytes per value
+    # while a UAF layer's cache also kept x+B and x-B, and by 92.8 and 140.3
+    # without them. Each case runs in its own process: a step measured
+    # after another one reads a few bytes more, from the allocator's reuse
+    # of the first step's freed arrays.
+    made, stepped = peak_growth_mb([
+        f"net = uk.Network(uk.NetworkConfig(layer_sizes=(4, 20000, 1), activation={activation}))\n"
+        "rng = np.random.default_rng(0)\n"
+        "x, y = rng.normal(size=(50, 4)), rng.normal(size=(50, 1))",
+        "net.step(x, y)",
+    ])
+    assert (stepped - made) * 2**20 / 1e6 <= most
+
+
 # --- flat parameter buffer and optimizers ------------------------------------------
 
 

@@ -6,7 +6,11 @@ the terms they are built from (``uaf_terms``), and the overflow-safe
 
 uaf_partials and uaf_slope are columns 1-5 and column 0 of uaf_grad by
 construction: each derivative is formed in one place, ``_partials_into`` or
-``_slope_into``.
+``_slope``, as one contiguous array that is then stored into its column.
+NumPy may pick another loop for a strided output than for a contiguous one,
+and where both operands are NaN the two loops need not return the same NaN;
+forming every derivative contiguously keeps the columns the same bits as
+the slope under every dispatch target.
 
 ``uaf_partials(..., read=)`` fills only the partial columns its caller
 reads and leaves the others +0.0: the fitter's tie matrix multiplies most
@@ -38,12 +42,22 @@ and nonzero: for finite x, 2Cx is a signed zero and A + 2Cx is A; at a
 non-finite x (no bound, so z1 in full), s(z1) is NaN in both forms.
 
 Everything here takes its points as a contiguous 1-d float64 array, which
-every caller already holds, and returns freshly allocated arrays. Results
-are written in place where the arithmetic allows: at n ~ 1e4 each live
-temporary array costs page faults on every call, so a kernel also drops the
-terms it computed itself once those are used. The in-place steps keep the
-operand order of the formulas (s(z1) * (A + 2Cx), not (A + 2Cx) * s(z1)):
-where both operands are NaN, the first one's sign bit is the result's.
+every caller already holds, and returns freshly allocated arrays. At
+n ~ 1e4 each live temporary array costs page faults on every call, so a
+kernel drops the terms it computed itself once those are used. Every
+product keeps the operand order of its formula (s(z1) * (A + 2Cx), not
+(A + 2Cx) * s(z1)): where both operands are NaN, the first one's sign bit is
+the result's. Two rules keep that order and the memory peak:
+
+1. A product whose right operand is a temporary is written
+   np.multiply(s1, xs + B), not s1 * (xs + B). From 32,768 points NumPy
+   reuses a temporary operand for the result, and takes s1 * (xs + B) as
+   (xs + B) *= s1, which swaps the operands. df/dx writes its product into
+   that temporary itself, np.multiply(s1, t, out=t): one fresh array fewer,
+   at the sizes where each one costs page faults.
+2. The dA and dD columns are formed before s(z2)D is, so that their
+   temporaries are freed before it is held: a trainable network step then
+   peaks about 8 B per hidden value lower.
 
 The public batch functions take up to core.MAX_POINTS points and go through
 ``in_blocks`` (core's eval_batch and grad_batch, and targets'
@@ -181,7 +195,7 @@ def uaf_grad(
     s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
     s2d = _partials_into(out[:, 1:], xs, A, B, D, s1, s2)
-    _slope_into(out[:, 0], xs, A, C, s1, s2d)
+    out[:, 0] = _slope(xs, A, C, s1, s2d)
     return out
 
 
@@ -205,26 +219,21 @@ def uaf_partials(
 def _partials_into(out, xs, A, B, D, s1, s2, read=ALL_PARTIALS) -> np.ndarray | None:
     """Writes the parameter partials of uaf_grad's docstring into the columns
     of out that read marks, from s1 = s(z1) and s2 = s(z2); returns s(z2)D,
-    which df/dx also takes, when the df/dB column is read (else None)."""
+    which df/dx also takes, when the df/dB column is read (else None). The
+    columns follow the module docstring's two rules."""
     read_a, read_b, read_c, read_d, read_e = read
-    s2d = None
     if read_a:
-        np.multiply(s1, xs + B, out=out[:, 0])
-    if read_b:
-        s2d = s2 * D
-        col = out[:, 1]
-        np.multiply(s1, A, out=col)
-        col += s2d
-    if read_c:
-        col = out[:, 2]
-        np.multiply(s1, xs, out=col)
-        col *= xs
+        out[:, 0] = np.multiply(s1, xs + B)
     if read_d:
-        col = out[:, 3]
-        np.negative(s2, out=col)
-        col *= xs - B
+        out[:, 3] = -s2 * (xs - B)
+    if read_c:
+        out[:, 2] = s1 * xs * xs
     if read_e:
         out[:, 4] = 1.0
+    s2d = None
+    if read_b:
+        s2d = s2 * D
+        out[:, 1] = s1 * A + s2d
     return s2d
 
 
@@ -233,22 +242,21 @@ def uaf_slope(
 ) -> np.ndarray:
     """df/dx = s(z1)(A + 2Cx) - s(z2)D alone: the error scan and a fixed
     activation's backward need no parameter partials. It is column 0 of
-    uaf_grad by construction: both are formed by _slope_into. terms as in
+    uaf_grad by construction: both are formed by _slope. terms as in
     uaf_eval."""
     s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     s2 *= D
-    return _slope_into(None, xs, A, C, s1, s2)
+    return _slope(xs, A, C, s1, s2)
 
 
-def _slope_into(out, xs, A, C, s1, s2d) -> np.ndarray:
-    """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2d = s(z2)D,
-    written into out (a new array when None) and returned. A C of 0.0 and a
-    finite nonzero A take s(z1)A, bitwise the same (module docstring)."""
+def _slope(xs, A, C, s1, s2d) -> np.ndarray:
+    """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2d = s(z2)D, as a
+    new array. A C of 0.0 and a finite nonzero A take s(z1)A, bitwise the
+    same (module docstring)."""
     if C == 0.0 and 0.0 < abs(A) < np.inf:
-        out = np.multiply(s1, A, out=out)
+        out = s1 * A
     else:
-        out = np.multiply(2.0 * C, xs, out=out)
-        np.add(A, out, out=out)
+        out = A + 2.0 * C * xs
         np.multiply(s1, out, out=out)
     out -= s2d
     return out

@@ -514,8 +514,11 @@ def _two_array_grad(xs, A, B, C, D, E):
     s1 = _two_array_logistic(z1, e1)
     s2 = _two_array_logistic(z2, e2)
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
-    out[:, 0] = s1 * (A + 2.0 * C * xs) - s2 * D
-    out[:, 1] = s1 * (xs + B)
+    # np.multiply where the right operand is a temporary: from 32,768 points
+    # NumPy would reuse that temporary for s1 * (...), as (...) *= s1, which
+    # swaps the operands and so changes which of two NaNs the product keeps.
+    out[:, 0] = np.multiply(s1, A + 2.0 * C * xs) - s2 * D
+    out[:, 1] = np.multiply(s1, xs + B)
     out[:, 2] = s1 * A + s2 * D
     out[:, 3] = s1 * xs * xs
     out[:, 4] = -s2 * (xs - B)
@@ -532,7 +535,9 @@ def _same_bits(got, want):
 _SPECIAL = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0])
 
 
-@pytest.mark.parametrize("n", [1, 7, 1024, 2001, 4096])
+# 65,536 is in_blocks' piece size, past the 32,768 points from which NumPy
+# reuses a temporary operand for the result.
+@pytest.mark.parametrize("n", [1, 7, 1024, 2001, 4096, 65536])
 @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
 def test_stacked_kernels_match_the_two_array_kernels_bitwise(n, scale):
     from uafkit import _kernels as k

@@ -389,20 +389,23 @@ def test_forward_and_step_refuse_activations_above_the_cap():
     assert _state(net) == before
 
 
-@pytest.mark.parametrize("activation, most", [
-    ("uk.FixedActivation(uk.TANH)", 101.0), ("uk.TrainableUaf(uk.preset(uk.IDENTITY))", 148.0),
-], ids=["frozen", "trainable"])
-def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, activation, most):
-    # One step of a (4, 20000, 1) net on 50 rows, 1,000,000 hidden values:
-    # its peak grew by 109.0 (frozen) and 156.3 (trainable) bytes per value
-    # while a UAF layer's cache also kept x+B and x-B, and by 92.8 and 140.3
-    # without them. Each case runs in its own process: a step measured
-    # after another one reads a few bytes more, from the allocator's reuse
-    # of the first step's freed arrays.
+@pytest.mark.parametrize("sizes, rows, activation, most", [
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH)", 101.0),
+    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 148.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH, exact=True)", 66.0),
+    ((4, 1000, 1000, 1000, 1000, 1000, 1), 200, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 102.0),
+], ids=["frozen", "trainable", "exact", "deep-trainable"])
+def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, sizes, rows, activation, most):
+    # One step on 1,000,000 hidden values: a (4, 20000, 1) net on 50 rows,
+    # or five hidden layers of 1,000 on 200 rows. The peak grew by 93.0
+    # (frozen), 140.8 (trainable), 58.9 (exact) and 94.4 (deep trainable)
+    # bytes per value; each bound leaves about 8 B. Each case runs in its
+    # own process: a step measured after another one reads a few bytes more,
+    # from the allocator's reuse of the first step's freed arrays.
     made, stepped = peak_growth_mb([
-        f"net = uk.Network(uk.NetworkConfig(layer_sizes=(4, 20000, 1), activation={activation}))\n"
+        f"net = uk.Network(uk.NetworkConfig(layer_sizes={sizes}, activation={activation}))\n"
         "rng = np.random.default_rng(0)\n"
-        "x, y = rng.normal(size=(50, 4)), rng.normal(size=(50, 1))",
+        f"x, y = rng.normal(size=({rows}, 4)), rng.normal(size=({rows}, 1))",
         "net.step(x, y)",
     ])
     assert (stepped - made) * 2**20 / 1e6 <= most

@@ -22,6 +22,7 @@ import os
 import tempfile
 
 import click
+import numpy as np
 
 from . import analysis, datasets, fitting, network
 from ._kernels import BATCH_BLOCK
@@ -120,11 +121,16 @@ def _kind_from_flags(name: str, alpha: float | None, flag: str) -> PresetKind:
 def _grid_csv(header: str, from_, to, n: int, rows):
     """CSV text chunks over the uniform grid of n points on [from_, to]: the
     header, then rows(xs) for each slice xs of at most BATCH_BLOCK points.
-    The interval is checked at once; each slice is made as it is written."""
+    The interval is checked at once; each slice is made as it is written.
+
+    Far outside |x| <= 100 a value may overflow on the way to a finite
+    result or come out NaN, and either is what gets written, so rows runs
+    with NumPy's overflow and invalid warnings off, as fit and train do."""
     with _refused(None):
         lo, hi = coerce_interval("--from/--to", (from_, to))
     slices = (grid(lo, hi, n, i0, min(i0 + BATCH_BLOCK, n)) for i0 in range(0, n, BATCH_BLOCK))
-    return itertools.chain([header], map(rows, slices))
+    quiet_rows = np.errstate(over="ignore", invalid="ignore")(rows)
+    return itertools.chain([header], map(quiet_rows, slices))
 
 
 _PRESET_CHOICES = click.Choice(PRESET_NAMES)

@@ -19,9 +19,11 @@ keep every result bitwise what all five columns and lstsq give.
 
 What does not change between iterations is built once per fit: the tie
 matrix, of which only the recip slopes are refilled at each theta, and the
-parameters pinned by spec.init or a const tie. Trial parameters travel as
-5-tuples of floats, and a one-parameter fit tests its 1 x 1 normal
-equations as two floats.
+parameters pinned by spec.init or a const tie. What is parameter-sized
+travels as Python floats: theta and each step as lists, the five parameters
+as a tuple, and the normal equations, for the finiteness and zero-gradient
+tests, as one list. NumPy forms the n-point residual and Jacobian and the
+normal equations, and solves the k x k system.
 """
 
 from __future__ import annotations
@@ -242,11 +244,11 @@ class _Objective:
             else:
                 self.chain[r, column[source]] = tie.d_source(0.0)
 
-    def assemble(self, theta: np.ndarray) -> tuple[float, ...] | None:
+    def assemble(self, theta: list[float]) -> tuple[float, ...] | None:
         """The five parameters as floats for the given free values; None
         when a tie divides by zero or any of them is not finite."""
         values = self.fixed.copy()
-        for r, value in zip(self.free_rows, theta.tolist()):
+        for r, value in zip(self.free_rows, theta):
             values[r] = value
         try:
             for r, source, tie in self.ties:
@@ -263,7 +265,7 @@ class _Objective:
         r -= self.tvals
         return r, float((r * r).sum() / r.size), terms
 
-    def jacobian(self, values: tuple, theta: np.ndarray, terms: tuple) -> np.ndarray:
+    def jacobian(self, values: tuple, theta: list[float], terms: tuple) -> np.ndarray:
         """(n, k) matrix d r / d theta: the kernel's parameter partials times
         the tie matrix self.chain, whose recip slopes are taken at theta.
         terms are the kernel terms that residual(values) returned.
@@ -286,7 +288,7 @@ class _Objective:
         if self.recip:
             chain = chain.copy()
             for r, i, tie in self.recip:
-                chain[r, i] = tie.d_source(theta.item(i))
+                chain[r, i] = tie.d_source(theta[i])
         return _k_partials(self.grid, A, B, C, D, terms=terms, read=read) @ chain
 
 
@@ -296,17 +298,18 @@ class _Objective:
 _UNSCALED = (2.0**-970, 2.0**970)
 
 
-def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray | None:
-    """delta solving (jtj + lam diag(jtj)) delta = jtr, bitwise as lstsq
-    gives it, or None when that damped matrix is not finite (jtj and jtr
-    are). For k = 1 with m = jtj + lam jtj and b = jtr both in _UNSCALED,
-    delta is b * (1 / m) without the SVD; any other system goes to lstsq."""
+def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> list[float] | None:
+    """delta solving (jtj + lam diag(jtj)) delta = jtr, as a list of floats
+    bitwise as lstsq gives it, or None when that damped matrix is not finite
+    (jtj and jtr are). For k = 1 with m = jtj + lam jtj and b = jtr both in
+    _UNSCALED, delta is b * (1 / m) without the SVD; any other system goes
+    to lstsq."""
     if jtr.shape[0] == 1:
         j, b = jtj.item(), jtr.item()
         m = j + lam * j
         lo, hi = _UNSCALED
         if lo <= abs(m) <= hi and lo <= abs(b) <= hi:
-            return np.array([b * (1.0 / m)])
+            return [b * (1.0 / m)]
         if not math.isfinite(m):
             return None
         damped = np.array([[m]])
@@ -316,7 +319,7 @@ def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray | N
             return None
     # lstsq, not solve: a parameter with no effect on the residual leaves a
     # zero row and column, and gets a zero step.
-    return np.linalg.lstsq(damped, jtr, rcond=None)[0]
+    return np.linalg.lstsq(damped, jtr, rcond=None)[0].tolist()
 
 
 # Consecutive rejected trials before the fit stops as stalled: the damping has
@@ -339,9 +342,10 @@ def fit(spec: FitSpec) -> FitResult:
     _damped_step). The trial theta - delta is accepted when its ties
     assemble to finite parameters (see _Objective.assemble) and its MSE does
     not increase, so the RMSE trace is non-increasing; lam then shrinks 10x.
-    A rejected trial grows lam 10x and is retried from the same point. With
-    one free parameter, J^T J and J^T r are read as two floats once per step
-    for the finiteness and zero-gradient tests.
+    A rejected trial grows lam 10x and is retried from the same point. For
+    any number of free parameters, theta and delta are lists of floats, and
+    J^T J and J^T r are read as one list of floats once per step for the
+    finiteness and zero-gradient tests.
 
     stop_reason is "tolerance" when an accepted trial improves the RMSE by
     less than spec.tolerance (the trial is not recorded); "stalled" after
@@ -356,7 +360,7 @@ def fit(spec: FitSpec) -> FitResult:
     """
     spec = coerce("spec", spec, FitSpec)
     obj = _Objective(spec)
-    theta = np.array([getattr(spec.init, name) for name in spec.free], dtype=np.float64)
+    theta = [getattr(spec.init, name) for name in spec.free]
     values = obj.assemble(theta)
     if values is None:
         raise ValueError("initial parameters violate the ties (non-finite result)")
@@ -367,22 +371,16 @@ def fit(spec: FitSpec) -> FitResult:
     trace = [math.sqrt(cur_mse)]
     lam = spec.learning_rate
     stop_reason = "max_iters"
-    scalar = len(theta) == 1
 
     for _ in range(spec.max_iters):
         jac = obj.jacobian(values, theta, terms)
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        if scalar:
-            j, b = jtj.item(), jtr.item()
-            finite, moving = math.isfinite(j) and math.isfinite(b), b != 0.0
-        else:
-            finite = np.isfinite(jtj).all() and np.isfinite(jtr).all()
-            moving = np.any(jtr)
-        if not finite:
+        gradient = jtr.tolist()
+        if not all(map(math.isfinite, jtj.ravel().tolist() + gradient)):
             stop_reason = "stalled"
             break
-        if not moving:
+        if not any(gradient):
             stop_reason = "zero_gradient"
             break
         for _trial in range(_MAX_REJECTIONS):
@@ -390,7 +388,7 @@ def fit(spec: FitSpec) -> FitResult:
             if delta is None:
                 # lam only grows from here, so the damped matrix stays non-finite.
                 break
-            trial_theta = theta - delta
+            trial_theta = [t - d for t, d in zip(theta, delta)]
             trial_values = obj.assemble(trial_theta)
             if trial_values is not None:
                 trial_r, trial_mse, trial_terms = obj.residual(trial_values)

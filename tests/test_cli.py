@@ -448,6 +448,21 @@ def test_sweep_header_and_error_column(runner):
         assert error == pytest.approx(f_uaf - f_target, abs=1e-15)
 
 
+@pytest.mark.parametrize("command, rows", [
+    (["eval"], ["-1e+200,0.0", "0.0,0.6931471805599453", "1e+200,0.0"]),
+    (["sweep", "--target", "gaussian"],
+     ["-1e+200,0.0,0.0,0.0", "0.0,0.6931471805599453,0.6931471805599453,0.0",
+      "1e+200,0.0,0.0,0.0"]),
+], ids=["eval", "sweep"])
+def test_a_grid_that_overflows_on_the_way_prints_no_warning(runner, command, rows):
+    # gaussian's C x^2 overflows to -inf at |x| = 1e200, and f is exactly 0.0
+    result = runner.invoke(main, [*command, "--preset", "gaussian",
+                                  "--from", "-1e200", "--to", "1e200", "--n", "3"])
+    assert result.exit_code == 0, result.output
+    assert _lines(result)[1:] == rows
+    assert result.stderr == ""
+
+
 def test_sweep_requires_target(runner):
     result = runner.invoke(main, ["sweep", "--preset", "sigmoid",
                                   "--from", "-5", "--to", "5"])

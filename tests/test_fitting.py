@@ -471,6 +471,39 @@ def test_fit_stop_reasons():
         uk.fit(FitSpec(sigmoid, uk.PARAM_NAMES, uk.UafParams(1e306, 0.0, 0.0, -1.0, 0.0)))
 
 
+_STOP_PATH_SPECS = {
+    "k1": uk.builtin_spec("sigmoid-family"),
+    "k2": _spec(free=("A", "C")),
+    "k5": FitSpec(target=uk.SOFTPLUS, free=uk.PARAM_NAMES, init=uk.preset(uk.IDENTITY)),
+}
+
+
+# A Jacobian that is all zeros has J^T r = 0; one row of inf or NaN makes
+# J^T J and J^T r non-finite, and a row of 1e200 makes J^T J overflow. The
+# fit stops on its tests of the normal equations, before any step is solved.
+@pytest.mark.parametrize("row, stop_reason", [
+    (0.0, "zero_gradient"), (math.inf, "stalled"), (math.nan, "stalled"), (1e200, "stalled"),
+], ids=["zero", "inf", "nan", "overflow"])
+@pytest.mark.parametrize("spec", _STOP_PATH_SPECS.values(), ids=_STOP_PATH_SPECS.keys())
+def test_the_normal_equation_tests_stop_the_fit_for_every_k(monkeypatch, spec, row, stop_reason):
+    from uafkit import fitting
+
+    def jacobian(self, values, theta, terms):
+        jac = np.zeros((self.grid.size, len(spec.free)))
+        jac[len(jac) // 3] = row
+        return jac
+
+    def no_step(jtj, jtr, lam):
+        raise AssertionError("a step was solved")
+
+    monkeypatch.setattr(_Objective, "jacobian", jacobian)
+    monkeypatch.setattr(fitting, "_damped_step", no_step)
+    res = uk.fit(spec)
+    assert (res.stop_reason, res.iterations) == (stop_reason, 0)
+    assert res.rmse_trace == (res.rmse,)
+    assert res.params == spec.init
+
+
 def test_builtin_names():
     assert uk.BUILTIN_SPEC_NAMES == (
         "gaussian-family", "relu-family", "sigmoid-family", "tanh-family",

@@ -37,10 +37,6 @@ points, then, the bound picks a path and never changes a bit; without it
 the unmasked exp, faster where nothing underflows, and the full z1 are
 always taken.
 
-df/dx takes s(z1)A for s(z1)(A + 2Cx) whenever C = +-0.0 and A is finite
-and nonzero: for finite x, 2Cx is a signed zero and A + 2Cx is A; at a
-non-finite x (no bound, so z1 in full), s(z1) is NaN in both forms.
-
 Everything here takes its points as a contiguous 1-d float64 array, which
 every caller already holds, and returns freshly allocated arrays. At
 n ~ 1e4 each live temporary array costs page faults on every call, so a
@@ -55,9 +51,10 @@ the result's. Two rules keep that order and the memory peak:
    (xs + B) *= s1, which swaps the operands. df/dx writes its product into
    that temporary itself, np.multiply(s1, t, out=t): one fresh array fewer,
    at the sizes where each one costs page faults.
-2. The dA and dD columns are formed before s(z2)D is, so that their
-   temporaries are freed before it is held: a trainable network step then
-   peaks about 8 B per hidden value lower.
+2. No product outlives the column it is formed for: the dB column takes
+   s(z2)D in its own expression, and df/dx scales s(z2) by D in place, after
+   the partials are stored. So the columns go in any order at the same peak,
+   and a trainable step holds no more at C != 0 than at C = 0.
 
 The public batch functions take up to core.MAX_POINTS points and go through
 ``in_blocks`` (core's eval_batch and grad_batch, and targets'
@@ -194,8 +191,8 @@ def uaf_grad(
     """
     s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
-    s2d = _partials_into(out[:, 1:], xs, A, B, D, s1, s2)
-    out[:, 0] = _slope(xs, A, C, s1, s2d)
+    _partials_into(out[:, 1:], xs, A, B, D, s1, s2)
+    out[:, 0] = _slope(xs, A, C, D, s1, s2)
     return out
 
 
@@ -216,25 +213,21 @@ def uaf_partials(
     return out
 
 
-def _partials_into(out, xs, A, B, D, s1, s2, read=ALL_PARTIALS) -> np.ndarray | None:
+def _partials_into(out, xs, A, B, D, s1, s2, read=ALL_PARTIALS) -> None:
     """Writes the parameter partials of uaf_grad's docstring into the columns
-    of out that read marks, from s1 = s(z1) and s2 = s(z2); returns s(z2)D,
-    which df/dx also takes, when the df/dB column is read (else None). The
-    columns follow the module docstring's two rules."""
+    of out that read marks, from s1 = s(z1) and s2 = s(z2). The columns
+    follow the module docstring's two rules."""
     read_a, read_b, read_c, read_d, read_e = read
     if read_a:
         out[:, 0] = np.multiply(s1, xs + B)
-    if read_d:
-        out[:, 3] = -s2 * (xs - B)
+    if read_b:
+        out[:, 1] = s1 * A + s2 * D
     if read_c:
         out[:, 2] = s1 * xs * xs
+    if read_d:
+        out[:, 3] = -s2 * (xs - B)
     if read_e:
         out[:, 4] = 1.0
-    s2d = None
-    if read_b:
-        s2d = s2 * D
-        out[:, 1] = s1 * A + s2d
-    return s2d
 
 
 def uaf_slope(
@@ -245,18 +238,15 @@ def uaf_slope(
     uaf_grad by construction: both are formed by _slope. terms as in
     uaf_eval."""
     s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
+    return _slope(xs, A, C, D, s1, s2)
+
+
+def _slope(xs, A, C, D, s1, s2) -> np.ndarray:
+    """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2 = s(z2), as a
+    new array; s2 is scaled by D in place."""
+    t = 2.0 * C * xs
+    np.add(A, t, out=t)
+    np.multiply(s1, t, out=t)
     s2 *= D
-    return _slope(xs, A, C, s1, s2)
-
-
-def _slope(xs, A, C, s1, s2d) -> np.ndarray:
-    """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2d = s(z2)D, as a
-    new array. A C of 0.0 and a finite nonzero A take s(z1)A, bitwise the
-    same (module docstring)."""
-    if C == 0.0 and 0.0 < abs(A) < np.inf:
-        out = s1 * A
-    else:
-        out = A + 2.0 * C * xs
-        np.multiply(s1, out, out=out)
-    out -= s2d
-    return out
+    t -= s2
+    return t

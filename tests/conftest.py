@@ -33,7 +33,14 @@ def peak_growth_mb():
     """A function of a list of statements that returns the growth of the peak
     resident size, in MB, after each of them. They run in a fresh process,
     after `import numpy as np, uafkit as uk` and with p and t the tanh preset
-    and target, so that it measures those statements alone."""
+    and target, so that it measures those statements alone.
+
+    The statements of one call share that process, because a later one is
+    read against what an earlier one built: a step's growth is the peak past
+    the net that the same process made. Each call, and so each parametrized
+    case, gets its own process: a step measured after another one reads a
+    few bytes more, from the allocator's reuse of the first step's freed
+    arrays."""
     pytest.importorskip("resource")
 
     def measure(statements):

@@ -706,9 +706,9 @@ def test_a_zero_c_with_the_bound_keeps_every_bit(A, B, C, D):
             assert all(_same_bits(got, want) for got, want in zip(bounded, plain))
         slope = k.uaf_slope(xs, A, B, C, D, terms=k.uaf_terms(xs, A, B, C, D, xmax=1e300))
         assert _same_bits(slope, k.uaf_slope(xs, A, B, C, D))
-        # with the bound, a nonzero finite A takes s(z1)A for s(z1)(A + 2Cx)
+        # so it is also uaf_grad's column 0, formed from the full z1
         assert _same_bits(slope, k.uaf_grad(xs, A, B, C, D, 0.0)[:, 0])
-        # without it, 2Cx at x = +-inf is 0 * inf = NaN, and stays in the slope
+        # without the bound, x = +-inf makes (Cx)x and 2Cx 0 * inf = NaN, and so the slope
         inf = np.array([np.inf, -np.inf])
         want = k.uaf_grad(inf, A, B, C, D, 0.0)[:, 0]
         assert np.isnan(want).all()

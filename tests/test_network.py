@@ -394,14 +394,20 @@ def test_forward_and_step_refuse_activations_above_the_cap():
     ((4, 20000, 1), 50, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 148.0),
     ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH, exact=True)", 66.0),
     ((4, 1000, 1000, 1000, 1000, 1000, 1), 200, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 102.0),
-], ids=["frozen", "trainable", "exact", "deep-trainable"])
+    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 148.0),
+    ((4, 1000, 1000, 1000, 1000, 1000, 1), 200,
+     "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 102.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.GAUSSIAN)", 101.0),
+], ids=["frozen", "trainable", "exact", "deep-trainable", "trainable-c", "deep-trainable-c",
+        "frozen-c"])
 def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, sizes, rows, activation, most):
     # One step on 1,000,000 hidden values: a (4, 20000, 1) net on 50 rows,
     # or five hidden layers of 1,000 on 200 rows. The peak grew by 93.0
-    # (frozen), 140.8 (trainable), 58.9 (exact) and 94.4 (deep trainable)
-    # bytes per value; each bound leaves about 8 B. Each case runs in its
-    # own process: a step measured after another one reads a few bytes more,
-    # from the allocator's reuse of the first step's freed arrays.
+    # (frozen), 140.8 (trainable), 58.9 (exact), 94.4 (deep trainable),
+    # 140.8 (trainable at C = 1e-3), 94.3 (deep trainable at C = 1e-3) and
+    # 93.0 (frozen gaussian, C != 0) bytes per value; each bound leaves 7 to
+    # 8 B. A trainable run holds the identity preset's C = 0 for its first
+    # step only, so the C != 0 cases bound every later one.
     made, stepped = peak_growth_mb([
         f"net = uk.Network(uk.NetworkConfig(layer_sizes={sizes}, activation={activation}))\n"
         "rng = np.random.default_rng(0)\n"

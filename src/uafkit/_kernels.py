@@ -4,27 +4,31 @@ partials alone (``uaf_partials``), the x-derivative alone (``uaf_slope``),
 the terms they are built from (``uaf_terms``), and the overflow-safe
 ``softplus`` and ``logistic``, which ``core.KINDS`` also uses.
 
-uaf_partials and uaf_slope are columns 1-5 and column 0 of uaf_grad by
-construction: each derivative is formed in one place, ``_partials_into`` or
-``_slope``, as one contiguous array that is then stored into its column.
-NumPy may pick another loop for a strided output than for a contiguous one,
-and where both operands are NaN the two loops need not return the same NaN;
-forming every derivative contiguously keeps the columns the same bits as
-the slope under every dispatch target.
-
-``uaf_partials(..., read=)`` fills only the partial columns its caller
-reads and leaves the others +0.0: the fitter's tie matrix multiplies most
-of the five by zero rows.
-
 The terms of n points are the pair (z, e): z one stacked (2, n) buffer
 holding z1 = A(x+B)+Cx^2 in row 0 and z2 = D(x-B) in row 1, and
 e = e^{-|z|} stacked alike. They hold only what the exponentials need; the
 points themselves always come from the caller, and the partials that read
-x+B or x-B form it again, one add each. Each pass takes exp, softplus and
-logistic once over all 2n elements, and a caller that needs both the value
-and the derivatives at the same points (the fitter's accepted residual and
-its Jacobian, the network's activation forward and backward) computes the
-terms once.
+x+B or x-B form it again, one add each. The terms are single-use: uaf_eval
+forms the value in place over them. Every derivative reads instead the
+logistic pair s = logistic(*terms), stacked alike (s(z1) in row 0, s(z2) in
+row 1), which a caller that needs the value and the derivatives at the same
+points (the fitter's residual and Jacobian, the network's activation
+forward and backward) takes from the terms before uaf_eval consumes them.
+Each pass takes exp, softplus and logistic once over all 2n elements.
+
+uaf_partials and uaf_slope are columns 1-5 and column 0 of uaf_grad by
+construction: uaf_grad writes its partial columns through
+``_partials_into``, the writer uaf_partials fills its own array with, and
+stores uaf_slope's array in column 0. Each derivative is formed as one
+contiguous array that is then stored into its column. NumPy may pick
+another loop for a strided output than for a contiguous one, and where both
+operands are NaN the two loops need not return the same NaN; forming every
+derivative contiguously keeps the columns the same bits as the slope under
+every dispatch target.
+
+``uaf_partials(..., read=)`` fills only the partial columns its caller
+reads and leaves the others +0.0: the fitter's tie matrix multiplies most
+of the five by zero rows.
 
 A caller that knows its points are finite and bounded in |x| passes that
 bound to uaf_terms, the only kernel that takes it. When the parameters let
@@ -38,10 +42,12 @@ the unmasked exp, faster where nothing underflows, and the full z1 are
 always taken.
 
 Everything here takes its points as a contiguous 1-d float64 array, which
-every caller already holds, and returns freshly allocated arrays. At
-n ~ 1e4 each live temporary array costs page faults on every call, so a
-kernel drops the terms it computed itself once those are used. Every
-product keeps the operand order of its formula (s(z1) * (A + 2Cx), not
+every caller already holds, and returns freshly allocated arrays. Two
+inputs are written to: uaf_eval's terms, and uaf_slope's s(z2), which it
+scales by D. At n ~ 1e4 each live temporary array costs page faults on
+every call, so a kernel drops the terms it computed itself once those are
+used, and a caller holds s, not the terms, past the value. Every product
+keeps the operand order of its formula (s(z1) * (A + 2Cx), not
 (A + 2Cx) * s(z1)): where both operands are NaN, the first one's sign bit is
 the result's. Two rules keep that order and the memory peak:
 
@@ -52,9 +58,9 @@ the result's. Two rules keep that order and the memory peak:
    that temporary itself, np.multiply(s1, t, out=t): one fresh array fewer,
    at the sizes where each one costs page faults.
 2. No product outlives the column it is formed for: the dB column takes
-   s(z2)D in its own expression, and df/dx scales s(z2) by D in place, after
-   the partials are stored. So the columns go in any order at the same peak,
-   and a trainable step holds no more at C != 0 than at C = 0.
+   s(z2)D in its own expression, and df/dx scales s[1] by D in place. So
+   the partials go in any order at the same peak, and a caller that needs
+   both calls uaf_partials before uaf_slope, which leaves s[1] scaled.
 
 The public batch functions take up to core.MAX_POINTS points and go through
 ``in_blocks`` (core's eval_batch and grad_batch, and targets'
@@ -96,19 +102,18 @@ def in_blocks(fn, xs: np.ndarray, *args) -> np.ndarray:
     return out
 
 
-def softplus(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """Overflow-safe softplus: max(z, 0) + log1p(e), with e = e^{-|z|}
-    computed when not given."""
-    if e is None:
-        e = np.exp(-np.abs(z))
+def softplus(z: np.ndarray) -> np.ndarray:
+    """Overflow-safe softplus: max(z, 0) + log1p(e^{-|z|})."""
     out = np.maximum(z, 0.0)
-    out += np.log1p(e)
+    out += np.log1p(np.exp(-np.abs(z)))
     return out
 
 
 def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """Overflow-safe logistic sigma(z) = 1 / (1 + e^{-z}), from e = e^{-|z|}
-    (computed when not given): 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    (computed when not given): 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    Neither input is written to, so logistic(*terms) leaves the terms for
+    uaf_eval."""
     if e is None:
         e = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0, e)
@@ -119,9 +124,10 @@ def logistic(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 def uaf_terms(
     xs: np.ndarray, A: float, B: float, C: float, D: float, xmax: float | None = None
 ) -> tuple:
-    """(z, e) as laid out in the module docstring: what uaf_eval, uaf_grad,
-    uaf_partials and uaf_slope share, so that a caller needing more than one
-    of them at the same points computes the terms once. xs is not kept.
+    """(z, e) as laid out in the module docstring: what uaf_eval consumes
+    and logistic turns into the s that uaf_grad, uaf_partials and uaf_slope
+    read, so that a caller needing the value and a derivative at the same
+    points computes the terms once. xs is not kept.
 
     xmax is the caller's promise that every x is finite and |x| <= xmax.
     From it and the parameters alone, |z1| <= |A|(xmax + |B|) + |C|xmax^2
@@ -161,23 +167,18 @@ def uaf_eval(
     xs: np.ndarray, A: float, B: float, C: float, D: float, E: float, terms: tuple | None = None
 ) -> np.ndarray:
     """Stable elementwise f(x) = softplus(A(x+B)+Cx^2) - softplus(D(x-B)) + E.
-    terms, from uaf_terms on the same xs and parameters, saves computing them."""
-    if terms is None:
-        # The terms are this call's own: softplus in place, into z and e.
-        z, e = uaf_terms(xs, A, B, C, D)
-        sp = np.maximum(z, 0.0, out=z)
-        sp += np.log1p(e, out=e)
-    else:
-        sp = softplus(*terms)
+    terms, from uaf_terms on the same xs and parameters, saves computing
+    them, and are consumed: softplus is formed in place over z and e."""
+    z, e = uaf_terms(xs, A, B, C, D) if terms is None else terms
+    sp = np.maximum(z, 0.0, out=z)
+    sp += np.log1p(e, out=e)
     out = sp[0] - sp[1]
     out += E
     return out
 
 
-def uaf_grad(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, E: float, terms: tuple | None = None
-) -> np.ndarray:
-    """Elementwise first derivatives of the UAF; terms as in uaf_eval.
+def uaf_grad(xs: np.ndarray, A: float, B: float, C: float, D: float, E: float) -> np.ndarray:
+    """Elementwise first derivatives of the UAF.
 
     Returns an (n, 6) array with columns (df/dx, df/dA, df/dB, df/dC, df/dD,
     df/dE), where with z1 = A(x+B)+Cx^2, z2 = D(x-B), s = logistic:
@@ -189,34 +190,34 @@ def uaf_grad(
         df/dD = -s(z2)(x - B)
         df/dE = 1
     """
-    s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
+    s = logistic(*uaf_terms(xs, A, B, C, D))
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
-    _partials_into(out[:, 1:], xs, A, B, D, s1, s2)
-    out[:, 0] = _slope(xs, A, C, D, s1, s2)
+    _partials_into(out[:, 1:], xs, A, B, D, s)
+    out[:, 0] = uaf_slope(xs, A, B, C, D, s)
     return out
 
 
 def uaf_partials(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None,
+    xs: np.ndarray, A: float, B: float, C: float, D: float, s: np.ndarray,
     read: tuple[bool, ...] = ALL_PARTIALS,
 ) -> np.ndarray:
     """The (n, 5) parameter partials (df/dA, ..., df/dE) alone, bitwise equal
-    to columns 1-5 of uaf_grad: the fitter's Jacobian needs no df/dx. terms
-    as in uaf_eval.
+    to columns 1-5 of uaf_grad: the fitter's Jacobian needs no df/dx. s is
+    logistic(*terms) at the same xs and parameters, left unchanged.
 
     read marks, in that order, the columns the caller reads. Those are
     bitwise the columns of uaf_grad; every other column is +0.0, even where
     the partial itself would be inf or NaN."""
-    s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
     out = (np.empty if all(read) else np.zeros)((xs.shape[0], 5), dtype=np.float64)
-    _partials_into(out, xs, A, B, D, s1, s2, read)
+    _partials_into(out, xs, A, B, D, s, read)
     return out
 
 
-def _partials_into(out, xs, A, B, D, s1, s2, read=ALL_PARTIALS) -> None:
+def _partials_into(out, xs, A, B, D, s, read=ALL_PARTIALS) -> None:
     """Writes the parameter partials of uaf_grad's docstring into the columns
-    of out that read marks, from s1 = s(z1) and s2 = s(z2). The columns
-    follow the module docstring's two rules."""
+    of out that read marks, from s = (s(z1), s(z2)). The columns follow the
+    module docstring's two rules."""
+    s1, s2 = s
     read_a, read_b, read_c, read_d, read_e = read
     if read_a:
         out[:, 0] = np.multiply(s1, xs + B)
@@ -230,20 +231,13 @@ def _partials_into(out, xs, A, B, D, s1, s2, read=ALL_PARTIALS) -> None:
         out[:, 4] = 1.0
 
 
-def uaf_slope(
-    xs: np.ndarray, A: float, B: float, C: float, D: float, terms: tuple | None = None
-) -> np.ndarray:
-    """df/dx = s(z1)(A + 2Cx) - s(z2)D alone: the error scan and a fixed
-    activation's backward need no parameter partials. It is column 0 of
-    uaf_grad by construction: both are formed by _slope. terms as in
-    uaf_eval."""
-    s1, s2 = logistic(*(uaf_terms(xs, A, B, C, D) if terms is None else terms))
-    return _slope(xs, A, C, D, s1, s2)
-
-
-def _slope(xs, A, C, D, s1, s2) -> np.ndarray:
-    """df/dx = s(z1)(A + 2Cx) - s(z2)D from s1 = s(z1) and s2 = s(z2), as a
-    new array; s2 is scaled by D in place."""
+def uaf_slope(xs: np.ndarray, A: float, B: float, C: float, D: float, s: np.ndarray) -> np.ndarray:
+    """df/dx = s(z1)(A + 2Cx) - s(z2)D alone, as a new array: the error scan
+    and the network's backward need no (n, 6) array. It is column 0 of
+    uaf_grad by construction. s is logistic(*terms) at the same xs and
+    parameters; its s(z2) row is scaled by D in place, so a caller that
+    also needs the partials takes them first."""
+    s1, s2 = s
     t = 2.0 * C * xs
     np.add(A, t, out=t)
     np.multiply(s1, t, out=t)

@@ -68,8 +68,8 @@ def _slope(
     """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x); every
     |x| <= xmax (see _kernels.uaf_terms)."""
     dt = t.derivative(xs)
-    terms = _k_terms(xs, p.A, p.B, p.C, p.D, xmax=xmax)
-    return _k_slope(xs, p.A, p.B, p.C, p.D, terms=terms) - dt, dt
+    s = logistic(*_k_terms(xs, p.A, p.B, p.C, p.D, xmax=xmax))
+    return _k_slope(xs, p.A, p.B, p.C, p.D, s) - dt, dt
 
 
 def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: float):

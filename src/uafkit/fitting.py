@@ -10,7 +10,10 @@ the analytic parameter partials chained through the ties. A trial step is
 kept only when the mean squared error does not increase, so the reported
 RMSE trace is monotone; there is no randomness, so fits are deterministic.
 
-An iteration does only the work whose result is read. The kernel fills the
+An iteration does only the work whose result is read. Each residual keeps,
+of the kernel terms its value consumes, only their logistic pair s (see
+_kernels), from which the Jacobian at an accepted point is formed; a
+rejected trial pays that one logistic pass for nothing. The kernel fills the
 partial columns of the free parameters and of those tied to one, and leaves
 the rest +0.0 for the tie matrix's zero rows (unless a column may hold inf,
 whose product with 0.0 is NaN). The 1 x 1 system of a one-parameter fit is
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import logistic
 from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_terms as _k_terms
@@ -257,18 +261,20 @@ class _Objective:
             return None
         return tuple(values) if all(map(math.isfinite, values)) else None
 
-    def residual(self, values: tuple) -> tuple[np.ndarray, float, tuple]:
-        """r = f - target on the grid, its mean square, and the kernel terms
-        it was computed from (see _kernels), for the Jacobian at values."""
+    def residual(self, values: tuple) -> tuple[np.ndarray, float, np.ndarray]:
+        """r = f - target on the grid, its mean square, and the logistic pair
+        s of the kernel terms it was computed from (see _kernels), taken
+        before the value consumes them, for the Jacobian at values."""
         terms = _k_terms(self.grid, *values[:4], xmax=self.grid_max)
+        s = logistic(*terms)
         r = _k_eval(self.grid, *values, terms=terms)
         r -= self.tvals
-        return r, float((r * r).sum() / r.size), terms
+        return r, float((r * r).sum() / r.size), s
 
-    def jacobian(self, values: tuple, theta: list[float], terms: tuple) -> np.ndarray:
+    def jacobian(self, values: tuple, theta: list[float], s: np.ndarray) -> np.ndarray:
         """(n, k) matrix d r / d theta: the kernel's parameter partials times
         the tie matrix self.chain, whose recip slopes are taken at theta.
-        terms are the kernel terms that residual(values) returned.
+        s is the logistic pair that residual(values) returned.
 
         Only the partials of self.read are computed; the others are +0.0, so
         that 0.0 times their zero row of chain adds nothing, as a finite
@@ -289,7 +295,7 @@ class _Objective:
             chain = chain.copy()
             for r, i, tie in self.recip:
                 chain[r, i] = tie.d_source(theta[i])
-        return _k_partials(self.grid, A, B, C, D, terms=terms, read=read) @ chain
+        return _k_partials(self.grid, A, B, C, D, s, read=read) @ chain
 
 
 # dgelsd, which lstsq calls, scales a matrix or right-hand side whose largest
@@ -334,7 +340,7 @@ def fit(spec: FitSpec) -> FitResult:
     """Levenberg-Marquardt on the free parameters.
 
     Each accepted step builds the residual r and its Jacobian J once, from
-    the same kernel terms, and solves the k x k damped normal equations
+    the same logistic pair s, and solves the k x k damped normal equations
     (J^T J + lam diag(J^T J)) delta = J^T r, starting from
     lam = spec.learning_rate. J fills only the partial columns that its tie
     matrix reads (see _Objective.jacobian), and a 1 x 1 system is solved by
@@ -365,7 +371,7 @@ def fit(spec: FitSpec) -> FitResult:
     if values is None:
         raise ValueError("initial parameters violate the ties (non-finite result)")
 
-    r, cur_mse, terms = obj.residual(values)
+    r, cur_mse, s = obj.residual(values)
     if not math.isfinite(cur_mse):
         raise ValueError("initial parameters give a non-finite mean squared error")
     trace = [math.sqrt(cur_mse)]
@@ -373,7 +379,7 @@ def fit(spec: FitSpec) -> FitResult:
     stop_reason = "max_iters"
 
     for _ in range(spec.max_iters):
-        jac = obj.jacobian(values, theta, terms)
+        jac = obj.jacobian(values, theta, s)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         gradient = jtr.tolist()
@@ -391,7 +397,7 @@ def fit(spec: FitSpec) -> FitResult:
             trial_theta = [t - d for t, d in zip(theta, delta)]
             trial_values = obj.assemble(trial_theta)
             if trial_values is not None:
-                trial_r, trial_mse, trial_terms = obj.residual(trial_values)
+                trial_r, trial_mse, trial_s = obj.residual(trial_values)
                 if math.isfinite(trial_mse) and trial_mse <= cur_mse:
                     lam /= 10.0
                     break
@@ -404,9 +410,7 @@ def fit(spec: FitSpec) -> FitResult:
         if math.sqrt(cur_mse) - math.sqrt(trial_mse) < spec.tolerance:
             stop_reason = "tolerance"
             break
-        theta, values, r, cur_mse, terms = (
-            trial_theta, trial_values, trial_r, trial_mse, trial_terms
-        )
+        theta, values, r, cur_mse, s = trial_theta, trial_values, trial_r, trial_mse, trial_s
         trace.append(math.sqrt(cur_mse))
 
     return FitResult(

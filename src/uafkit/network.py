@@ -4,9 +4,13 @@ shared across every neuron and layer.
 
 The UAF parameter gradients are the sums, over all activation sites, of the
 analytic partials scaled by the upstream gradient, so the activation trains by
-ordinary backpropagation alongside the weights. Everything is seeded and
-deterministic: identical config + dataset + seed reproduce a bitwise-identical
-TrainReport.
+ordinary backpropagation alongside the weights. A UAF layer's activation cache
+is its flattened input and the logistic pair s of its kernel terms (see
+_kernels), taken before the value consumes the terms. Its backward is one
+path for a frozen and a trainable UAF: a trainable one first contracts the
+(n, 5) parameter partials with the upstream gradient, then both scale the
+upstream by df/dx. Everything is seeded and deterministic: identical config +
+dataset + seed reproduce a bitwise-identical TrainReport.
 
 Weights, biases and the trainable UAF vector are views into one float64
 vector, Network.flat, and a step's Gradients are views into one vector laid
@@ -25,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import logistic
 from ._kernels import uaf_eval as _k_eval
-from ._kernels import uaf_grad as _k_grad
+from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_slope as _k_slope
 from ._kernels import uaf_terms as _k_terms
 from .core import (
@@ -309,19 +314,19 @@ class Network:
             return self._target(y), y
         xs = y.ravel()
         terms = _k_terms(xs, *self._params[:4])
-        return _k_eval(xs, *self._params, terms=terms).reshape(y.shape), (xs, terms)
+        s = logistic(*terms)
+        return _k_eval(xs, *self._params, terms=terms).reshape(y.shape), (xs, s)
 
     def _act_backward(self, cache, upstream: np.ndarray):
         """Returns (d loss/d y, d loss/d uaf-params or None)."""
         if self._target is not None:
             return upstream * self._target.derivative(cache), None
-        xs, terms = cache
-        if self.uaf is None:
-            slope = _k_slope(xs, *self._params[:4], terms=terms)
-            return (upstream.ravel() * slope).reshape(upstream.shape), None
-        g6 = _k_grad(xs, *self._params, terms=terms)
-        d_y = (upstream.ravel() * g6[:, 0]).reshape(upstream.shape)
-        return d_y, g6[:, 1:].T @ upstream.ravel()
+        xs, s = cache
+        u = upstream.ravel()
+        # The partials read s before uaf_slope scales its second row.
+        d_uaf = None if self.uaf is None else _k_partials(xs, *self._params[:4], s).T @ u
+        d_y = u * _k_slope(xs, *self._params[:4], s)
+        return d_y.reshape(upstream.shape), d_uaf
 
     # -- forward / backward -------------------------------------------------
 

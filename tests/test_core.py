@@ -390,15 +390,17 @@ def test_continuity_near_kink_scale():
 
 
 def test_slope_kernel_is_the_grad_column():
-    from uafkit._kernels import uaf_grad, uaf_slope
+    from uafkit._kernels import logistic, uaf_grad, uaf_slope, uaf_terms
 
     rng = np.random.default_rng(3)
     xs = np.concatenate([np.linspace(-10.0, 10.0, 2001), rng.normal(0.0, 1e3, 500), [0.0, -0.0]])
     for kind in ALL_KINDS:
         p = uk.preset(kind).as_tuple()
         for params in (p, tuple(v * (1.0 + d) for v, d in zip(p, rng.uniform(-0.1, 0.1, 5)))):
-            want = uaf_grad(xs, *params)[:, 0]
-            assert np.array_equal(uaf_slope(xs, *params[:4]).view(np.int64), want.view(np.int64))
+            want = _two_array_grad(xs, *params)[:, 0]
+            slope = uaf_slope(xs, *params[:4], logistic(*uaf_terms(xs, *params[:4])))
+            assert _same_bits(slope, want)
+            assert _same_bits(uaf_grad(xs, *params)[:, 0], want)
 
 
 _EPS = np.finfo(np.float64).eps
@@ -444,24 +446,25 @@ _ORACLE_PARAMS = st.floats(-200.0, 200.0)
        xs=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8),
        read=st.tuples(*[st.booleans()] * 5))
 def test_kernels_match_a_60_digit_oracle(params, xs, read):
-    """uaf_eval, every df/dx (uaf_grad's column 0, uaf_slope with and
-    without bounded terms) and every parameter partial (uaf_grad's columns
+    """uaf_eval, every df/dx (uaf_grad's column 0, uaf_slope from plain and
+    from bounded terms) and every parameter partial (uaf_grad's columns
     1-5, uaf_partials with all columns and the columns that read marks) lie
     within 4 ulp of the scale of their terms. The columns read leaves out
     are +0.0."""
-    from uafkit._kernels import uaf_eval, uaf_grad, uaf_partials, uaf_slope, uaf_terms
+    from uafkit._kernels import logistic, uaf_eval, uaf_grad, uaf_partials, uaf_slope, uaf_terms
 
     A, B, C, D, E = params
     x = np.array(xs)
     value = uaf_eval(x, *params)
     grads = uaf_grad(x, *params)
-    bounded = uaf_terms(x, A, B, C, D, xmax=100.0)
-    slopes = (grads[:, 0], uaf_slope(x, A, B, C, D), uaf_slope(x, A, B, C, D, terms=bounded))
-    masked = uaf_partials(x, A, B, C, D, read=read)
+    s = logistic(*uaf_terms(x, A, B, C, D))
+    bounded = logistic(*uaf_terms(x, A, B, C, D, xmax=100.0))
+    masked = uaf_partials(x, A, B, C, D, s, read=read)
     unread = masked[:, [not r for r in read]]
     assert not unread.any() and not np.signbit(unread).any()
-    partials = ((grads[:, 1:], range(5)), (uaf_partials(x, A, B, C, D), range(5)),
+    partials = ((grads[:, 1:], range(5)), (uaf_partials(x, A, B, C, D, s), range(5)),
                 (masked, [k for k in range(5) if read[k]]))
+    slopes = (grads[:, 0], uaf_slope(x, A, B, C, D, s), uaf_slope(x, A, B, C, D, bounded))
     for i, xi in enumerate(xs):
         want, tol = _uaf_oracle(xi, *params)
         assert abs(value[i] - want[0]) <= tol[0], (xi, params)
@@ -548,21 +551,26 @@ def test_stacked_kernels_match_the_two_array_kernels_bitwise(n, scale):
     z = rng.normal(0.0, 100.0 * scale, n)
     z[: min(n, 6)] = _SPECIAL[: min(n, 6)]
     with np.errstate(all="ignore"):
-        for f, ref in ((k.logistic, _two_array_logistic), (k.softplus, _two_array_softplus)):
-            assert _same_bits(f(z), ref(z))
-            assert _same_bits(f(z, np.exp(-np.abs(z))), ref(z))
+        assert _same_bits(k.softplus(z), _two_array_softplus(z))
+        assert _same_bits(k.logistic(z), _two_array_logistic(z))
+        assert _same_bits(k.logistic(z, np.exp(-np.abs(z))), _two_array_logistic(z))
         for _ in range(3):
             params = tuple(rng.normal(0.0, scale, 5))
             grad = _two_array_grad(xs, *params)
+            value = _two_array_eval(xs, *params)
+            assert _same_bits(k.uaf_eval(xs, *params), value)
             terms = k.uaf_terms(xs, *params[:4])
-            for t in (None, terms):
-                assert _same_bits(k.uaf_eval(xs, *params, terms=t), _two_array_eval(xs, *params))
-                assert _same_bits(k.uaf_grad(xs, *params, terms=t), grad)
-                assert _same_bits(k.uaf_slope(xs, *params[:4], terms=t), grad[:, 0])
-                assert _same_bits(k.uaf_partials(xs, *params[:4], terms=t), grad[:, 1:])
+            s = k.logistic(*terms)
+            assert _same_bits(k.uaf_eval(xs, *params, terms=terms), value)
+            assert _same_bits(k.uaf_grad(xs, *params), grad)
+            assert _same_bits(k.uaf_partials(xs, *params[:4], s), grad[:, 1:])
+            assert _same_bits(k.uaf_slope(xs, *params[:4], s), grad[:, 0])
 
 
-def test_terms_are_stacked_and_left_unchanged_by_their_users():
+def test_terms_are_stacked_and_consumed_by_the_value_alone():
+    """logistic and uaf_partials leave their inputs as they were, uaf_eval
+    forms softplus in place over its terms, and uaf_slope scales s(z2) by D
+    in place."""
     from uafkit import _kernels as k
 
     xs = np.linspace(-3.0, 3.0, 11)
@@ -572,11 +580,22 @@ def test_terms_are_stacked_and_left_unchanged_by_their_users():
     z1, z2, e1, e2 = _two_array_terms(xs, *params[:4])
     for got, want in ((z[0], z1), (z[1], z2), (e[0], e1), (e[1], e2)):
         assert _same_bits(got, want)
-    before = [a.copy() for a in terms]
+    points = xs.copy()
+    s = k.logistic(*terms)
+    for got, want in ((z[0], z1), (z[1], z2), (e[0], e1), (e[1], e2)):
+        assert _same_bits(got, want)
+    assert _same_bits(s, np.stack([_two_array_logistic(z1, e1), _two_array_logistic(z2, e2)]))
     k.uaf_eval(xs, *params, terms=terms)
-    k.uaf_grad(xs, *params, terms=terms)
-    k.uaf_slope(xs, *params[:4], terms=terms)
-    assert all(_same_bits(a, b) for a, b in zip(terms, before))
+    for got, (zi, ei) in zip(z, ((z1, e1), (z2, e2))):
+        assert _same_bits(got, _two_array_softplus(zi, ei))
+    for got, ei in zip(e, (e1, e2)):
+        assert _same_bits(got, np.log1p(ei))
+    before = s.copy()
+    k.uaf_partials(xs, *params[:4], s)
+    assert _same_bits(s, before)
+    k.uaf_slope(xs, *params[:4], s)
+    assert _same_bits(s[0], before[0]) and _same_bits(s[1], before[1] * params[3])
+    assert _same_bits(xs, points)
 
 
 # Overflowing z (inf - inf is NaN), zero and signed-zero parameters, and
@@ -594,9 +613,10 @@ def test_partials_kernel_is_the_grad_columns_at_extreme_parameters(params):
 
     xs = np.concatenate([np.linspace(-1e3, 1e3, 2001), _SPECIAL, [1e200, -1e200]])
     with np.errstate(all="ignore"):
-        for t in (None, k.uaf_terms(xs, *params[:4])):
-            want = k.uaf_grad(xs, *params, terms=t)[:, 1:]
-            assert _same_bits(k.uaf_partials(xs, *params[:4], terms=t), want)
+        want = _two_array_grad(xs, *params)[:, 1:]
+        s = k.logistic(*k.uaf_terms(xs, *params[:4]))
+        assert _same_bits(k.uaf_partials(xs, *params[:4], s), want)
+        assert _same_bits(k.uaf_grad(xs, *params)[:, 1:], want)
 
 
 _RANDOM_PARAMS = [tuple(np.random.default_rng(seed).normal(0.0, scale, 5))
@@ -612,13 +632,13 @@ def test_partials_fill_only_the_read_columns(params):
     xs = np.concatenate([np.linspace(-1e3, 1e3, 2001), _SPECIAL, [1e200, -1e200]])
     with np.errstate(all="ignore"):
         full = k.uaf_grad(xs, *params)[:, 1:]
-        assert _same_bits(k.uaf_partials(xs, *params[:4]), full)
-        for t in (None, k.uaf_terms(xs, *params[:4])):
-            for read in itertools.product((False, True), repeat=5):
-                got = k.uaf_partials(xs, *params[:4], terms=t, read=read)
-                cols = np.array(read)
-                assert got.shape == full.shape and _same_bits(got[:, cols], full[:, cols])
-                assert np.all(got[:, ~cols].view(np.int64) == 0)  # +0.0, never -0.0
+        s = k.logistic(*k.uaf_terms(xs, *params[:4]))
+        assert _same_bits(k.uaf_partials(xs, *params[:4], s), full)
+        for read in itertools.product((False, True), repeat=5):
+            got = k.uaf_partials(xs, *params[:4], s, read=read)
+            cols = np.array(read)
+            assert got.shape == full.shape and _same_bits(got[:, cols], full[:, cols])
+            assert np.all(got[:, ~cols].view(np.int64) == 0)  # +0.0, never -0.0
 
 
 def test_exp_gives_zero_below_the_masked_point():
@@ -626,6 +646,11 @@ def test_exp_gives_zero_below_the_masked_point():
 
     assert np.exp(np.nextafter(_EXP_ZERO, -np.inf)) == 0.0
     assert np.exp(_EXP_ZERO) == 5e-324
+
+
+def _slope_of(k, xs, params, terms):
+    """uaf_slope at xs from the given terms, through their logistic pair."""
+    return k.uaf_slope(xs, *params[:4], k.logistic(*terms))
 
 
 def _straddling_lanes():
@@ -667,7 +692,7 @@ def test_terms_are_bitwise_the_same_for_any_bound(params, sort):
         assert all(_same_bits(got, want) for got, want in zip(terms, plain))
         # masked lanes are +0.0, not -0.0 and not the argument left behind
         assert np.all(terms[1].view(np.int64)[below] == 0)
-        assert _same_bits(k.uaf_slope(xs, *params, terms=terms), k.uaf_slope(xs, *params))
+        assert _same_bits(_slope_of(k, xs, params, terms), _slope_of(k, xs, params, plain))
 
 
 def test_a_nan_lane_goes_through_exp_with_the_bound():
@@ -681,7 +706,7 @@ def test_a_nan_lane_goes_through_exp_with_the_bound():
         assert np.isnan(plain[0]).any()
         bounded = k.uaf_terms(xs, *params, xmax=10.0)
         assert all(_same_bits(got, want) for got, want in zip(bounded, plain))
-        assert _same_bits(k.uaf_slope(xs, *params, terms=bounded), k.uaf_slope(xs, *params))
+        assert _same_bits(_slope_of(k, xs, params, bounded), _slope_of(k, xs, params, plain))
 
 
 @pytest.mark.parametrize("C", [0.0, -0.0])
@@ -704,15 +729,16 @@ def test_a_zero_c_with_the_bound_keeps_every_bit(A, B, C, D):
         for xmax in (1e300, 10.0):
             bounded = k.uaf_terms(xs, A, B, C, D, xmax=xmax)
             assert all(_same_bits(got, want) for got, want in zip(bounded, plain))
-        slope = k.uaf_slope(xs, A, B, C, D, terms=k.uaf_terms(xs, A, B, C, D, xmax=1e300))
-        assert _same_bits(slope, k.uaf_slope(xs, A, B, C, D))
+        params = (A, B, C, D)
+        slope = _slope_of(k, xs, params, k.uaf_terms(xs, *params, xmax=1e300))
+        assert _same_bits(slope, _slope_of(k, xs, params, plain))
         # so it is also uaf_grad's column 0, formed from the full z1
         assert _same_bits(slope, k.uaf_grad(xs, A, B, C, D, 0.0)[:, 0])
         # without the bound, x = +-inf makes (Cx)x and 2Cx 0 * inf = NaN, and so the slope
         inf = np.array([np.inf, -np.inf])
         want = k.uaf_grad(inf, A, B, C, D, 0.0)[:, 0]
         assert np.isnan(want).all()
-        assert _same_bits(k.uaf_slope(inf, A, B, C, D), want)
+        assert _same_bits(_slope_of(k, inf, params, k.uaf_terms(inf, *params)), want)
 
 
 def _check_batch_functions_match_one_kernel_call(k, n):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uafkit as uk
-from uafkit._kernels import uaf_terms
+from uafkit._kernels import logistic, uaf_terms
 from uafkit.fitting import FitSpec, Tie, _Objective
 
 
@@ -177,9 +177,9 @@ def test_jacobian_from_the_residual_terms_equals_a_fresh_one():
         obj = _Objective(spec)
         theta = 1.1 * np.array([getattr(spec.init, name) for name in spec.free]) + 0.01
         params = obj.assemble(theta)
-        _, _, terms = obj.residual(params)
-        fresh = obj.jacobian(params, theta, uaf_terms(obj.grid, *params[:4]))
-        assert np.array_equal(obj.jacobian(params, theta, terms).view(np.int64),
+        _, _, s = obj.residual(params)
+        fresh = obj.jacobian(params, theta, logistic(*uaf_terms(obj.grid, *params[:4])))
+        assert np.array_equal(obj.jacobian(params, theta, s).view(np.int64),
                               fresh.view(np.int64))
 
 
@@ -212,12 +212,13 @@ def test_the_tie_matrix_template_is_chain_at_theta(spec, thetas):
     obj = _Objective(spec)
     values = obj.assemble(np.array([getattr(spec.init, name) for name in spec.free]))
     A, B, C, D = values[:4]
-    partials = uaf_partials(obj.grid, A, B, C, D, read=obj.read)
+    s = logistic(*uaf_terms(obj.grid, A, B, C, D))
+    partials = uaf_partials(obj.grid, A, B, C, D, s, read=obj.read)
     template = obj.chain.copy()
     with np.errstate(all="ignore"):
         for theta in map(np.array, thetas):
             want = partials @ _chain_at(spec, theta)
-            jac = obj.jacobian(values, theta, uaf_terms(obj.grid, A, B, C, D))
+            jac = obj.jacobian(values, theta, logistic(*uaf_terms(obj.grid, A, B, C, D)))
             assert np.array_equal(jac.view(np.int64), want.view(np.int64))
     assert np.array_equal(obj.chain.view(np.int64), template.view(np.int64))
 
@@ -227,8 +228,8 @@ def test_fit_with_reused_terms_matches_fresh_jacobians(monkeypatch):
     reused = [json.dumps(uk.fit(spec).to_dict()) for spec in specs]
     fresh_jacobian = _Objective.jacobian
     monkeypatch.setattr(_Objective, "jacobian",
-                        lambda self, params, theta, terms: fresh_jacobian(
-                            self, params, theta, uaf_terms(self.grid, *params[:4])))
+                        lambda self, params, theta, s: fresh_jacobian(
+                            self, params, theta, logistic(*uaf_terms(self.grid, *params[:4]))))
     assert [json.dumps(uk.fit(spec).to_dict()) for spec in specs] == reused
 
 
@@ -488,7 +489,7 @@ _STOP_PATH_SPECS = {
 def test_the_normal_equation_tests_stop_the_fit_for_every_k(monkeypatch, spec, row, stop_reason):
     from uafkit import fitting
 
-    def jacobian(self, values, theta, terms):
+    def jacobian(self, values, theta, s):
         jac = np.zeros((self.grid.size, len(spec.free)))
         jac[len(jac) // 3] = row
         return jac

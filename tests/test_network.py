@@ -223,8 +223,9 @@ def test_frozen_activation_emits_no_uaf_gradients():
 
 
 def test_frozen_uaf_backward_is_the_trainable_one_without_the_uaf_gradient():
-    # The frozen UAF takes only the slope kernel; the trainable one takes the
-    # slope as column 0 of the full gradient, bitwise the same.
+    # Both take the one UAF backward: the trainable one also contracts the
+    # parameter partials before df/dx is formed, and leaves d loss/d y
+    # bitwise what the frozen one gives.
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(7, 3)), rng.normal(size=(7, 2))
     grads = []
@@ -234,6 +235,27 @@ def test_frozen_uaf_backward_is_the_trainable_one_without_the_uaf_gradient():
     frozen, trainable = grads
     for a, b in zip(frozen.weights + frozen.biases, trainable.weights + trainable.biases):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 768, 1024, 65537, 100003])
+@pytest.mark.parametrize("params", [
+    uk.preset(uk.IDENTITY).as_tuple(), (1.0, 0.0, 1e-3, -1.0, 0.0),
+    tuple(np.random.default_rng(4).normal(0.0, 1.0, 5)),
+], ids=["identity", "c", "random"])
+def test_trainable_uaf_backward_is_the_grad_batch_contraction(n, params):
+    # d loss/d y is the upstream gradient times grad_batch's df/dx column, and
+    # d loss/d uaf its five parameter columns contracted with the upstream,
+    # bitwise: the backward never builds that (n, 6) array.
+    net = Network(NetworkConfig(layer_sizes=(1, 1, 1), activation=TrainableUaf(
+        uk.UafParams(*params))))
+    rng = np.random.default_rng(n)
+    y, upstream = rng.normal(0.0, 3.0, (n, 1)), rng.normal(size=(n, 1))
+    _, cache = net._act_forward(y)
+    d_y, d_uaf = net._act_backward(cache, upstream)
+    g6 = uk.grad_batch(uk.UafParams(*params), y.ravel())
+    u = upstream.ravel()
+    assert np.array_equal(d_y.ravel().view(np.int64), (u * g6[:, 0]).view(np.int64))
+    assert np.array_equal(d_uaf.view(np.int64), (g6[:, 1:].T @ u).view(np.int64))
 
 
 def test_batch_norm_running_statistics_follow_the_momentum_rule():
@@ -390,22 +412,23 @@ def test_forward_and_step_refuse_activations_above_the_cap():
 
 
 @pytest.mark.parametrize("sizes, rows, activation, most", [
-    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH)", 101.0),
-    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 148.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH)", 97.0),
+    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 106.0),
     ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH, exact=True)", 66.0),
-    ((4, 1000, 1000, 1000, 1000, 1000, 1), 200, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 102.0),
-    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 148.0),
+    ((4, 1000, 1000, 1000, 1000, 1000, 1), 200, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 90.0),
+    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 106.0),
     ((4, 1000, 1000, 1000, 1000, 1000, 1), 200,
-     "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 102.0),
-    ((4, 20000, 1), 50, "uk.FixedActivation(uk.GAUSSIAN)", 101.0),
+     "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 90.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.GAUSSIAN)", 97.0),
 ], ids=["frozen", "trainable", "exact", "deep-trainable", "trainable-c", "deep-trainable-c",
         "frozen-c"])
-def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, sizes, rows, activation, most):
+def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, request, sizes, rows,
+                                                           activation, most):
     # One step on 1,000,000 hidden values: a (4, 20000, 1) net on 50 rows,
-    # or five hidden layers of 1,000 on 200 rows. The peak grew by 93.0
-    # (frozen), 140.8 (trainable), 58.9 (exact), 94.4 (deep trainable),
-    # 140.8 (trainable at C = 1e-3), 94.3 (deep trainable at C = 1e-3) and
-    # 93.0 (frozen gaussian, C != 0) bytes per value; each bound leaves 7 to
+    # or five hidden layers of 1,000 on 200 rows. The peak grew by 89.3
+    # (frozen), 98.8 (trainable), 58.7 (exact), 82.8 (deep trainable),
+    # 98.8 (trainable at C = 1e-3), 82.7 (deep trainable at C = 1e-3) and
+    # 89.3 (frozen gaussian, C != 0) bytes per value; each bound leaves 7 to
     # 8 B. A trainable run holds the identity preset's C = 0 for its first
     # step only, so the C != 0 cases bound every later one.
     made, stepped = peak_growth_mb([
@@ -414,7 +437,12 @@ def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, sizes
         f"x, y = rng.normal(size=({rows}, 4)), rng.normal(size=({rows}, 1))",
         "net.step(x, y)",
     ])
-    assert (stepped - made) * 2**20 / 1e6 <= most
+    reading = (stepped - made) * 2**20 / 1e6
+    # CI's "Code size" step reads this from a --junitxml run into the job summary.
+    # It is appended to the item itself: the record_property fixture warns, and
+    # so fails, under a --junitxml run of the default xunit2 family.
+    request.node.user_properties.append(("bytes_per_hidden_value", round(reading, 1)))
+    assert reading <= most
 
 
 # --- flat parameter buffer and optimizers ------------------------------------------

@@ -5,20 +5,25 @@ shared across every neuron and layer.
 The UAF parameter gradients are the sums, over all activation sites, of the
 analytic partials scaled by the upstream gradient, so the activation trains by
 ordinary backpropagation alongside the weights. A UAF layer's activation cache
-is its flattened input and the logistic pair s of its kernel terms (see
-_kernels), taken before the value consumes the terms. Its backward is one
-path for a frozen and a trainable UAF: a trainable one first contracts the
-(n, 5) parameter partials with the upstream gradient, then both scale the
-upstream by df/dx. Everything is seeded and deterministic: identical config +
+is its flattened input and, in a training pass only, the logistic pair s of
+its kernel terms (see _kernels), taken before the value consumes the terms;
+an inference pass's cache holds None for s. Its backward is one path for a
+frozen and a trainable UAF: a trainable one first contracts the (n, 5)
+parameter partials with the upstream gradient, then both scale the upstream
+by df/dx. Everything is seeded and deterministic: identical config +
 dataset + seed reproduce a bitwise-identical TrainReport.
 
 Weights, biases and the trainable UAF vector are views into one float64
 vector, Network.flat, and a step's Gradients are views into one vector laid
 out alike, so SGD and Adam are one elementwise pass (uaf_learning_rate applies
-on the UAF's five slots). Network.forward returns (activations, output,
-caches), caches[i] being hidden layer i's (activation cache, batch-norm cache);
-Network.step(x, y) reads them and returns a batch's loss and gradients, and
-train alternates it with apply_gradients.
+on the UAF's five slots). Beside flat, a network holds one parameter-sized
+vector of per-element step sizes and, with Adam only, the two moments; an
+update keeps nothing else from one call to the next.
+Network.forward returns (activations, output, caches), caches[i] being hidden
+layer i's (activation cache, batch-norm cache); Network.step(x, y) consumes
+those lists, popping each layer's entries as its backward reads them, and
+returns a batch's loss and gradients, and train alternates it with
+apply_gradients.
 """
 
 from __future__ import annotations
@@ -295,11 +300,11 @@ class Network:
         self._rates = np.full(self.flat.size, config.optimizer.learning_rate)
         if trainable and config.uaf_learning_rate is not None:
             self._rates[-5:] = config.uaf_learning_rate
+        # Adam's update count and its two moments; SGD keeps no state.
         self._adam_t = 0
-        self._adam_m = np.zeros_like(self.flat)
-        self._adam_v = np.zeros_like(self.flat)
-        # Adam's two scratch vectors, so that an update allocates nothing.
-        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
+        self._adam_moments = None
+        if isinstance(config.optimizer, AdamConfig):
+            self._adam_moments = (np.zeros_like(self.flat), np.zeros_like(self.flat))
 
     # -- activation ---------------------------------------------------------
 
@@ -308,13 +313,14 @@ class Network:
         activation)."""
         return None if self._params is None else UafParams(*self._params)
 
-    def _act_forward(self, y: np.ndarray):
-        """Returns (activation, cache for _act_backward)."""
+    def _act_forward(self, y: np.ndarray, training: bool):
+        """Returns (activation, cache for _act_backward). Only a training
+        pass takes the logistic pair s, which only the backward reads."""
         if self._target is not None:
             return self._target(y), y
         xs = y.ravel()
         terms = _k_terms(xs, *self._params[:4])
-        s = logistic(*terms)
+        s = logistic(*terms) if training else None
         return _k_eval(xs, *self._params, terms=terms).reshape(y.shape), (xs, s)
 
     def _act_backward(self, cache, upstream: np.ndarray):
@@ -334,9 +340,10 @@ class Network:
         """Returns (activations, output, caches): the input and each hidden
         layer's activation output, the output, and per hidden layer the
         (activation cache, batch-norm cache) that step reads. Training mode
-        moves the running statistics, and refuses a batch with no rows. A
-        batch whose rows x the widest of layer_sizes pass core.MAX_POINTS is
-        refused before any layer is computed."""
+        moves the running statistics, takes the logistic pair s into the UAF
+        caches, and refuses a batch with no rows. A batch whose rows x the
+        widest of layer_sizes pass core.MAX_POINTS is refused before any
+        layer is computed."""
         batch = coerce_reals("batch", batch)
         if batch.ndim != 2 or batch.shape[1] != self.config.layer_sizes[0]:
             raise ValueError(
@@ -349,12 +356,10 @@ class Network:
         activations, caches = [batch], []
         a = batch
         for i in range(self.n_hidden):
-            h = a @ self.weights[i] + self.biases[i]
+            y, bn_cache = a @ self.weights[i] + self.biases[i], None
             if self.batch_norms is not None:
-                y, bn_cache = self.batch_norms[i].forward(h, training)
-            else:
-                y, bn_cache = h, None
-            a, act_cache = self._act_forward(y)
+                y, bn_cache = self.batch_norms[i].forward(y, training)
+            a, act_cache = self._act_forward(y, training)
             caches.append((act_cache, bn_cache))
             activations.append(a)
         output = a @ self.weights[-1] + self.biases[-1]
@@ -362,9 +367,12 @@ class Network:
 
     def step(self, batch: np.ndarray, targets: np.ndarray) -> tuple[float, Gradients]:
         """One training-mode forward pass and the exact gradients of the
-        configured loss over the batch: (loss, gradients). The parameters are
-        left as they are; apply_gradients updates them. Mismatched targets
-        are refused before the forward pass moves any running statistic."""
+        configured loss over the batch: (loss, gradients). The backward pops
+        each layer's caches and activation off the lists forward returned, so
+        a layer's arrays are freed once its backward has read them. The
+        parameters are left as they are; apply_gradients updates them.
+        Mismatched targets are refused before the forward pass moves any
+        running statistic."""
         targets = coerce_reals("targets", targets)
         shape = np.shape(batch)[:1] + self.config.layer_sizes[-1:]
         if targets.shape != shape:
@@ -375,13 +383,13 @@ class Network:
         grads = Gradients(flat, *_views(flat, self.config.layer_sizes, self.uaf is not None))
         for i in range(self.n_hidden, -1, -1):
             if i < self.n_hidden:
-                act_cache, bn_cache = caches[i]
+                act_cache, bn_cache = caches.pop()
                 g, d_uaf = self._act_backward(act_cache, g)
                 if d_uaf is not None:
                     grads.uaf += d_uaf
                 if self.batch_norms is not None:
                     g = _BatchNorm.backward(g, bn_cache)
-            np.matmul(activations[i].T, g, out=grads.weights[i])
+            np.matmul(activations.pop().T, g, out=grads.weights[i])
             g.sum(axis=0, out=grads.biases[i])
             if i > 0:
                 g = g @ self.weights[i].T
@@ -424,23 +432,22 @@ class Network:
             return
         self._adam_t += 1
         t = self._adam_t
-        m, v = self._adam_m, self._adam_v
-        step, denom = self._scratch
+        m, v = self._adam_moments
         # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
         # flat -= (rates m_hat) / (sqrt(v_hat) + eps), each product taken in
-        # that order, through the two scratch vectors.
+        # that order, through two temporaries.
         m *= opt.beta1
-        np.multiply(1 - opt.beta1, g, out=step)
+        step = (1 - opt.beta1) * g
         m += step
         v *= opt.beta2
         np.multiply(1 - opt.beta2, g, out=step)
         step *= g
         v += step
-        np.divide(v, 1 - opt.beta2**t, out=denom)
+        denom = v / (1 - opt.beta2**t)
         np.sqrt(denom, out=denom)
         denom += opt.epsilon
         np.divide(m, 1 - opt.beta1**t, out=step)
-        np.multiply(self._rates, step, out=step)
+        step *= self._rates
         step /= denom
         self.flat -= step
 

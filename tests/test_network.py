@@ -250,7 +250,7 @@ def test_trainable_uaf_backward_is_the_grad_batch_contraction(n, params):
         uk.UafParams(*params))))
     rng = np.random.default_rng(n)
     y, upstream = rng.normal(0.0, 3.0, (n, 1)), rng.normal(size=(n, 1))
-    _, cache = net._act_forward(y)
+    _, cache = net._act_forward(y, training=True)
     d_y, d_uaf = net._act_backward(cache, upstream)
     g6 = uk.grad_batch(uk.UafParams(*params), y.ravel())
     u = upstream.ravel()
@@ -411,24 +411,55 @@ def test_forward_and_step_refuse_activations_above_the_cap():
     assert _state(net) == before
 
 
+@pytest.mark.parametrize("activation", _ACTIVATIONS[:2], ids=_ACTIVATION_IDS[:2])
+def test_only_a_training_pass_takes_the_logistic_pair(activation):
+    # s is read by the backward alone, so an inference pass leaves it out of
+    # its UAF caches, and its output is bitwise a training pass's when the
+    # batch norms are off.
+    cfg = NetworkConfig(layer_sizes=(3, 5, 4, 2), activation=activation, use_batch_norm=False,
+                        seed=4)
+    net = Network(cfg)
+    x = np.random.default_rng(7).normal(size=(6, 3))
+    outputs = []
+    for training in (False, True):
+        _, out, caches = net.forward(x, training=training)
+        for (xs, s), _ in caches:
+            assert (s is not None) == training
+            assert s is None or s.shape == (2, xs.size)
+        outputs.append(out)
+    assert np.array_equal(outputs[0].view(np.int64), outputs[1].view(np.int64))
+
+
+@pytest.mark.parametrize("optimizer", [SgdConfig(), AdamConfig()], ids=["sgd", "adam"])
+def test_a_network_holds_its_parameters_rates_and_adam_moments_alone(optimizer):
+    # The parameter-sized arrays a network holds: flat, the per-element step
+    # sizes and, with Adam only, its two moments. An update keeps no scratch.
+    cfg = NetworkConfig(layer_sizes=(3, 5, 4, 2), activation=_identity_uaf(), optimizer=optimizer,
+                        seed=4)
+    net = Network(cfg)
+    held = {path for path, data in _state(net).items() if len(data) == net.flat.nbytes}
+    moments = {"_adam_moments[0]", "_adam_moments[1]"} if isinstance(optimizer, AdamConfig) else set()
+    assert held == {"flat", "_rates"} | moments
+
+
 @pytest.mark.parametrize("sizes, rows, activation, most", [
-    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH)", 97.0),
-    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 106.0),
-    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH, exact=True)", 66.0),
-    ((4, 1000, 1000, 1000, 1000, 1000, 1), 200, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 90.0),
-    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 106.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH)", 89.0),
+    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 98.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.TANH, exact=True)", 58.0),
+    ((4, 1000, 1000, 1000, 1000, 1000, 1), 200, "uk.TrainableUaf(uk.preset(uk.IDENTITY))", 86.0),
+    ((4, 20000, 1), 50, "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 98.0),
     ((4, 1000, 1000, 1000, 1000, 1000, 1), 200,
-     "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 90.0),
-    ((4, 20000, 1), 50, "uk.FixedActivation(uk.GAUSSIAN)", 97.0),
+     "uk.TrainableUaf(uk.UafParams(1.0, 0.0, 1e-3, -1.0, 0.0))", 86.0),
+    ((4, 20000, 1), 50, "uk.FixedActivation(uk.GAUSSIAN)", 89.0),
 ], ids=["frozen", "trainable", "exact", "deep-trainable", "trainable-c", "deep-trainable-c",
         "frozen-c"])
 def test_a_step_holds_a_bounded_footprint_per_hidden_value(peak_growth_mb, request, sizes, rows,
                                                            activation, most):
     # One step on 1,000,000 hidden values: a (4, 20000, 1) net on 50 rows,
-    # or five hidden layers of 1,000 on 200 rows. The peak grew by 89.3
-    # (frozen), 98.8 (trainable), 58.7 (exact), 82.8 (deep trainable),
-    # 98.8 (trainable at C = 1e-3), 82.7 (deep trainable at C = 1e-3) and
-    # 89.3 (frozen gaussian, C != 0) bytes per value; each bound leaves 7 to
+    # or five hidden layers of 1,000 on 200 rows. The peak grew by 81.2
+    # (frozen), 90.5 (trainable), 50.7 (exact), 78.3 (deep trainable),
+    # 90.7 (trainable at C = 1e-3), 78.4 (deep trainable at C = 1e-3) and
+    # 81.1 (frozen gaussian, C != 0) bytes per value; each bound leaves 7 to
     # 8 B. A trainable run holds the identity preset's C = 0 for its first
     # step only, so the C != 0 cases bound every later one.
     made, stepped = peak_growth_mb([

@@ -62,17 +62,18 @@ class ErrorReport:
         }
 
 
-def _slope(
-    p: UafParams, t: PresetKind, xs: np.ndarray, xmax: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact error slope dE/dx = f'(x) - t'(x) on xs, and t'(x); every
-    |x| <= xmax (see _kernels.uaf_terms)."""
+def _slope(p: UafParams, t: PresetKind, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact error slope dE/dx = f'(x) - t'(x) on the finite nodes xs, and
+    t'(x). The kernel's |x| bound is read from the two ends: it bounds every
+    node when the first is the least and the last the greatest, as in every
+    scan block and bisection pass, and any bound only picks the kernel's exp
+    path (see _kernels.uaf_terms)."""
     dt = t.derivative(xs)
-    s = logistic(*_k_terms(xs, p.A, p.B, p.C, p.D, xmax=xmax))
+    s = logistic(*_k_terms(xs, p.A, p.B, p.C, p.D, xmax=float(max(abs(xs[0]), abs(xs[-1])))))
     return _k_slope(xs, p.A, p.B, p.C, p.D, s) - dt, dt
 
 
-def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: float):
+def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int):
     """Brackets and exact-zero nodes of the slope on the grid nodes xs.
 
     Cells before first_cell and the two end nodes belong to the neighbouring
@@ -80,7 +81,7 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: fl
     changes sign, whether it is positive at a, and the interior nodes where
     it is exactly 0 between neighbours of opposite sign.
     """
-    g, dt = _slope(p, t, xs, xmax)
+    g, dt = _slope(p, t, xs)
     # Cell i is [xs[i], xs[i+1]]: the cells where the slope changes sign, and
     # the interior nodes where it is exactly 0 between neighbours of opposite
     # sign. A block with neither has nothing for the bounds below to accept.
@@ -111,9 +112,11 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int, xmax: fl
     return xs[i], xs[i + 1], pos[i], xs[1:-1][node]
 
 
-def _bisect(p: UafParams, t: PresetKind, a, b, up, halvings: int, xmax: float) -> np.ndarray:
+def _bisect(p: UafParams, t: PresetKind, a, b, up, halvings: int) -> np.ndarray:
     """Midpoints of the brackets [a, b] after a fixed count of halvings; up
-    says whether the slope is positive at a, and xmax bounds |a| and |b|.
+    says whether the slope is positive at a. critical_points hands the
+    brackets over in ascending order, so a pass's first point is its least
+    and its last its greatest: the ends _slope reads its bound from.
 
     Each pass takes _TREE_LEVELS halvings at once. It forms every point those
     levels could reach, level by level, with the same 0.5 * (a + b) of the
@@ -133,7 +136,7 @@ def _bisect(p: UafParams, t: PresetKind, a, b, up, halvings: int, xmax: float) -
             for step in (width >> level for level in range(levels)):
                 pts[:, step // 2 :: step] = 0.5 * (pts[:, :-1:step] + pts[:, step::step])
             pts = pts.ravel()
-            same = ((_slope(p, t, pts, xmax)[0] > 0).reshape(a_k.size, -1) == up_k).ravel()
+            same = ((_slope(p, t, pts)[0] > 0).reshape(a_k.size, -1) == up_k).ravel()
             at = np.arange(a_k.size) * (width + 1)  # each bracket's left end
             for level in range(1, levels + 1):
                 half = width >> level
@@ -154,9 +157,12 @@ def critical_points(
     all brackets are bisected together to 1e-10. Raises ValueError when the
     grid would take more than core.MAX_POINTS points. A grid node where the
     slope is exactly 0 between neighbours of opposite sign (gaussian's x = 0)
-    is a root as it stands. For targets that are non-smooth at 0 (step, relu,
-    leaky_relu) the cells touching 0 are skipped; the point itself is treated
-    as a candidate extremum by error_report, not returned here.
+    is a root as it stands. Each scan block and bisection pass hands the
+    kernel its own nodes' bound on |x| (see _slope), so a block that cannot
+    underflow takes the plain exp path. For targets that are non-smooth at 0
+    (step, relu, leaky_relu) the cells touching 0 are skipped; the point
+    itself is treated as a candidate extremum by error_report, not returned
+    here.
     """
     p, t = coerce("p", p, UafParams), coerce("t", t, PresetKind)
     lo, hi = coerce_interval("interval", interval)
@@ -167,12 +173,10 @@ def critical_points(
             f"above the cap of {MAX_POINTS}"
         )
     n = max(3, int(round(steps)) + 1)
-    # Every scan node and bisection point lies in [lo, hi].
-    xmax = max(abs(lo), abs(hi))
     # Consecutive blocks share two nodes, so that every cell and every
     # interior node is judged once, with both of its neighbours in view.
     found = [
-        _scan(p, t, grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0, xmax)
+        _scan(p, t, grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0)
         for i0 in range(0, n - 2, _SCAN_BLOCK - 2)
     ]
     a, b, up, nodes = (np.concatenate(parts) for parts in zip(*found))
@@ -180,7 +184,7 @@ def critical_points(
     # adjacent floats where their spacing is wider (|x| > ~1e6), and ends.
     width = np.max(b - a, initial=_BISECT_XTOL)
     halvings = math.ceil(math.log2(width / _BISECT_XTOL))
-    roots = np.sort(np.concatenate([_bisect(p, t, a, b, up, halvings, xmax), nodes]))
+    roots = np.sort(np.concatenate([_bisect(p, t, a, b, up, halvings), nodes]))
     return [(float(x), float(e)) for x, e in zip(roots, approx_error_batch(p, t, roots))]
 
 

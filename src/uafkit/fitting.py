@@ -21,11 +21,11 @@ solved as b * (1 / m), which is what LAPACK's lstsq computes for it. Both
 keep every result bitwise what all five columns and lstsq give.
 
 What does not change between iterations is built once per fit: the tie
-matrix, of which only the recip slopes are refilled at each theta, and the
+matrix, of which only the recip slopes are refilled at each point, and the
 parameters pinned by spec.init or a const tie. What is parameter-sized
-travels as Python floats: theta and each step as lists, the five parameters
-as a tuple, and the normal equations, for the finiteness and zero-gradient
-tests, as one list. NumPy forms the n-point residual and Jacobian and the
+travels as Python floats: the five parameters as a tuple, each step as a
+list, and the normal equations, for the finiteness and zero-gradient tests,
+as one list. NumPy forms the n-point residual and Jacobian and the
 normal equations, and solves the k x k system.
 """
 
@@ -222,8 +222,8 @@ class _Objective:
         self.grid_max = max(abs(lo), abs(hi))
         self.tvals = target_eval_batch(spec.target, self.grid)
         # What assemble starts from: spec.init with the const ties applied.
-        # theta[i] goes to row self.free_rows[i]; every other tie sets its row
-        # from its source's, which is a free row.
+        # The i-th free value goes to row self.free_rows[i]; every other tie
+        # sets its row from its source's, which is a free row.
         row = PARAM_NAMES.index
         self.free_rows = tuple(map(row, spec.free))
         values = list(spec.init.as_tuple())
@@ -234,9 +234,10 @@ class _Objective:
             else:
                 self.ties.append((row(tie.param), row(tie.source), tie))
         self.fixed = values
-        # The tie matrix d(A..E)/d(theta): 1 on each free parameter's own row
-        # and the tie slope on the row of every parameter tied to it. Only a
-        # recip slope depends on theta; jacobian fills those (row, column).
+        # The tie matrix d(A..E)/d(free values): 1 on each free parameter's own
+        # row and the tie slope on the row of every parameter tied to it. Only
+        # a recip slope depends on the point; jacobian fills those (row,
+        # column) from the source's value.
         column = {r: i for i, r in enumerate(self.free_rows)}
         self.chain = np.zeros((len(PARAM_NAMES), len(spec.free)))
         for r, i in column.items():
@@ -244,15 +245,15 @@ class _Objective:
         self.recip = []
         for r, source, tie in self.ties:
             if tie.kind == "recip":
-                self.recip.append((r, column[source], tie))
+                self.recip.append((r, column[source], source, tie))
             else:
                 self.chain[r, column[source]] = tie.d_source(0.0)
 
-    def assemble(self, theta: list[float]) -> tuple[float, ...] | None:
+    def assemble(self, free: list[float]) -> tuple[float, ...] | None:
         """The five parameters as floats for the given free values; None
         when a tie divides by zero or any of them is not finite."""
         values = self.fixed.copy()
-        for r, value in zip(self.free_rows, theta):
+        for r, value in zip(self.free_rows, free):
             values[r] = value
         try:
             for r, source, tie in self.ties:
@@ -271,10 +272,11 @@ class _Objective:
         r -= self.tvals
         return r, float((r * r).sum() / r.size), s
 
-    def jacobian(self, values: tuple, theta: list[float], s: np.ndarray) -> np.ndarray:
-        """(n, k) matrix d r / d theta: the kernel's parameter partials times
-        the tie matrix self.chain, whose recip slopes are taken at theta.
-        s is the logistic pair that residual(values) returned.
+    def jacobian(self, values: tuple, s: np.ndarray) -> np.ndarray:
+        """(n, k) matrix of d r / d(free values): the kernel's parameter
+        partials times the tie matrix self.chain, whose recip slopes are
+        taken at the source's value in values. s is the logistic pair that
+        residual(values) returned.
 
         Only the partials of self.read are computed; the others are +0.0, so
         that 0.0 times their zero row of chain adds nothing, as a finite
@@ -293,8 +295,8 @@ class _Objective:
         chain = self.chain
         if self.recip:
             chain = chain.copy()
-            for r, i, tie in self.recip:
-                chain[r, i] = tie.d_source(theta[i])
+            for r, i, source, tie in self.recip:
+                chain[r, i] = tie.d_source(values[source])
         return _k_partials(self.grid, A, B, C, D, s, read=read) @ chain
 
 
@@ -345,13 +347,15 @@ def fit(spec: FitSpec) -> FitResult:
     lam = spec.learning_rate. J fills only the partial columns that its tie
     matrix reads (see _Objective.jacobian), and a 1 x 1 system is solved by
     one multiply with the reciprocal, bitwise as lstsq solves it (see
-    _damped_step). The trial theta - delta is accepted when its ties
-    assemble to finite parameters (see _Objective.assemble) and its MSE does
-    not increase, so the RMSE trace is non-increasing; lam then shrinks 10x.
-    A rejected trial grows lam 10x and is retried from the same point. For
-    any number of free parameters, theta and delta are lists of floats, and
-    J^T J and J^T r are read as one list of floats once per step for the
-    finiteness and zero-gradient tests.
+    _damped_step). The trial takes delta from the free values read out of
+    the current parameters, and is accepted when its ties assemble to finite
+    parameters (see _Objective.assemble) and its MSE does not increase, so
+    the RMSE trace is non-increasing; lam then shrinks 10x. A rejected trial
+    grows lam 10x and is retried from the same point. For any number of free
+    parameters, the five parameters are the only point carried from one step
+    to the next, delta is a list of floats, and J^T J and J^T r are read as
+    one list of floats once per step for the finiteness and zero-gradient
+    tests.
 
     stop_reason is "tolerance" when an accepted trial improves the RMSE by
     less than spec.tolerance (the trial is not recorded); "stalled" after
@@ -366,8 +370,7 @@ def fit(spec: FitSpec) -> FitResult:
     """
     spec = coerce("spec", spec, FitSpec)
     obj = _Objective(spec)
-    theta = [getattr(spec.init, name) for name in spec.free]
-    values = obj.assemble(theta)
+    values = obj.assemble([getattr(spec.init, name) for name in spec.free])
     if values is None:
         raise ValueError("initial parameters violate the ties (non-finite result)")
 
@@ -379,7 +382,7 @@ def fit(spec: FitSpec) -> FitResult:
     stop_reason = "max_iters"
 
     for _ in range(spec.max_iters):
-        jac = obj.jacobian(values, theta, s)
+        jac = obj.jacobian(values, s)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         gradient = jtr.tolist()
@@ -394,8 +397,7 @@ def fit(spec: FitSpec) -> FitResult:
             if delta is None:
                 # lam only grows from here, so the damped matrix stays non-finite.
                 break
-            trial_theta = [t - d for t, d in zip(theta, delta)]
-            trial_values = obj.assemble(trial_theta)
+            trial_values = obj.assemble([values[r] - d for r, d in zip(obj.free_rows, delta)])
             if trial_values is not None:
                 trial_r, trial_mse, trial_s = obj.residual(trial_values)
                 if math.isfinite(trial_mse) and trial_mse <= cur_mse:
@@ -410,7 +412,7 @@ def fit(spec: FitSpec) -> FitResult:
         if math.sqrt(cur_mse) - math.sqrt(trial_mse) < spec.tolerance:
             stop_reason = "tolerance"
             break
-        theta, values, r, cur_mse, s = trial_theta, trial_values, trial_r, trial_mse, trial_s
+        values, r, cur_mse, s = trial_values, trial_r, trial_mse, trial_s
         trace.append(math.sqrt(cur_mse))
 
     return FitResult(

@@ -241,7 +241,7 @@ class _BatchNorm:
             centred = h - self.running_mu
         denom = np.maximum(sigma, _BN_EPSILON)
         y = centred / denom
-        return y, (y, sigma, denom)
+        return y, (y, denom)
 
     @staticmethod
     def backward(g: np.ndarray, cache) -> np.ndarray:
@@ -249,13 +249,14 @@ class _BatchNorm:
 
         With s = max(sigma, eps): d/dh = (g - mean(g))/s - y*mean(g*y)/s,
         where the second (sigma-path) term is dropped on features where the
-        floor is active (there s is constant w.r.t. h).
+        floor is active (there s is constant w.r.t. h): where s > eps fails,
+        as sigma > eps does, NaN included.
         """
-        y, sigma, denom = cache
+        y, denom = cache
         n = g.shape[0]
         g_mean = g.sum(axis=0) / n
         gy_mean = (g * y).sum(axis=0) / n
-        active = sigma > _BN_EPSILON
+        active = denom > _BN_EPSILON
         return (g - g_mean - np.where(active, y * gy_mean, 0.0)) / denom
 
 

@@ -205,10 +205,10 @@ def test_exact_zero_node_on_a_block_boundary(monkeypatch, block):
         assert _bits([0.0])[0] in pts[::2]
 
 
-def _full_mask_scan(p, t, xs, first_cell, xmax):
+def _full_mask_scan(p, t, xs, first_cell):
     """analysis._scan with the rounding-bound passes taken on every block: the
     reference that the skip of blocks without events must match."""
-    g, dt = uk.analysis._slope(p, t, xs, xmax)
+    g, dt = uk.analysis._slope(p, t, xs)
     floor = 16.0 * uk.analysis._EPS * (np.abs(p.A + 2.0 * p.C * xs) + abs(p.D) + np.abs(dt))
     keep = np.ones(xs.size - 1, dtype=bool)
     if uk.core.KINDS[t.name].at_zero:
@@ -230,12 +230,12 @@ def _check_scan_blocks(p, t, interval):
     events that the rounding bound rejects)."""
     scan, seen = uk.analysis._scan, set()
 
-    def compare(p, t, xs, first_cell, xmax):
-        got = scan(p, t, xs, first_cell, xmax)
-        want = _full_mask_scan(p, t, xs, first_cell, xmax)
+    def compare(p, t, xs, first_cell):
+        got = scan(p, t, xs, first_cell)
+        want = _full_mask_scan(p, t, xs, first_cell)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
-        g = uk.analysis._slope(p, t, xs, xmax)[0]
+        g = uk.analysis._slope(p, t, xs)[0]
         cells = (g[:-1] * g[1:] < 0)[first_cell:].any()
         zeros = ((g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)).any()
         seen.add("quiet" if not (cells or zeros) else "zero node" if not cells else
@@ -284,12 +284,13 @@ def test_the_bound_on_x_changes_no_report(monkeypatch):
     from uafkit import analysis
     from uafkit._kernels import _EXP_ZERO
 
-    underflows = []
+    underflows, bounds = [], []
     terms = analysis._k_terms
 
-    def spy(*args, **kwargs):
-        out = terms(*args, **kwargs)
+    def spy(xs, *args, **kwargs):
+        out = terms(xs, *args, **kwargs)
         underflows.append(bool(np.any(-np.abs(out[0]) < _EXP_ZERO)))
+        bounds.append((kwargs["xmax"], max(abs(xs[0]), abs(xs[-1]))))
         return out
 
     monkeypatch.setattr(analysis, "_k_terms", spy)
@@ -297,6 +298,8 @@ def test_the_bound_on_x_changes_no_report(monkeypatch):
     wide = (-1000.0, 1000.0)
     bounded = [uk.error_report(uk.preset(k), uk.target(k), wide).to_dict() for k in kinds]
     assert any(underflows)  # the masked exp was taken
+    # each scan block and bisection pass is bounded by its own ends
+    assert all(xmax == ends for xmax, ends in bounds)
     monkeypatch.setattr(analysis, "_k_terms",
                         lambda *args, xmax=None, **kwargs: terms(*args, **kwargs))
     unbounded = [uk.error_report(uk.preset(k), uk.target(k), wide).to_dict() for k in kinds]
@@ -325,7 +328,7 @@ def test_tree_bisection_matches_sequential_halving(monkeypatch, halvings):
         a = np.concatenate([xs[:-1], rng.uniform(-4.0, 0.0, 5)])
         b = np.concatenate([xs[1:], rng.uniform(0.0, 4.0, 5)])
         up = np.concatenate([g[:-1] > 0, rng.random(5) < 0.5])
-        got = uk.analysis._bisect(p, t, a, b, up, halvings, max(abs(a).max(), abs(b).max()))
+        got = uk.analysis._bisect(p, t, a, b, up, halvings)
         assert np.array_equal(_bits(got), _bits(_sequential_bisect(p, t, a, b, up, halvings)))
 
 

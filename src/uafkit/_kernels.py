@@ -17,9 +17,8 @@ forward and backward) takes from the terms before uaf_eval consumes them.
 Each pass takes exp, softplus and logistic once over all 2n elements.
 
 uaf_partials and uaf_slope are columns 1-5 and column 0 of uaf_grad by
-construction: uaf_grad writes its partial columns through
-``_partials_into``, the writer uaf_partials fills its own array with, and
-stores uaf_slope's array in column 0. Each derivative is formed as one
+construction: uaf_grad has uaf_partials write its columns 1-5 (``out=``)
+and stores uaf_slope's array in column 0. Each derivative is formed as one
 contiguous array that is then stored into its column. NumPy may pick
 another loop for a strided output than for a contiguous one, and where both
 operands are NaN the two loops need not return the same NaN; forming every
@@ -192,31 +191,27 @@ def uaf_grad(xs: np.ndarray, A: float, B: float, C: float, D: float, E: float) -
     """
     s = logistic(*uaf_terms(xs, A, B, C, D))
     out = np.empty((xs.shape[0], 6), dtype=np.float64)
-    _partials_into(out[:, 1:], xs, A, B, D, s)
+    uaf_partials(xs, A, B, C, D, s, out=out[:, 1:])
     out[:, 0] = uaf_slope(xs, A, B, C, D, s)
     return out
 
 
 def uaf_partials(
     xs: np.ndarray, A: float, B: float, C: float, D: float, s: np.ndarray,
-    read: tuple[bool, ...] = ALL_PARTIALS,
+    read: tuple[bool, ...] = ALL_PARTIALS, out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The (n, 5) parameter partials (df/dA, ..., df/dE) alone, bitwise equal
-    to columns 1-5 of uaf_grad: the fitter's Jacobian needs no df/dx. s is
-    logistic(*terms) at the same xs and parameters, left unchanged.
+    """The (n, 5) parameter partials (df/dA, ..., df/dE) of uaf_grad's
+    docstring alone, bitwise equal to its columns 1-5: the fitter's Jacobian
+    needs no df/dx. s is logistic(*terms) at the same xs and parameters, left
+    unchanged. The columns follow the module docstring's two rules.
 
     read marks, in that order, the columns the caller reads. Those are
     bitwise the columns of uaf_grad; every other column is +0.0, even where
-    the partial itself would be inf or NaN."""
-    out = (np.empty if all(read) else np.zeros)((xs.shape[0], 5), dtype=np.float64)
-    _partials_into(out, xs, A, B, D, s, read)
-    return out
-
-
-def _partials_into(out, xs, A, B, D, s, read=ALL_PARTIALS) -> None:
-    """Writes the parameter partials of uaf_grad's docstring into the columns
-    of out that read marks, from s = (s(z1), s(z2)). The columns follow the
-    module docstring's two rules."""
+    the partial itself would be inf or NaN. out, an (n, 5) array, takes the
+    read columns in place of a new array and keeps the others as they are;
+    uaf_grad passes its columns 1-5."""
+    if out is None:
+        out = (np.empty if all(read) else np.zeros)((xs.shape[0], 5), dtype=np.float64)
     s1, s2 = s
     read_a, read_b, read_c, read_d, read_e = read
     if read_a:
@@ -229,6 +224,7 @@ def _partials_into(out, xs, A, B, D, s, read=ALL_PARTIALS) -> None:
         out[:, 3] = -s2 * (xs - B)
     if read_e:
         out[:, 4] = 1.0
+    return out
 
 
 def uaf_slope(xs: np.ndarray, A: float, B: float, C: float, D: float, s: np.ndarray) -> np.ndarray:

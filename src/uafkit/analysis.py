@@ -77,9 +77,9 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int):
     """Brackets and exact-zero nodes of the slope on the grid nodes xs.
 
     Cells before first_cell and the two end nodes belong to the neighbouring
-    blocks. Returns (a, b, up, nodes): the cells [a, b] where the slope
-    changes sign, whether it is positive at a, and the interior nodes where
-    it is exactly 0 between neighbours of opposite sign.
+    blocks. Returns (a, b, nodes): the cells [a, b] where the slope changes
+    sign, and the interior nodes where it is exactly 0 between neighbours of
+    opposite sign.
     """
     g, dt = _slope(p, t, xs)
     # Cell i is [xs[i], xs[i+1]]: the cells where the slope changes sign, and
@@ -92,7 +92,7 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int):
     cells[:first_cell] = False
     zeros = (g[1:-1] == 0.0) & ((pos[:-2] & neg[2:]) | (neg[:-2] & pos[2:]))
     if not (cells.any() or zeros.any()):
-        return xs[:0], xs[:0], cells[:0], xs[:0]
+        return xs[:0], xs[:0], xs[:0]
     # f'(x) = s(z1)(A + 2Cx) - s(z2)D, so the slope sums three terms bounded
     # by |A + 2Cx|, |D| and |t'(x)|; a slope below a few ulp of their total
     # cannot be told from rounding noise.
@@ -109,25 +109,28 @@ def _scan(p: UafParams, t: PresetKind, xs: np.ndarray, first_cell: int):
     node = keep[:-1] & keep[1:] & zeros
     node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
     i = np.flatnonzero(bracket)
-    return xs[i], xs[i + 1], pos[i], xs[1:-1][node]
+    return xs[i], xs[i + 1], xs[1:-1][node]
 
 
-def _bisect(p: UafParams, t: PresetKind, a, b, up, halvings: int) -> np.ndarray:
-    """Midpoints of the brackets [a, b] after a fixed count of halvings; up
-    says whether the slope is positive at a. critical_points hands the
-    brackets over in ascending order, so a pass's first point is its least
-    and its last its greatest: the ends _slope reads its bound from.
+def _bisect(p: UafParams, t: PresetKind, a, b, halvings: int) -> np.ndarray:
+    """Midpoints of the brackets [a, b] after a fixed count of halvings.
+    critical_points hands the brackets over in ascending order, so a pass's
+    first point is its least and its last its greatest: the ends _slope
+    reads its bound from.
 
     Each pass takes _TREE_LEVELS halvings at once. It forms every point those
     levels could reach, level by level, with the same 0.5 * (a + b) of the
     same ends that one halving at a time would take, evaluates the slope at
-    all of them in one call, and then walks the sign decisions. Brackets go
-    in groups that keep each call within one scan block.
+    all of them in one call, and then walks the sign decisions. A halving
+    keeps the half whose left end has the sign of the bracket's left end,
+    which the pass evaluates with the rest: a left end only ever moves onto a
+    point of its own sign, so that sign is the scan's at a in every pass.
+    Brackets go in groups that keep each call within one scan block.
     """
     group = max(1, _SCAN_BLOCK >> _TREE_LEVELS)
     roots = [np.empty(0)]
     for k in range(0, a.size, group):
-        a_k, b_k, up_k = a[k : k + group], b[k : k + group], up[k : k + group, None]
+        a_k, b_k = a[k : k + group], b[k : k + group]
         for done in range(0, halvings, _TREE_LEVELS):
             levels = min(halvings - done, _TREE_LEVELS)
             width = 1 << levels
@@ -136,7 +139,8 @@ def _bisect(p: UafParams, t: PresetKind, a, b, up, halvings: int) -> np.ndarray:
             for step in (width >> level for level in range(levels)):
                 pts[:, step // 2 :: step] = 0.5 * (pts[:, :-1:step] + pts[:, step::step])
             pts = pts.ravel()
-            same = ((_slope(p, t, pts)[0] > 0).reshape(a_k.size, -1) == up_k).ravel()
+            pos = (_slope(p, t, pts)[0] > 0).reshape(a_k.size, -1)
+            same = (pos == pos[:, :1]).ravel()
             at = np.arange(a_k.size) * (width + 1)  # each bracket's left end
             for level in range(1, levels + 1):
                 half = width >> level
@@ -179,12 +183,12 @@ def critical_points(
         _scan(p, t, grid(lo, hi, n, i0, min(i0 + _SCAN_BLOCK, n)), 1 if i0 else 0)
         for i0 in range(0, n - 2, _SCAN_BLOCK - 2)
     ]
-    a, b, up, nodes = (np.concatenate(parts) for parts in zip(*found))
+    a, b, nodes = (np.concatenate(parts) for parts in zip(*found))
     # A fixed count of halvings brings every bracket to _BISECT_XTOL, or to
     # adjacent floats where their spacing is wider (|x| > ~1e6), and ends.
     width = np.max(b - a, initial=_BISECT_XTOL)
     halvings = math.ceil(math.log2(width / _BISECT_XTOL))
-    roots = np.sort(np.concatenate([_bisect(p, t, a, b, up, halvings), nodes]))
+    roots = np.sort(np.concatenate([_bisect(p, t, a, b, halvings), nodes]))
     return [(float(x), float(e)) for x, e in zip(roots, approx_error_batch(p, t, roots))]
 
 

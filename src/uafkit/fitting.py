@@ -21,12 +21,12 @@ solved as b * (1 / m), which is what LAPACK's lstsq computes for it. Both
 keep every result bitwise what all five columns and lstsq give.
 
 What does not change between iterations is built once per fit: the tie
-matrix, of which only the recip slopes are refilled at each point, and the
-parameters pinned by spec.init or a const tie. What is parameter-sized
-travels as Python floats: the five parameters as a tuple, each step as a
-list, and the normal equations, for the finiteness and zero-gradient tests,
-as one list. NumPy forms the n-point residual and Jacobian and the
-normal equations, and solves the k x k system.
+matrix without its tie slopes, which each Jacobian writes into a copy at its
+point, and the parameters pinned by spec.init or a const tie. What is
+parameter-sized travels as Python floats: the five parameters as a tuple,
+each step as a list, and the normal equations, for the finiteness and
+zero-gradient tests, as one list. NumPy forms the n-point residual and
+Jacobian and the normal equations, and solves the k x k system.
 """
 
 from __future__ import annotations
@@ -234,20 +234,10 @@ class _Objective:
             else:
                 self.ties.append((row(tie.param), row(tie.source), tie))
         self.fixed = values
-        # The tie matrix d(A..E)/d(free values): 1 on each free parameter's own
-        # row and the tie slope on the row of every parameter tied to it. Only
-        # a recip slope depends on the point; jacobian fills those (row,
-        # column) from the source's value.
-        column = {r: i for i, r in enumerate(self.free_rows)}
-        self.chain = np.zeros((len(PARAM_NAMES), len(spec.free)))
-        for r, i in column.items():
-            self.chain[r, i] = 1.0
-        self.recip = []
-        for r, source, tie in self.ties:
-            if tie.kind == "recip":
-                self.recip.append((r, column[source], source, tie))
-            else:
-                self.chain[r, column[source]] = tie.d_source(0.0)
+        # The tie matrix d(A..E)/d(free values) without its tie slopes: column i
+        # is the unit vector of row self.free_rows[i]. jacobian writes the slope
+        # of every parameter tied to a free one into a copy, at the point.
+        self.chain = np.eye(len(PARAM_NAMES))[:, self.free_rows]
 
     def assemble(self, free: list[float]) -> tuple[float, ...] | None:
         """The five parameters as floats for the given free values; None
@@ -274,9 +264,9 @@ class _Objective:
 
     def jacobian(self, values: tuple, s: np.ndarray) -> np.ndarray:
         """(n, k) matrix of d r / d(free values): the kernel's parameter
-        partials times the tie matrix self.chain, whose recip slopes are
-        taken at the source's value in values. s is the logistic pair that
-        residual(values) returned.
+        partials times the tie matrix, which is self.chain with each tie's
+        slope d_source(values[source]) on the tied row, in its source's
+        column. s is the logistic pair that residual(values) returned.
 
         Only the partials of self.read are computed; the others are +0.0, so
         that 0.0 times their zero row of chain adds nothing, as a finite
@@ -292,11 +282,11 @@ class _Objective:
             # The bounds are >= 0, so a finite sum means all are finite.
             if not math.isfinite(sum(bounds)):
                 read = tuple(r or not math.isfinite(b) for r, b in zip(read, bounds))
-        chain = self.chain
-        if self.recip:
-            chain = chain.copy()
-            for r, i, source, tie in self.recip:
-                chain[r, i] = tie.d_source(values[source])
+        # The slopes go into a copy in C order, the one layout the product
+        # is handed: the template, a column pick, is in F order.
+        chain = self.chain.copy()
+        for r, source, tie in self.ties:
+            chain[r, self.free_rows.index(source)] = tie.d_source(values[source])
         return _k_partials(self.grid, A, B, C, D, s, read=read) @ chain
 
 

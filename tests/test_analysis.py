@@ -219,7 +219,7 @@ def _full_mask_scan(p, t, xs, first_cell):
     node = keep[:-1] & keep[1:] & (g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0)
     node &= np.maximum(np.abs(g[:-2]), np.abs(g[2:])) > bound[1:]
     i = np.flatnonzero(bracket)
-    return xs[i], xs[i + 1], g[i] > 0, xs[1:-1][node]
+    return xs[i], xs[i + 1], xs[1:-1][node]
 
 
 def _check_scan_blocks(p, t, interval):
@@ -306,8 +306,10 @@ def test_the_bound_on_x_changes_no_report(monkeypatch):
     assert json.dumps(unbounded) == json.dumps(bounded)
 
 
-def _sequential_bisect(p, t, a, b, up, halvings):
-    """The reference for the midpoint tree: one halving at a time."""
+def _sequential_bisect(p, t, a, b, halvings):
+    """The reference for the midpoint tree: one halving at a time, each
+    keeping the half whose left end has the slope's sign at the first a."""
+    up = (uk.grad_batch(p, a)[:, 0] - t.derivative(a)) > 0
     for _ in range(halvings):
         mid = 0.5 * (a + b)
         same = ((uk.grad_batch(p, mid)[:, 0] - t.derivative(mid)) > 0) == up
@@ -323,13 +325,11 @@ def test_tree_bisection_matches_sequential_halving(monkeypatch, halvings):
     for kind in (uk.SIGMOID, uk.TANH, uk.GAUSSIAN, uk.RELU):
         p, t = uk.preset(kind), uk.target(kind)
         xs = np.linspace(-4.0, 4.0, 201)
-        g = uk.grad_batch(p, xs)[:, 0] - t.derivative(xs)
         # every cell, bracket or not, and a few wide random ones
         a = np.concatenate([xs[:-1], rng.uniform(-4.0, 0.0, 5)])
         b = np.concatenate([xs[1:], rng.uniform(0.0, 4.0, 5)])
-        up = np.concatenate([g[:-1] > 0, rng.random(5) < 0.5])
-        got = uk.analysis._bisect(p, t, a, b, up, halvings)
-        assert np.array_equal(_bits(got), _bits(_sequential_bisect(p, t, a, b, up, halvings)))
+        got = uk.analysis._bisect(p, t, a, b, halvings)
+        assert np.array_equal(_bits(got), _bits(_sequential_bisect(p, t, a, b, halvings)))
 
 
 def test_scan_memory_does_not_grow_with_the_interval(peak_growth_mb):

@@ -15,10 +15,12 @@ of the kernel terms its value consumes, only their logistic pair s (see
 _kernels), from which the Jacobian at an accepted point is formed; a
 rejected trial pays that one logistic pass for nothing. The kernel fills the
 partial columns of the free parameters and of those tied to one, and leaves
-the rest +0.0 for the tie matrix's zero rows (unless a column may hold inf,
-whose product with 0.0 is NaN). The 1 x 1 system of a one-parameter fit is
-solved as b * (1 / m), which is what LAPACK's lstsq computes for it. Both
-keep every result bitwise what all five columns and lstsq give.
+the rest +0.0 for the tie matrix's zero rows: a partial that no free
+parameter reads adds nothing, even where it would be inf or NaN. The 1 x 1
+system of a one-parameter fit is solved as b * (1 / m), without the SVD
+that lstsq runs; lstsq computes the same bits, bar a system it rescales
+first (near the ends of the float64 range), where the reciprocal can
+overflow and the trial is rejected.
 
 What does not change between iterations is built once per fit: the tie
 matrix without its tie slopes, which each Jacobian writes into a copy at its
@@ -32,6 +34,7 @@ Jacobian and the normal equations, and solves the k x k system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,7 @@ from ._kernels import uaf_eval as _k_eval
 from ._kernels import uaf_partials as _k_partials
 from ._kernels import uaf_terms as _k_terms
 from .core import (
-    GAUSSIAN, LN2, MAX_POINTS, PARAM_NAMES, A_RELU, RELU, SIGMOID, TANH, JsonConfig, PresetKind,
+    GAUSSIAN, LN2, PARAM_NAMES, A_RELU, RELU, SIGMOID, TANH, JsonConfig, PresetKind,
     UafParams, check_size, coerce, coerce_field, coerce_interval, coerce_list, from_json, grid,
 )
 from .targets import target_eval_batch
@@ -120,7 +123,8 @@ class Tie(JsonConfig):
 @dataclass(frozen=True)
 class FitSpec(JsonConfig):
     """A constrained fitting problem: which parameters move, how the rest are
-    pinned, and the sample grid / solver settings."""
+    pinned, the sample grid, and when the fit stops (max_iters, tolerance).
+    The damping is not a setting: every fit starts it at 0.1 (see fit)."""
 
     target: PresetKind
     free: tuple[str, ...]
@@ -129,9 +133,6 @@ class FitSpec(JsonConfig):
     interval: tuple[float, float] = (-10.0, 10.0)
     n_samples: int = 2001
     max_iters: int = 100000
-    # The initial Levenberg-Marquardt damping lambda (see fit); the name
-    # predates the solver and is kept so existing spec files still parse.
-    learning_rate: float = 0.1
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -159,11 +160,9 @@ class FitSpec(JsonConfig):
                 )
         object.__setattr__(self, "ties", ties)
         object.__setattr__(self, "interval", coerce_interval("interval", self.interval))
-        coerce_field(self, "n_samples", int, minimum=2, maximum=MAX_POINTS)
+        coerce_field(self, "n_samples", int, minimum=2)
         check_size("n_samples x the five parameter partials", self.n_samples, 5)
         coerce_field(self, "max_iters", int, minimum=0)
-        if coerce_field(self, "learning_rate", float) <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         coerce_field(self, "tolerance", float, minimum=0.0)
 
     @classmethod
@@ -217,8 +216,7 @@ class _Objective:
         self.read = tuple(name in spec.free or name in tied for name in PARAM_NAMES)
         # The largest |x| on the grid, at an end (bar a subnormal step, where a
         # node can pass hi by a few 5e-324, which changes no bit): the bound that
-        # lets the kernel skip exp's underflow lanes, and jacobian's bounds on
-        # the unread partials.
+        # lets the kernel skip exp's underflow lanes.
         self.grid_max = max(abs(lo), abs(hi))
         self.tvals = target_eval_batch(spec.target, self.grid)
         # What assemble starts from: spec.init with the const ties applied.
@@ -269,60 +267,33 @@ class _Objective:
         column. s is the logistic pair that residual(values) returned.
 
         Only the partials of self.read are computed; the others are +0.0, so
-        that 0.0 times their zero row of chain adds nothing, as a finite
-        partial does. A partial is computed anyway where its bound is not
-        finite, since inf times 0.0 is NaN. With s = logistic in [0, 1]
-        (finite where the mean square is), the bounds are grid_max + |B| for
-        dA and dD, |A| + |D| for dB and grid_max^2 for dC; dE is 1."""
-        A, B, C, D = values[:4]
-        read = self.read
-        if not all(read):
-            shift = self.grid_max + abs(B)
-            bounds = (shift, abs(A) + abs(D), self.grid_max * self.grid_max, shift, 1.0)
-            # The bounds are >= 0, so a finite sum means all are finite.
-            if not math.isfinite(sum(bounds)):
-                read = tuple(r or not math.isfinite(b) for r, b in zip(read, bounds))
+        that their zero rows of chain add nothing, even where the partial
+        itself would be inf or NaN."""
         # The slopes go into a copy in C order, the one layout the product
         # is handed: the template, a column pick, is in F order.
         chain = self.chain.copy()
         for r, source, tie in self.ties:
             chain[r, self.free_rows.index(source)] = tie.d_source(values[source])
-        return _k_partials(self.grid, A, B, C, D, s, read=read) @ chain
-
-
-# dgelsd, which lstsq calls, scales a matrix or right-hand side whose largest
-# magnitude lies outside [2^-970, 2^970] (its SMLNUM and BIGNUM); a 1 x 1
-# system inside that range it solves as b * (1 / m).
-_UNSCALED = (2.0**-970, 2.0**970)
+        return _k_partials(self.grid, *values[:4], s, read=self.read) @ chain
 
 
 def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> list[float] | None:
-    """delta solving (jtj + lam diag(jtj)) delta = jtr, as a list of floats
-    bitwise as lstsq gives it, or None when that damped matrix is not finite
-    (jtj and jtr are). For k = 1 with m = jtj + lam jtj and b = jtr both in
-    _UNSCALED, delta is b * (1 / m) without the SVD; any other system goes
-    to lstsq."""
+    """delta solving (jtj + lam diag(jtj)) delta = jtr, as a list of floats,
+    or None when that damped matrix is not finite (jtj and jtr are). For
+    k = 1 with m = jtj + lam jtj and b = jtr, delta is b * (1 / m), and 0.0
+    when m = 0; a larger system goes to lstsq."""
     if jtr.shape[0] == 1:
         j, b = jtj.item(), jtr.item()
         m = j + lam * j
-        lo, hi = _UNSCALED
-        if lo <= abs(m) <= hi and lo <= abs(b) <= hi:
-            return [b * (1.0 / m)]
         if not math.isfinite(m):
             return None
-        damped = np.array([[m]])
-    else:
-        damped = jtj + lam * np.diag(np.diag(jtj))
-        if not np.isfinite(damped).all():
-            return None
+        return [b * (1.0 / m) if m else 0.0]
+    damped = jtj + lam * np.diag(np.diag(jtj))
+    if not np.isfinite(damped).all():
+        return None
     # lstsq, not solve: a parameter with no effect on the residual leaves a
     # zero row and column, and gets a zero step.
     return np.linalg.lstsq(damped, jtr, rcond=None)[0].tolist()
-
-
-# Consecutive rejected trials before the fit stops as stalled: the damping has
-# grown 1e30-fold, so the step is far below the resolution of the parameters.
-_MAX_REJECTIONS = 30
 
 
 # A trial that overflows is rejected, and a non-finite start raises, so
@@ -333,27 +304,28 @@ def fit(spec: FitSpec) -> FitResult:
 
     Each accepted step builds the residual r and its Jacobian J once, from
     the same logistic pair s, and solves the k x k damped normal equations
-    (J^T J + lam diag(J^T J)) delta = J^T r, starting from
-    lam = spec.learning_rate. J fills only the partial columns that its tie
-    matrix reads (see _Objective.jacobian), and a 1 x 1 system is solved by
-    one multiply with the reciprocal, bitwise as lstsq solves it (see
-    _damped_step). The trial takes delta from the free values read out of
-    the current parameters, and is accepted when its ties assemble to finite
-    parameters (see _Objective.assemble) and its MSE does not increase, so
-    the RMSE trace is non-increasing; lam then shrinks 10x. A rejected trial
-    grows lam 10x and is retried from the same point. For any number of free
-    parameters, the five parameters are the only point carried from one step
-    to the next, delta is a list of floats, and J^T J and J^T r are read as
-    one list of floats once per step for the finiteness and zero-gradient
-    tests.
+    (J^T J + lam diag(J^T J)) delta = J^T r, starting from lam = 0.1. J fills
+    only the partial columns that its tie matrix reads (see
+    _Objective.jacobian), and a 1 x 1 system is solved by one multiply with
+    the reciprocal (see _damped_step). The trial takes delta from the free
+    values read out of the current parameters, and is accepted when its ties
+    assemble to finite parameters (see _Objective.assemble) and its MSE does
+    not increase, so the RMSE trace is non-increasing; lam then shrinks 10x,
+    to no lower than the smallest normal float. A rejected trial grows lam 10x and is retried from the same point. A run
+    of rejections needs no cap: as lam grows, either delta rounds to no
+    change, whose equal MSE is accepted, or lam diag(J^T J) overflows. For
+    any number of free parameters, the five parameters are the only point
+    carried from one step to the next, delta is a list of floats, and J^T J
+    and J^T r are read as one list of floats once per step for the
+    finiteness and zero-gradient tests.
 
     stop_reason is "tolerance" when an accepted trial improves the RMSE by
-    less than spec.tolerance (the trial is not recorded); "stalled" after
-    _MAX_REJECTIONS rejected trials in a row, when the normal equations
-    overflow, or when the damped matrix does (lam * diag(J^T J) is not
-    finite: lam only grows from there, so no step can follow);
-    "zero_gradient" when J^T r is exactly zero; and "max_iters" after
-    spec.max_iters accepted steps, the only stop not counted converged.
+    less than spec.tolerance (the trial is not recorded); "stalled" when the
+    normal equations overflow, or when the damped matrix does (lam *
+    diag(J^T J) is not finite: lam only grows from there, so no step can
+    follow); "zero_gradient" when J^T r is exactly zero; and "max_iters"
+    after spec.max_iters accepted steps, the only stop not counted
+    converged.
 
     Raises ValueError when spec.init breaks the ties or gives a non-finite
     error, since no step can be measured from there.
@@ -368,7 +340,7 @@ def fit(spec: FitSpec) -> FitResult:
     if not math.isfinite(cur_mse):
         raise ValueError("initial parameters give a non-finite mean squared error")
     trace = [math.sqrt(cur_mse)]
-    lam = spec.learning_rate
+    lam = 0.1
     stop_reason = "max_iters"
 
     for _ in range(spec.max_iters):
@@ -382,7 +354,7 @@ def fit(spec: FitSpec) -> FitResult:
         if not any(gradient):
             stop_reason = "zero_gradient"
             break
-        for _trial in range(_MAX_REJECTIONS):
+        while True:
             delta = _damped_step(jtj, jtr, lam)
             if delta is None:
                 # lam only grows from here, so the damped matrix stays non-finite.
@@ -391,11 +363,12 @@ def fit(spec: FitSpec) -> FitResult:
             if trial_values is not None:
                 trial_r, trial_mse, trial_s = obj.residual(trial_values)
                 if math.isfinite(trial_mse) and trial_mse <= cur_mse:
-                    lam /= 10.0
+                    # No lower than the smallest normal float, where it has
+                    # long ceased to change the damped matrix: a lam of 0.0
+                    # would not grow, and a rejection would repeat forever.
+                    lam = max(lam / 10.0, sys.float_info.min)
                     break
             lam *= 10.0
-        else:
-            delta = None
         if delta is None:
             stop_reason = "stalled"
             break

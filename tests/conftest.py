@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import uafkit as uk
@@ -53,3 +54,16 @@ def peak_growth_mb():
         return list(map(float, out))
 
     return measure
+
+
+@pytest.fixture
+def overflowing_damping(monkeypatch):
+    """Gives every fit a Jacobian with one nonzero entry, in its first
+    column: J^T J = 1.69e308 is finite, and the damped 1.1 J^T J is not."""
+
+    def jacobian(self, values, s):
+        jac = np.zeros((self.grid.size, len(self.free_rows)))
+        jac[len(jac) // 3, 0] = 1.3e154
+        return jac
+
+    monkeypatch.setattr(uk.fitting._Objective, "jacobian", jacobian)

@@ -218,11 +218,12 @@ def test_fit_spec_file(runner, tmp_path):
 
 
 @pytest.mark.parametrize("spec", [
-    {**uk.builtin_spec("sigmoid-family").to_dict(), "learning_rate": 1.7e308},
+    uk.builtin_spec("sigmoid-family").to_dict(),
     {"target": {"name": "sigmoid"}, "free": ["A", "B", "C", "D", "E"],
-     "init": uk.preset(uk.IDENTITY).to_dict(), "learning_rate": 1.7e308},
+     "init": uk.preset(uk.IDENTITY).to_dict()},
 ], ids=["family", "free"])
-def test_fit_spec_with_an_overflowing_damping_stalls(runner, tmp_path, capfd, spec):
+def test_fit_spec_with_an_overflowing_damping_stalls(runner, tmp_path, capfd, overflowing_damping,
+                                                     spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     result = runner.invoke(main, ["fit", "--spec", str(path)])
@@ -298,7 +299,9 @@ _GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
 # quietly convert it (2.9 to 2, true to 1, "no" to True); the CLI contract is
 # a usage error naming the file.
 @pytest.mark.parametrize("command, data", [
+    # a spec sets no damping: the key is refused whatever its value
     ("fit", _family_spec(learning_rate="0.1")),
+    ("fit", _family_spec(tolerance="1e-12")),
     ("fit", _tie_spec(None)),
     ("eval", {**uk.preset(uk.IDENTITY).to_dict(), "A": None}),
     ("train", {**_TRAIN_CONFIG, "epochs": None}),
@@ -337,7 +340,7 @@ _GAS_DATASET = {"kind": "gas_analogue", "seed": 11, "n_samples": 200,
     ("dataset", {**_GAS_DATASET, "n_channels": 1e15}),
     ("train", {**_TRAIN_CONFIG, "layer_sizes": [16, 10**15, 4]}),
 ], ids=[
-    "string_learning_rate", "null_tie_value", "null_param", "null_epochs",
+    "string_learning_rate", "string_tolerance", "null_tie_value", "null_param", "null_epochs",
     "fractional_n_samples", "bool_max_iters", "string_batch_norm", "init_breaks_ties",
     "null_dataset_seed", "bool_dataset_seed", "fractional_n_features", "string_spread",
     "bool_snr_db", "negative_infinite_snr_db",

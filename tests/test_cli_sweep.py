@@ -75,7 +75,6 @@ _SIGMOID_FAMILY = {
     "interval": [-10.0, 10.0],
     "n_samples": 41,
     "max_iters": 20,
-    "learning_rate": 0.1,
     "tolerance": 1e-12,
 }
 _FREE_FIT = {"target": "softplus", "free": list(PARAM_NAMES), "init": dict(_IDENTITY),
@@ -99,7 +98,6 @@ _FIT_FIELDS = {
     ("interval", 1): _NUMBERS,
     ("n_samples",): _sizes(60),
     ("max_iters",): _counts(30),
-    ("learning_rate",): _NUMBERS,
     ("tolerance",): _NUMBERS,
 }
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -89,11 +90,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(interval=(3.0, -3.0))
     with pytest.raises(ValueError):
-        _spec(learning_rate=0.0)
-    with pytest.raises(ValueError):
         _spec(n_samples=1)
     # fractional counts, bools and strings used to be cast or raise TypeError
-    for bad in (dict(n_samples=2000.7), dict(max_iters=True), dict(learning_rate="0.1"),
+    for bad in (dict(n_samples=2000.7), dict(max_iters=True), dict(tolerance="0.1"),
                 dict(tolerance=None), dict(free="A"), dict(ties=[{"param": "B"}]),
                 dict(init={"A": 1.0}), dict(target="sigmoid")):
         with pytest.raises(ValueError):
@@ -121,6 +120,12 @@ def test_spec_json_round_trip():
     assert again.target == spec.target
     with pytest.raises(ValueError):
         FitSpec.from_dict({**spec.to_dict(), "bogus": 1})
+
+
+def test_spec_refuses_the_damping_as_an_unknown_field():
+    # Every fit starts its damping at 0.1; a spec cannot set it.
+    with pytest.raises(ValueError, match="^fit spec contains unknown field\\(s\\): learning_rate$"):
+        FitSpec.from_dict({**_spec().to_dict(), "learning_rate": 0.1})
 
 
 # --- the fitter -------------------------------------------------------------------
@@ -283,6 +288,8 @@ def test_the_damped_step_is_lstsq_bitwise():
     from uafkit.fitting import _damped_step
 
     rng = np.random.default_rng(13)
+    # dgelsd, which lstsq calls, rescales a system whose largest magnitude
+    # lies outside [2^-970, 2^970] (its SMLNUM and BIGNUM).
     lo, hi = 2.0**-970, 2.0**970
     edges = [np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0),
              np.nextafter(hi, 0.0), hi, np.nextafter(hi, np.inf)]
@@ -305,13 +312,45 @@ def test_the_damped_step_is_lstsq_bitwise():
             assert _damped_step(np.array([[j]]), np.array([b]), lam) is None, (j, lam, b)
         assert _damped_step(np.array([[1e300, 1.0], [1.0, 3.0]]), jtr, 1e10) is None
         assert _damped_step(np.array([[0.0, 0.0], [0.0, 3.0]]), jtr, np.inf) is None  # inf * 0
+        # A subnormal m, which lstsq rescales: its reciprocal overflows, so the
+        # step is inf where lstsq's is 1.0 (see the next test).
+        jtj, jtr = np.array([[1e-310]]), np.array([1e-310])
+        assert _lstsq_step(jtj, jtr, 1e-30).tolist() == [1.0]
+        assert _damped_step(jtj, jtr, 1e-30) == [math.inf]
 
 
-def test_an_overflowing_damped_system_stalls_the_fit(capfd):
-    family = FitSpec.from_dict({**uk.builtin_spec("sigmoid-family").to_dict(),
-                                "learning_rate": 1.7e308})
-    free = FitSpec(target=uk.SIGMOID, free=uk.core.PARAM_NAMES,
-                   init=uk.preset(uk.IDENTITY), learning_rate=1.7e308)
+def test_an_overflowing_step_is_rejected_and_lam_grows_from_its_floor(monkeypatch):
+    # B runs into relu's flat side, where dB = s(z1) underflows: lam shrinks
+    # to its floor over 307 accepted steps, and then J^T J is subnormal
+    # (8.75e-310 at the 360th trial), whose reciprocal step overflows. Each
+    # such trial is rejected and lam grows 10x until the step is finite; a
+    # lam of 0.0 would have retried the same trial forever.
+    from uafkit import fitting
+
+    damped_step, lams, deltas = fitting._damped_step, [], []
+
+    def step(jtj, jtr, lam):
+        assert len(lams) < 5000, "a run of rejections that does not end"
+        lams.append(lam)
+        deltas.append(damped_step(jtj, jtr, lam))
+        return deltas[-1]
+
+    monkeypatch.setattr(fitting, "_damped_step", step)
+    spec = FitSpec(target=uk.RELU, free=("B",), init=uk.preset(uk.IDENTITY),
+                   interval=(-22.1112233568401, -18.197504407714963), n_samples=41,
+                   max_iters=400, tolerance=0.0)
+    res = uk.fit(spec)
+    assert (res.stop_reason, res.iterations) == ("max_iters", 400)
+    first = deltas.index([math.inf])
+    assert lams[first] == sys.float_info.min
+    run = next(i for i in range(first, len(deltas)) if deltas[i] != [math.inf])
+    assert run - first > 300
+    assert all(b == a * 10.0 for a, b in zip(lams[first:run], lams[first + 1:run + 1]))
+
+
+def test_an_overflowing_damped_system_stalls_the_fit(capfd, overflowing_damping):
+    family = uk.builtin_spec("sigmoid-family")
+    free = FitSpec(target=uk.SIGMOID, free=uk.core.PARAM_NAMES, init=uk.preset(uk.IDENTITY))
     for spec in (family, free):
         res = uk.fit(spec)
         assert (res.stop_reason, res.iterations) == ("stalled", 0)
@@ -321,8 +360,7 @@ def test_an_overflowing_damped_system_stalls_the_fit(capfd):
 
 @st.composite
 def _fit_specs(draw):
-    """A builtin family or a free fit from a preset, on a random interval,
-    from any initial damping."""
+    """A builtin family or a free fit from a preset, on a random interval."""
     name = draw(st.sampled_from(uk.BUILTIN_SPEC_NAMES + ("free",)))
     lo = draw(st.floats(-1e3, 1e3))
     width = draw(st.floats(1e-3, 2e3))
@@ -330,7 +368,6 @@ def _fit_specs(draw):
         "interval": [lo, lo + width],
         "n_samples": draw(st.integers(2, 2001)),
         "max_iters": draw(st.integers(0, 40)),
-        "learning_rate": draw(st.floats(1e-300, 1.7e308)),
     }
     if name == "free":
         preset = uk.preset(draw(st.sampled_from([uk.IDENTITY, uk.SIGMOID, uk.TANH, uk.RELU,
@@ -361,14 +398,14 @@ def test_any_fit_is_monotone_and_repeats_bitwise(spec):
 
 
 def _masked_fit_specs():
-    """The builtins on three intervals at three initial lambdas, tie kinds
-    that leave chain rows zero, k = 2, and a free fit."""
+    """The builtins on three intervals at three grid sizes, tie kinds that
+    leave chain rows zero, k = 2, and a free fit."""
     specs = [
         FitSpec.from_dict({**uk.builtin_spec(name).to_dict(), "interval": list(interval),
-                           "learning_rate": lam})
+                           "n_samples": n})
         for name in uk.BUILTIN_SPEC_NAMES
         for interval in ((-10.0, 10.0), (-1000.0, 1000.0), (-1e-3, 2e-3))
-        for lam in (0.1, 1e-6, 1e6)
+        for n in (2001, 101, 2)
     ]
     sigmoid = uk.SIGMOID
     specs += [
@@ -384,8 +421,7 @@ def _masked_fit_specs():
     return specs
 
 
-# Each start has one unread partial that is inf or NaN somewhere, and its
-# zero row of chain makes the Jacobian NaN, so the fit stalls at once:
+# Each start has one unread partial that is inf or NaN somewhere:
 # dB = s1 A + s2 D = inf where x > 0; dA = s1 (x + B) = 0 * inf where x + B
 # overflows; dD = -s2 (x - B) = -0 * inf likewise; dC = 0.5 x^2 = inf.
 _ZERO_TIMES_INF = [
@@ -400,15 +436,25 @@ _ZERO_TIMES_INF = [
 ]
 
 
+def test_an_unread_partial_does_not_stall_the_fit():
+    # The Jacobian holds +0.0 for a partial that no free parameter reads, so
+    # its inf or NaN never reaches J^T J, and the fit goes on.
+    with np.errstate(all="ignore"):
+        results = [uk.fit(spec) for spec in _ZERO_TIMES_INF]
+    assert [res.stop_reason for res in results] == ["tolerance"] * 4
+    for res, start, end in zip(results[1:], (1.693, 0.99975, 0.7070), (0.0223, 0.0223, 0.4999)):
+        assert res.iterations >= 3
+        assert res.rmse_trace[0] == pytest.approx(start, abs=5e-4)
+        assert res.rmse == pytest.approx(end, abs=5e-4)
+
+
 def test_reading_fewer_columns_and_the_k1_step_change_no_fit_result(monkeypatch):
     from uafkit import fitting
 
-    specs = _masked_fit_specs() + _ZERO_TIMES_INF
-    assert sum(not all(_Objective(spec).read) for spec in specs) >= 36 + len(_ZERO_TIMES_INF)
+    specs = _masked_fit_specs()
+    assert sum(not all(_Objective(spec).read) for spec in specs) >= 36
     with np.errstate(all="ignore"):
         masked = [uk.fit(spec) for spec in specs]
-    for res in masked[-len(_ZERO_TIMES_INF):]:
-        assert (res.stop_reason, res.iterations) == ("stalled", 0)
     init = _Objective.__init__
 
     def all_columns(self, spec):
@@ -420,6 +466,20 @@ def test_reading_fewer_columns_and_the_k1_step_change_no_fit_result(monkeypatch)
     with np.errstate(all="ignore"):
         full = [uk.fit(spec) for spec in specs]
     assert [json.dumps(r.to_dict()) for r in full] == [json.dumps(r.to_dict()) for r in masked]
+
+
+def test_a_run_of_rejections_ends_without_a_cap():
+    # Near x = -79.5 the k = 2 step on C and D is rejected 36 times in a row
+    # before lam, at 1e35, is large enough for one to lower the error.
+    spec = FitSpec.from_dict({
+        "target": "identity", "free": ["C", "D"],
+        "init": {"A": 1.01605291, "B": 0.49210035725403317, "C": 0.0, "D": 1.01605291, "E": 0.0},
+        "interval": [-79.60511956521692, -79.4726890053797],
+    })
+    res = uk.fit(spec)
+    assert (res.stop_reason, res.iterations) == ("tolerance", 1)
+    assert res.rmse_trace[0] == pytest.approx(79.539, abs=1e-3)
+    assert res.rmse == pytest.approx(3.0486, abs=1e-4)
 
 
 def test_builtin_constants():

@@ -19,8 +19,8 @@ the rest +0.0 for the tie matrix's zero rows: a partial that no free
 parameter reads adds nothing, even where it would be inf or NaN. The 1 x 1
 system of a one-parameter fit is solved as b * (1 / m), without the SVD
 that lstsq runs; lstsq computes the same bits, bar a system it rescales
-first (near the ends of the float64 range), where the reciprocal can
-overflow and the trial is rejected.
+first (near the ends of the float64 range). A zero m, or one so small that
+its reciprocal overflows, goes to lstsq instead.
 
 What does not change between iterations is built once per fit: the tie
 matrix without its tie slopes, which each Jacobian writes into a copy at its
@@ -280,14 +280,16 @@ class _Objective:
 def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> list[float] | None:
     """delta solving (jtj + lam diag(jtj)) delta = jtr, as a list of floats,
     or None when that damped matrix is not finite (jtj and jtr are). For
-    k = 1 with m = jtj + lam jtj and b = jtr, delta is b * (1 / m), and 0.0
-    when m = 0; a larger system goes to lstsq."""
+    k = 1 with m = jtj + lam jtj and b = jtr, delta is b * (1 / m) wherever
+    m and its reciprocal are finite and m is not 0. Any other system goes to
+    lstsq: a larger one, and an m that is 0 (delta 0.0) or so small that its
+    reciprocal overflows, which lstsq rescales (m = b = 1e-310 gives 1.0,
+    where the reciprocal gives inf)."""
     if jtr.shape[0] == 1:
         j, b = jtj.item(), jtr.item()
         m = j + lam * j
-        if not math.isfinite(m):
-            return None
-        return [b * (1.0 / m) if m else 0.0]
+        if math.isfinite(m) and m and math.isfinite(1.0 / m):
+            return [b * (1.0 / m)]
     damped = jtj + lam * np.diag(np.diag(jtj))
     if not np.isfinite(damped).all():
         return None

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uafkit as uk
@@ -601,7 +601,7 @@ def test_scaled_residual_vanishes_at_extrema():
     # the gaussian's equation is 0 = 0 at x = 0: every term is 0, and the
     # scaled residual is 0.0, not 0/0
     p = uk.preset(uk.GAUSSIAN)
-    assert not any(uk.analysis._char_terms(uk.GAUSSIAN, p, 0.0))
+    assert not any(c for c, _ in uk.analysis._char_terms(uk.GAUSSIAN, p, 0.0))
     assert uk.characteristic_residual_scaled(uk.GAUSSIAN, p, 0.0) == 0.0
 
 
@@ -623,12 +623,86 @@ def test_every_scanned_extremum_satisfies_its_equation():
 
 def test_scaled_residual_is_finite_on_the_default_grid():
     # At relu's A = 70.9992, e^{Ax} overflows from x = 9.938, so its positive
-    # branch must hold no such term.
+    # branch must not form that term as a float.
     xs = np.linspace(*INTERVAL, 20001)
     for kind, _ in CERTIFIED_ROOTS.values():
         p = uk.preset(kind)
         assert all(math.isfinite(uk.characteristic_residual_scaled(kind, p, float(x)))
                    for x in xs), kind.label()
+
+
+def _exact_char_terms(mp, kind, p, x):
+    """The family's characteristic-equation terms at x, in the order of
+    analysis._char_terms, each formed as a number in mpmath's working
+    precision."""
+    x, A, C, exp = mp.mpf(x), mp.mpf(p.A), mp.mpf(p.C), mp.exp
+    if kind.name == "sigmoid":
+        return [(mp.e - 1) * A * (exp(x) + 1) ** 2 * exp(A * x - 0.5),
+                -exp(x) * (exp(A * x - 0.5) + 1) * (exp(A * x + 0.5) + 1)]
+    if kind.name == "tanh":
+        return [-A * exp(A * x - 1), A * exp(A * x + 1),
+                -2 * A * exp(A * x + 2 * x - 1), 2 * A * exp(A * x + 2 * x + 1),
+                -A * exp(A * x + 4 * x - 1), A * exp(A * x + 4 * x + 1),
+                -4 * exp(A * x + 2 * x - 1), -4 * exp(A * x + 2 * x + 1),
+                -4 * exp(2 * A * x + 2 * x), -4 * exp(2 * x)]
+    if kind.name == "relu":
+        if x >= 0:
+            return [(A - 1) * exp(A * x), -A * exp(A * x - x), mp.mpf(-1)]
+        return [A * exp(x), exp(A * x), mp.mpf(1), -A]
+    if kind.name == "leaky_relu":
+        a = mp.mpf(kind.alpha)
+        if x >= 0:
+            return [(a - 1) * exp(-a * x), a * exp(x - a * x), mp.mpf(-1)]
+        return [-a * exp(x), -a, exp(x - a * x), exp(x)]
+    # gaussian: terms that are 0 at x = 0 are dropped, as the residual drops them
+    terms = [2 * C * x / (1 + exp(-C * x * x)), x * mp.log(2) * exp(-x * x / 2)]
+    return [t for t in terms if t]
+
+
+@pytest.mark.parametrize("kind", [k for k, _ in CERTIFIED_ROOTS.values()], ids=list(CERTIFIED_ROOTS))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(x=st.floats(-1e4, 1e4))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=1e4)
+@example(x=-1e4)
+@example(x=5e-324)
+@example(x=1e154)
+@example(x=-1e154)
+def test_scaled_residual_is_within_its_bound_of_an_mpmath_oracle(kind, x):
+    """The residual is finite, never 0.0 where the exact one is not, and
+    within the bound that characteristic_residual_scaled derives. The
+    exponents reach 71|x| (relu) and x^2/2 (gaussian), so the oracle's
+    working precision grows with the digits of x^2: 40 digits are left for
+    each exponent's fraction."""
+    mp = pytest.importorskip("mpmath")
+    p, u = uk.preset(kind), 2.0**-53
+    r = uk.characteristic_residual_scaled(kind, p, x)
+    assert math.isfinite(r)
+    with mp.workdps(40 + 2 * math.ceil(math.log10(1.0 + abs(x)))):
+        terms = _exact_char_terms(mp, kind, p, x)
+        if not terms:
+            assert r == 0.0
+            return
+        logs = [mp.log(abs(v)) for v in terms]
+        top_log = max(logs)
+        scaled = [mp.sign(v) * mp.exp(log - top_log) for v, log in zip(terms, logs)]
+        exact = float(mp.fsum(scaled))
+        t = [float(v) for v in scaled]
+        gaps = [float(log - top_log) for log in logs]
+    assert r != 0.0 or exact == 0.0
+    pairs = [(c, l) for c, l in uk.analysis._char_terms(kind, p, x) if c]
+    assert len(pairs) == len(terms)
+    m = [abs(math.log(abs(c))) + abs(l) + 1.0 for c, l in pairs]
+    top = gaps.index(0.0)
+    near = [i for i, gap in enumerate(gaps) if gap >= -8 * u * (m[i] + m[top])]
+    m_top = max(m[i] for i in near)
+    others = range(len(t)) if len(near) > 1 else [i for i in range(len(t)) if i != top]
+    bound = u * abs(exact) + sum(
+        abs(t[i]) * (8 * u * (m[i] + m_top) + u * abs(gaps[i]) + 2 * u) for i in others)
+    if len(near) > 1:
+        bound += 16 * u * m_top * sum(map(abs, t))
+    assert abs(r - exact) <= bound, (r, exact, bound)
 
 
 def test_residual_rejects_families_without_equations():

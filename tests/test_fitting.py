@@ -312,40 +312,64 @@ def test_the_damped_step_is_lstsq_bitwise():
             assert _damped_step(np.array([[j]]), np.array([b]), lam) is None, (j, lam, b)
         assert _damped_step(np.array([[1e300, 1.0], [1.0, 3.0]]), jtr, 1e10) is None
         assert _damped_step(np.array([[0.0, 0.0], [0.0, 3.0]]), jtr, np.inf) is None  # inf * 0
-        # A subnormal m, which lstsq rescales: its reciprocal overflows, so the
-        # step is inf where lstsq's is 1.0 (see the next test).
+        # A subnormal m, whose reciprocal overflows, goes to lstsq, which
+        # rescales it (the relu fit of the next test).
         jtj, jtr = np.array([[1e-310]]), np.array([1e-310])
         assert _lstsq_step(jtj, jtr, 1e-30).tolist() == [1.0]
-        assert _damped_step(jtj, jtr, 1e-30) == [math.inf]
+        assert _damped_step(jtj, jtr, 1e-30) == [1.0]
 
 
-def test_an_overflowing_step_is_rejected_and_lam_grows_from_its_floor(monkeypatch):
-    # B runs into relu's flat side, where dB = s(z1) underflows: lam shrinks
-    # to its floor over 307 accepted steps, and then J^T J is subnormal
-    # (8.75e-310 at the 360th trial), whose reciprocal step overflows. Each
-    # such trial is rejected and lam grows 10x until the step is finite; a
-    # lam of 0.0 would have retried the same trial forever.
+def _lams(monkeypatch):
+    """The lam of every _damped_step call in the fits that follow, and the
+    m = jtj + lam jtj of each 1 x 1 system."""
     from uafkit import fitting
 
-    damped_step, lams, deltas = fitting._damped_step, [], []
+    damped_step, lams, ms = fitting._damped_step, [], []
 
     def step(jtj, jtr, lam):
         assert len(lams) < 5000, "a run of rejections that does not end"
         lams.append(lam)
-        deltas.append(damped_step(jtj, jtr, lam))
-        return deltas[-1]
+        ms.append(jtj.item() + lam * jtj.item() if jtj.size == 1 else None)
+        return damped_step(jtj, jtr, lam)
 
     monkeypatch.setattr(fitting, "_damped_step", step)
+    return lams, ms
+
+
+def test_a_subnormal_damped_system_goes_to_lstsq_and_lam_holds_its_floor(monkeypatch):
+    # B runs into relu's flat side, where dB = s(z1) underflows: lam shrinks
+    # to its floor over 307 accepted steps, and J^T J then turns subnormal
+    # (from the 360th call), where 1 / m overflows. lstsq rescales those
+    # systems, so every step is accepted until J^T r is exactly 0; a lam of
+    # 0.0 would not have grown again after a rejection.
+    lams, ms = _lams(monkeypatch)
     spec = FitSpec(target=uk.RELU, free=("B",), init=uk.preset(uk.IDENTITY),
                    interval=(-22.1112233568401, -18.197504407714963), n_samples=41,
-                   max_iters=400, tolerance=0.0)
+                   tolerance=0.0)
     res = uk.fit(spec)
-    assert (res.stop_reason, res.iterations) == ("max_iters", 400)
-    first = deltas.index([math.inf])
-    assert lams[first] == sys.float_info.min
-    run = next(i for i in range(first, len(deltas)) if deltas[i] != [math.inf])
-    assert run - first > 300
-    assert all(b == a * 10.0 for a, b in zip(lams[first:run], lams[first + 1:run + 1]))
+    assert (res.stop_reason, res.iterations, res.rmse) == ("zero_gradient", 375, 0.0)
+    assert len(lams) == 375  # no trial was rejected
+    at_floor = [i for i, lam in enumerate(lams) if lam == sys.float_info.min]
+    assert at_floor == list(range(307, 375))
+    assert 0.0 not in lams
+    assert sum(not math.isfinite(1.0 / m) for m in ms) == 16
+
+
+def test_a_rejection_at_the_floor_grows_lam_tenfold(monkeypatch):
+    # The identity preset fits the identity target to rounding noise. With
+    # tolerance 0 every MSE-equal trial is accepted and shrinks lam, which
+    # reaches its floor at the 308th call; the 661st trial, which rounding
+    # makes worse, is rejected there, and lam grows 10x from the floor.
+    lams, _ = _lams(monkeypatch)
+    spec = FitSpec(target=uk.IDENTITY, free=("C",), init=uk.preset(uk.IDENTITY),
+                   interval=(-4.0, 8.0), n_samples=41, max_iters=700, tolerance=0.0)
+    uk.fit(spec)
+    floor = sys.float_info.min
+    assert lams.index(floor) == 307
+    rejected = [i for i in range(len(lams) - 1) if lams[i] == floor and lams[i + 1] != floor]
+    assert rejected == [660]
+    assert lams[661] == 10.0 * floor
+    assert 0.0 not in lams
 
 
 def test_an_overflowing_damped_system_stalls_the_fit(capfd, overflowing_damping):

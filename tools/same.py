@@ -7,12 +7,14 @@ in a fresh interpreter, with the entries whose output differs listed.
 The corpus is taken from this checkout (see corpus): every perfbench job,
 every --help, the presets, reports on four intervals, both table formats,
 eval and sweep per preset, fits with each kind of tie, training runs, a
-malformed input for each command under three UAFKIT_SEED settings, and the
-batch functions at 2 * 65,536 + 3 points. An entry's digest is the sha256
-of its exit code, stdout, stderr, uncaught exception, warnings and output
-files, with train's wall_time masked. Each run reads and writes files only
-in its own copy of the corpus's work directory, under relative names, so
-that no message names a checkout.
+malformed input for each command under three UAFKIT_SEED settings, and
+library calls that no command makes: the batch functions at 2 * 65,536 + 3
+points, and each family's characteristic residual at its preset on the
+[-10, 10] grid and out to |x| = 1e4. A command's digest is the sha256 of its
+exit code, stdout, stderr, uncaught exception, warnings and output files,
+with train's wall_time masked; a library call's is that of its array. Each
+run reads and writes files only in its own copy of the corpus's work
+directory, under relative names, so that no message names a checkout.
 
 It prints the NumPy dispatch target of each run, one sha256 per entry (this
 checkout's), then "N of M entries differ" and one "- name" line per
@@ -53,6 +55,15 @@ BATCH_PARAMS = {
     "gaussian": (0.0, 0.0, -0.6134142, 0.0, 0.5),
     "mixed": (1.5, -0.25, 0.01, -0.75, 0.1),
 }
+# The target of each batch call that takes one, and the families with a
+# characteristic equation, each at its preset (leaky_relu's alpha is 0.1).
+BATCH_TARGETS = {"sigmoid": "sigmoid", "gaussian": "gaussian", "mixed": "tanh"}
+RESIDUAL_FAMILIES = ("sigmoid", "tanh", "relu", "leaky_relu", "gaussian")
+# The residual's points: the report grid on [-10, 10], and points out to
+# |x| = 1e4, where its terms as plain exponentials overflow or underflow.
+RESIDUAL_POINTS = 20001
+RESIDUAL_SPECIAL = (0.0, 40.0, -40.0, 120.0, -120.0, 300.0, -300.0, 400.0, -400.0,
+                    800.0, -800.0, 1e4, -1e4)
 
 IDENTITY = {"A": 1.0, "B": 0.0, "C": 0.0, "D": -1.0, "E": 0.0}
 BLOBS = {"kind": "blobs", "seed": 11, "n_samples": 200, "n_classes": 4, "n_features": 16}
@@ -121,8 +132,9 @@ def corpus(work: Path) -> list[dict]:
     order a run takes them. A CLI entry is {"name", "args", "seed",
     "outputs"}: args name files relative to work, seed is UAFKIT_SEED (None
     for unset) and outputs are the files the command writes. A library entry
-    is {"name", "call", "params"}. A perfbench job's entry is named as the
-    job."""
+    is {"name", "call", "kind", "params"}: the target kind as JSON and the
+    five parameters, each None where the call takes none (the residual takes
+    its kind's preset). A perfbench job's entry is named as the job."""
     entries = []
 
     def cli(name, *args, seed=None, outputs=()):
@@ -180,6 +192,12 @@ def corpus(work: Path) -> list[dict]:
         path = f"fit_{name.replace(' ', '_')}.json"
         write(path, spec)
         cli(f"fit {name} tie", "fit", "--spec", path)
+    # B runs into relu's flat side, where J^T J turns subnormal near the end
+    # and a one-parameter step's 1 / m overflows.
+    write("fit_subnormal.json", _fit_spec(
+        ["B"], [], target="relu", init=IDENTITY,
+        interval=[-22.1112233568401, -18.197504407714963], n_samples=41, tolerance=0.0))
+    cli("fit subnormal J^T J", "fit", "--spec", "fit_subnormal.json")
 
     write("gas_small.json", GAS)
     write("blobs_small.json", BLOBS)
@@ -220,9 +238,20 @@ def corpus(work: Path) -> list[dict]:
         for name, args in under_seeds.items():
             cli(f"{name}, UAFKIT_SEED={seed if seed is not None else 'unset'}", *args, seed=seed)
 
+    def library(name, call, kind=None, params=None):
+        entries.append({"name": name, "call": call, "kind": kind, "params": params})
+
     for name, params in BATCH_PARAMS.items():
         for call in ("eval_batch", "grad_batch"):
-            entries.append({"name": f"{call} {name}", "call": call, "params": list(params)})
+            library(f"{call} {name}", call, params=list(params))
+        target = {"name": BATCH_TARGETS[name]}
+        library(f"approx_error_batch {name}", "approx_error_batch", target, list(params))
+    for name in PRESETS:
+        for call in ("target_eval_batch", "target_derivative_batch"):
+            library(f"{call} {name}", call, {"name": name})
+    for name in RESIDUAL_FAMILIES:
+        library(f"characteristic_residual_scaled {name}", "characteristic_residual_scaled",
+                {"name": name})
     return entries
 
 
@@ -274,13 +303,22 @@ def child(request: dict) -> dict:
         runner = CliRunner()
     xs = np.concatenate([np.linspace(-30.0, 30.0, BATCH_POINTS - len(SPECIAL_POINTS)),
                          SPECIAL_POINTS])
+    residual_xs = np.linspace(-10.0, 10.0, RESIDUAL_POINTS).tolist() + list(RESIDUAL_SPECIAL)
     digests = {}
     for entry in request["entries"]:
         warned.clear()
         if "call" in entry:
-            p = uafkit.UafParams(*entry["params"])
+            call = getattr(uafkit, entry["call"])
+            kind = uafkit.PresetKind.from_dict(entry["kind"]) if entry["kind"] else None
             with np.errstate(all="ignore"):
-                out = getattr(uafkit, entry["call"])(p, xs)
+                if entry["call"] == "characteristic_residual_scaled":
+                    p = uafkit.preset(kind)
+                    out = np.array([call(kind, p, x) for x in residual_xs])
+                else:
+                    args = [uafkit.UafParams(*entry["params"])] if entry["params"] else []
+                    if kind:
+                        args.append(kind)
+                    out = call(*args, xs)
             digests[entry["name"]] = _digest(str(out.dtype), out.shape, out.tobytes().hex())
             continue
         result = runner.invoke(main, entry["args"], env={"UAFKIT_SEED": entry["seed"]})
